@@ -1,6 +1,6 @@
 //! The [`Architecture`] type.
 
-use qubikos_graph::{DistanceOracle, DistanceRow, Edge, Graph, NodeId, OracleKind, OracleStats};
+use qubikos_graph::{DistanceMatrix, Edge, Graph, NodeId, OracleStats};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -35,17 +35,9 @@ impl fmt::Display for ArchitectureError {
 
 impl Error for ArchitectureError {}
 
-/// A named device: a connected coupling graph plus its distance oracle.
-///
-/// [`Architecture::new`] picks the oracle automatically: devices up to
-/// [`qubikos_graph::DENSE_ORACLE_MAX_NODES`] qubits get the eager dense
-/// matrix, larger ones (Eagle-127, Osprey-433) the landmark-backed
-/// on-demand BFS oracle — a bounded, pinnable row cache for exact queries
-/// plus an O(L) triangle-inequality bound index for candidate-scan pruning
-/// — so peak memory stays far below n². Every point query is an exact hop
-/// distance on every tier, so the choice can never change a routing
-/// result; [`Architecture::with_oracle`] overrides it for tests and
-/// benchmarks.
+/// A named device: a connected coupling graph plus its dense all-pairs
+/// [`DistanceMatrix`], built once at construction for every device size
+/// (Osprey-433's table is ~1.5 MB and builds in a few milliseconds).
 ///
 /// # Example
 ///
@@ -65,56 +57,17 @@ impl Error for ArchitectureError {}
 pub struct Architecture {
     name: String,
     coupling: Graph,
-    oracle: DistanceOracle,
+    distances: DistanceMatrix,
 }
 
 impl Architecture {
-    /// Builds an architecture from a coupling graph, selecting the distance
-    /// oracle automatically from the qubit count.
+    /// Builds an architecture from a coupling graph and its distance table.
     ///
     /// # Errors
     ///
     /// Returns [`ArchitectureError::Empty`] for an empty graph and
     /// [`ArchitectureError::Disconnected`] if the graph is not connected.
     pub fn new(name: impl Into<String>, coupling: Graph) -> Result<Self, ArchitectureError> {
-        let kind = OracleKind::auto_for(coupling.node_count());
-        Self::with_oracle(name, coupling, kind)
-    }
-
-    /// Builds an architecture with an explicitly chosen oracle kind,
-    /// overriding the automatic size-based selection.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Architecture::new`].
-    pub fn with_oracle(
-        name: impl Into<String>,
-        coupling: Graph,
-        kind: OracleKind,
-    ) -> Result<Self, ArchitectureError> {
-        Self::with_oracle_capacity(name, coupling, kind, None)
-    }
-
-    /// Builds an architecture with an explicit oracle kind *and* row-cache
-    /// capacity (`None` = the default
-    /// [`qubikos_graph::SPARSE_ROW_CACHE_CAPACITY`]; ignored by the dense
-    /// matrix, which has no cache). Capacity is a performance knob, not
-    /// identity: it does not participate in equality or serialization, and
-    /// a deserialized architecture gets the default capacity back.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Architecture::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_capacity` is `Some(0)` for a cached oracle kind.
-    pub fn with_oracle_capacity(
-        name: impl Into<String>,
-        coupling: Graph,
-        kind: OracleKind,
-        row_capacity: Option<usize>,
-    ) -> Result<Self, ArchitectureError> {
         if coupling.node_count() == 0 {
             return Err(ArchitectureError::Empty);
         }
@@ -122,11 +75,11 @@ impl Architecture {
         if components != 1 {
             return Err(ArchitectureError::Disconnected { components });
         }
-        let oracle = DistanceOracle::build_with_capacity(&coupling, kind, row_capacity);
+        let distances = DistanceMatrix::new(&coupling);
         Ok(Architecture {
             name: name.into(),
             coupling,
-            oracle,
+            distances,
         })
     }
 
@@ -150,66 +103,44 @@ impl Architecture {
         &self.coupling
     }
 
-    /// The distance oracle behind [`Self::distance`].
-    pub fn oracle(&self) -> &DistanceOracle {
-        &self.oracle
-    }
-
-    /// Which oracle implementation this architecture uses.
-    pub fn oracle_kind(&self) -> OracleKind {
-        self.oracle.kind()
-    }
-
-    /// Oracle usage counters (rows computed, cache hits); see
-    /// [`OracleStats`] for the per-implementation semantics.
+    /// Distance-table counters for the bench layer's per-route reports:
+    /// `rows_computed` is the qubit count (every row is built eagerly) and
+    /// every other field is 0 (see [`OracleStats`]).
     pub fn oracle_stats(&self) -> OracleStats {
-        self.oracle.stats()
-    }
-
-    /// Pins the distance rows for `qubits` in the oracle's row cache — the
-    /// routing kernel's front-locality hint (see
-    /// [`qubikos_graph::BfsOracle::pin_rows`]). A no-op for the dense
-    /// matrix. Pinning is a replacement-policy hint only; it never changes
-    /// a distance answer.
-    pub fn pin_distance_sources(&self, qubits: &[PhysicalQubit]) {
-        self.oracle.pin_rows(qubits);
+        OracleStats {
+            rows_computed: self.num_qubits() as u64,
+            ..OracleStats::default()
+        }
     }
 
     /// Exact hop distance between two physical qubits.
     ///
     /// This is the single place the distance contract is defined; every
     /// router and lower bound scores through it (or through
-    /// [`Self::distance_row`], which shares it):
+    /// [`Self::distance_row`], which reads the same table):
     ///
-    /// * Distances are exact BFS hop counts, identical for the dense and
-    ///   sparse oracles — oracle choice never changes a result.
+    /// * Distances are exact BFS hop counts.
     /// * Qubits in range: the distance, `usize::MAX` only if the device
     ///   were disconnected (construction rejects that, so in practice never).
     /// * Qubits out of range: **debug builds panic**; release behaviour is
-    ///   unspecified (panic or an unrelated value, depending on the oracle).
-    ///   Callers that have not already validated their qubits must use
-    ///   [`Self::try_distance`].
+    ///   unspecified (panic or an unrelated value). Callers that have not
+    ///   already validated their qubits must use [`Self::try_distance`].
     pub fn distance(&self, a: PhysicalQubit, b: PhysicalQubit) -> usize {
-        self.oracle.distance(a, b)
+        self.distances.get(a, b)
     }
 
     /// Checked [`Self::distance`]: `None` when either qubit is out of range.
     pub fn try_distance(&self, a: PhysicalQubit, b: PhysicalQubit) -> Option<usize> {
-        self.oracle.try_distance(a, b)
+        self.distances.try_get(a, b)
     }
 
-    /// Distances from `a` to every physical qubit, as one row.
-    ///
-    /// Fetching a row once and indexing it beats repeated
-    /// [`Self::distance`] calls whenever one endpoint is fixed across many
-    /// queries (candidate scans in placement and routing): on the sparse
-    /// oracle it pins the row through one cache access instead of n.
+    /// Distances from `a` to every physical qubit, as one row of the table.
     ///
     /// # Panics
     ///
     /// Panics if `a` is out of range.
-    pub fn distance_row(&self, a: PhysicalQubit) -> DistanceRow<'_> {
-        self.oracle.distance_row(a)
+    pub fn distance_row(&self, a: PhysicalQubit) -> &[usize] {
+        self.distances.row(a)
     }
 
     /// Returns `true` if `a` and `b` are coupled (a two-qubit gate can run on them).
@@ -248,30 +179,28 @@ impl Architecture {
 
     /// Graph diameter (largest qubit-to-qubit distance).
     pub fn diameter(&self) -> usize {
-        self.oracle.diameter().unwrap_or(0)
+        self.distances.diameter().unwrap_or(0)
     }
 }
 
-/// Structural identity: name, coupling graph, and oracle *kind*. Oracle
-/// cache state and stats are usage artifacts, not identity.
+/// Structural identity: name and coupling graph. The distance table is
+/// derived from the coupling graph.
 impl PartialEq for Architecture {
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.coupling == other.coupling
-            && self.oracle.kind() == other.oracle.kind()
+        self.name == other.name && self.coupling == other.coupling
     }
 }
 
 impl Eq for Architecture {}
 
-/// Serializes as `{name, coupling, oracle}` where `oracle` is the kind; the
-/// oracle itself (derived data) is rebuilt on deserialization.
+/// Serializes as `{name, coupling}`; the distance table (derived data) is
+/// rebuilt on deserialization. Any other field, such as the `oracle` kind
+/// older files carry, is ignored.
 impl Serialize for Architecture {
     fn serialize_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("name".to_string(), self.name.serialize_value()),
             ("coupling".to_string(), self.coupling.serialize_value()),
-            ("oracle".to_string(), self.oracle.kind().serialize_value()),
         ])
     }
 }
@@ -280,8 +209,7 @@ impl Deserialize for Architecture {
     fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let name = String::deserialize_value(value.object_field("name")?)?;
         let coupling = Graph::deserialize_value(value.object_field("coupling")?)?;
-        let kind = OracleKind::deserialize_value(value.object_field("oracle")?)?;
-        Architecture::with_oracle(name, coupling, kind)
+        Architecture::new(name, coupling)
             .map_err(|e| serde::Error::new(format!("invalid architecture: {e}")))
     }
 }
@@ -302,7 +230,7 @@ impl fmt::Display for Architecture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qubikos_graph::{generators, DENSE_ORACLE_MAX_NODES};
+    use qubikos_graph::generators;
 
     #[test]
     fn builds_from_connected_graph() {
@@ -321,61 +249,26 @@ mod tests {
     }
 
     #[test]
-    fn small_devices_get_dense_large_get_landmark() {
-        let small = Architecture::new("grid", generators::grid_graph(3, 3)).expect("connected");
-        assert_eq!(small.oracle_kind(), OracleKind::Dense);
-        assert_eq!(small.oracle_stats().rows_computed, 9);
-        let big = Architecture::new("big-grid", generators::grid_graph(9, 10)).expect("connected");
-        assert!(big.num_qubits() > DENSE_ORACLE_MAX_NODES);
-        assert_eq!(big.oracle_kind(), OracleKind::Landmark);
-        assert_eq!(big.oracle_stats().rows_computed, 0);
-        assert!(big.oracle().landmark().is_some());
-    }
-
-    #[test]
-    fn capacity_override_and_pin_channel_thread_through() {
-        let g = generators::grid_graph(9, 10);
-        let arch = Architecture::with_oracle_capacity("g", g, OracleKind::Landmark, Some(7))
-            .expect("connected");
-        let tier = arch.oracle().row_tier().expect("cached kind");
-        assert_eq!(tier.row_cache_capacity(), 7);
-        arch.pin_distance_sources(&[0, 1, 2]);
-        assert_eq!(tier.pinned_nodes(), 3);
-        let _ = arch.distance(0, 89);
-        let _ = arch.distance(0, 50);
-        assert_eq!(arch.oracle_stats().pinned_hits, 1);
-        // Capacity is not identity: same name/coupling/kind compare equal.
-        let default_cap =
-            Architecture::with_oracle("g", arch.coupling_graph().clone(), OracleKind::Landmark)
-                .expect("connected");
-        assert_eq!(arch, default_cap);
-        // Dense architectures accept (and ignore) the pin hint.
-        let dense = Architecture::new("d", generators::grid_graph(3, 3)).expect("connected");
-        dense.pin_distance_sources(&[0]);
-    }
-
-    #[test]
-    fn oracle_override_answers_identically() {
+    fn distances_come_from_one_dense_table() {
         let g = generators::grid_graph(3, 4);
-        let dense = Architecture::with_oracle("g", g.clone(), OracleKind::Dense).expect("ok");
-        let sparse = Architecture::with_oracle("g", g, OracleKind::Sparse).expect("ok");
+        let arch = Architecture::new("g", g.clone()).expect("connected");
+        let table = DistanceMatrix::new(&g);
         for a in 0..12 {
             for b in 0..12 {
-                assert_eq!(dense.distance(a, b), sparse.distance(a, b));
-                assert_eq!(dense.try_distance(a, b), sparse.try_distance(a, b));
+                assert_eq!(arch.distance(a, b), table.get(a, b));
+                assert_eq!(arch.try_distance(a, b), Some(table.get(a, b)));
             }
-            assert_eq!(&dense.distance_row(a)[..], &sparse.distance_row(a)[..]);
+            assert_eq!(arch.distance_row(a), table.row(a));
         }
-        assert_eq!(dense.diameter(), sparse.diameter());
-        assert_eq!(dense.try_distance(0, 99), None);
-        assert_eq!(sparse.try_distance(99, 0), None);
-        // Sparse stats reflect usage; dense reports its eager rows.
-        assert!(sparse.oracle_stats().queries > 0);
-        assert!(sparse.oracle_stats().cache_hits > 0);
-        assert_eq!(dense.oracle_stats().rows_computed, 12);
-        // Kind differs, so they are structurally distinct architectures.
-        assert_ne!(dense, sparse);
-        assert_eq!(dense.oracle().node_count(), 12);
+        assert_eq!(arch.try_distance(0, 99), None);
+        assert_eq!(arch.try_distance(99, 0), None);
+        assert_eq!(
+            arch.oracle_stats(),
+            OracleStats {
+                rows_computed: 12,
+                ..OracleStats::default()
+            }
+        );
     }
 
     #[test]
@@ -419,16 +312,20 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trips_all_oracle_kinds() {
-        for kind in [OracleKind::Dense, OracleKind::Sparse, OracleKind::Landmark] {
-            let arch =
-                Architecture::with_oracle("rt", generators::grid_graph(3, 3), kind).expect("ok");
-            let json = serde_json::to_string(&arch).expect("serialize");
-            let back: Architecture = serde_json::from_str(&json).expect("deserialize");
-            assert_eq!(back, arch);
-            assert_eq!(back.oracle_kind(), kind);
-            assert_eq!(back.distance(0, 8), 4);
-        }
+    fn serde_round_trips_and_ignores_legacy_oracle_field() {
+        let arch = Architecture::new("rt", generators::grid_graph(3, 3)).expect("ok");
+        let json = serde_json::to_string(&arch).expect("serialize");
+        assert!(!json.contains("oracle"), "{json}");
+        let back: Architecture = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back, arch);
+        assert_eq!(back.distance(0, 8), 4);
+
+        // Files written before the dense table became the only
+        // representation still name an oracle kind; it is ignored.
+        let legacy = json.replacen('{', r#"{"oracle":"Sparse","#, 1);
+        let back: Architecture = serde_json::from_str(&legacy).expect("deserialize legacy");
+        assert_eq!(back, arch);
+        assert_eq!(back.distance(0, 8), 4);
     }
 
     #[test]

@@ -63,33 +63,14 @@ impl DeviceKind {
     ];
 
     /// Builds the architecture.
-    ///
-    /// This is the chokepoint every experiment pipeline builds devices
-    /// through, so it honors the [`ORACLE_ROWS_ENV`] override: when
-    /// `QUBIKOS_ORACLE_ROWS` is set to a positive integer, devices with a
-    /// cached (sparse or landmark) oracle are rebuilt with that row-cache
-    /// capacity. Dense devices and unset/invalid values are unaffected —
-    /// capacity is a performance knob that can never change a distance.
     pub fn build(self) -> Architecture {
-        let arch = match self {
+        match self {
             DeviceKind::Grid3x3 => grid(3, 3),
             DeviceKind::Aspen4 => aspen4(),
             DeviceKind::Sycamore54 => sycamore54(),
             DeviceKind::Rochester53 => rochester53(),
             DeviceKind::Eagle127 => eagle127(),
             DeviceKind::Osprey433 => osprey433(),
-        };
-        match (oracle_rows_override(), arch.oracle_kind()) {
-            (Some(rows), kind) if kind != qubikos_graph::OracleKind::Dense => {
-                Architecture::with_oracle_capacity(
-                    arch.name(),
-                    arch.coupling_graph().clone(),
-                    kind,
-                    Some(rows),
-                )
-                .expect("rebuilt from a valid architecture")
-            }
-            _ => arch,
         }
     }
 
@@ -151,21 +132,6 @@ impl DeviceKind {
             suggestion,
         })
     }
-}
-
-/// Environment variable overriding the distance-oracle row-cache capacity
-/// for devices built through [`DeviceKind::build`] (the CLI path). Positive
-/// integers only; anything else is ignored.
-pub const ORACLE_ROWS_ENV: &str = "QUBIKOS_ORACLE_ROWS";
-
-/// The parsed [`ORACLE_ROWS_ENV`] value, if set to a positive integer.
-pub fn oracle_rows_override() -> Option<usize> {
-    std::env::var(ORACLE_ROWS_ENV)
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&rows| rows > 0)
 }
 
 /// Error from [`DeviceKind::parse`]: the input was not a known device name.
@@ -421,9 +387,8 @@ pub fn eagle127() -> Architecture {
 /// rows of 26/27 qubits joined by 84 bridge qubits).
 ///
 /// Osprey is beyond the paper's evaluation; it exists here as the scaling
-/// stress device for the sparse distance oracle (ROADMAP item 2) — a dense
-/// distance matrix for it would hold 433² ≈ 187k entries, none of which a
-/// route ever needs more than a few rows of.
+/// stress device for routing. Its dense distance table holds 433² ≈ 187k
+/// entries (~1.5 MB) and builds in a few milliseconds.
 pub fn osprey433() -> Architecture {
     let g = heavy_hex(13, 27);
     debug_assert_eq!(g.node_count(), 433);
@@ -575,16 +540,17 @@ mod tests {
     }
 
     #[test]
-    fn large_devices_route_through_the_landmark_oracle() {
-        use qubikos_graph::OracleKind;
-        assert_eq!(eagle127().oracle_kind(), OracleKind::Landmark);
-        assert_eq!(osprey433().oracle_kind(), OracleKind::Landmark);
-        assert_eq!(rochester53().oracle_kind(), OracleKind::Dense);
-        assert_eq!(sycamore54().oracle_kind(), OracleKind::Dense);
-        // The landmark tier is sized by sqrt(n).
-        let eagle = eagle127();
-        let landmark = eagle.oracle().landmark().expect("landmark-backed");
-        assert_eq!(landmark.index().landmark_count(), 12);
+    fn large_devices_build_the_full_dense_table() {
+        for arch in [eagle127(), osprey433()] {
+            let n = arch.num_qubits();
+            assert_eq!(arch.oracle_stats().rows_computed, n as u64);
+            for q in [0, n / 2, n - 1] {
+                let row = arch.distance_row(q);
+                assert_eq!(row.len(), n);
+                assert_eq!(row[q], 0);
+                assert!(row.iter().all(|&d| d <= arch.diameter()));
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! A quantum layout-synthesis problem is defined against an [`Architecture`]:
 //! a named, connected coupling graph whose nodes are *physical* qubits and
 //! whose edges are the pairs on which two-qubit gates can execute, together
-//! with a distance oracle (the quantity every SWAP router scores against) —
-//! a dense all-pairs matrix for small devices, an on-demand sparse BFS
-//! oracle for routing-scale ones, selected automatically by qubit count.
+//! with its dense all-pairs distance table (the quantity every SWAP router
+//! scores against), built once per device.
 //!
 //! The [`devices`] module provides the four architectures evaluated in the
 //! paper — Rigetti Aspen-4 (16 qubits), Google Sycamore (54), IBM Rochester
 //! (53) and IBM Eagle (127) — plus an Osprey-scale 433-qubit heavy-hex
-//! lattice for oracle scaling studies and the line and grid topologies used
+//! lattice for scaling studies and the line and grid topologies used
 //! in the optimality study and the test suites. Rochester, Eagle and Osprey
 //! are heavy-hex style lattices generated from the published layout pattern;
 //! see DESIGN.md for the exact modelling notes.

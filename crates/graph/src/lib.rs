@@ -9,16 +9,8 @@
 //! * [`Graph`] — a compact adjacency-list undirected graph.
 //! * [`traversal`] — BFS/DFS orders, BFS edge orders (used by the QUBIKOS
 //!   backbone construction), connected components.
-//! * [`distance`] — dense all-pairs shortest-path distances, the small-device
-//!   workhorse of every SWAP-routing heuristic.
-//! * [`csr`] — frozen compressed-sparse-row adjacency for cache-friendly BFS
-//!   on routing-scale devices.
-//! * [`oracle`] — the [`DistanceOracle`] abstraction: dense matrix or
-//!   on-demand BFS with a bounded, pinnable row cache, one exact-distance
-//!   query API.
-//! * [`landmark`] — Thorup–Zwick-style landmark index answering O(L)
-//!   triangle-inequality distance bounds for candidate-scan pruning, layered
-//!   over the exact oracle as the routing-scale default.
+//! * [`distance`] — the dense all-pairs shortest-path table every
+//!   SWAP-routing heuristic scores against, on every device size.
 //! * [`isomorphism`] — VF2-style subgraph monomorphism, used both to check
 //!   that QUBIKOS interaction graphs cannot be embedded into the coupling
 //!   graph and to implement QUEKO-style initial placement.
@@ -41,24 +33,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod distance;
 pub mod generators;
 pub mod graph;
 pub mod isomorphism;
-pub mod landmark;
-pub mod oracle;
 pub mod traversal;
 pub mod weights;
 
-pub use csr::CsrGraph;
-pub use distance::DistanceMatrix;
+pub use distance::{DistanceMatrix, OracleStats};
 pub use graph::{Edge, Graph, NodeId};
 pub use isomorphism::{find_subgraph_embedding, is_subgraph_isomorphic, Vf2Matcher};
-pub use landmark::{default_landmark_count, LandmarkIndex, LandmarkOracle};
-pub use oracle::{
-    default_row_capacity, BfsOracle, DistanceOracle, DistanceRow, OracleKind, OracleStats,
-    DENSE_ORACLE_MAX_NODES, SPARSE_ROW_CACHE_CAPACITY,
-};
 pub use traversal::{bfs_distances, bfs_edge_order, bfs_order, connected_components};
 pub use weights::CouplerWeights;

@@ -1,8 +1,8 @@
 //! Per-coupler SWAP-cost weights.
 //!
 //! Every router scores a candidate SWAP through the routing kernel's
-//! multiplier pipeline (`SwapScorer::prune_candidates` and the exact
-//! selection scan in the layout crate). A [`CouplerWeights`] assigns each
+//! multiplier pipeline (the selection scan in the layout crate). A
+//! [`CouplerWeights`] assigns each
 //! coupler edge a positive cost factor that composes into that pipeline, so
 //! heterogeneous devices — where some couplers are noisier and a SWAP on
 //! them is effectively more expensive — are just another weighting rather
@@ -24,8 +24,8 @@
 //!
 //! Hop *distances* stay unweighted integers throughout — weights scale the
 //! cost of performing a SWAP on an edge, not the length of paths through
-//! it, which keeps every distance-oracle tier (and its exactness
-//! guarantees) untouched.
+//! it, which leaves the distance table (and its exactness guarantees)
+//! untouched.
 
 use crate::graph::{Graph, NodeId};
 
@@ -49,8 +49,8 @@ impl CouplerWeights {
     ///
     /// # Panics
     ///
-    /// Panics if `f` returns a non-finite or non-positive weight; the
-    /// scorer's pruning-soundness argument requires positive multipliers.
+    /// Panics if `f` returns a non-finite or non-positive weight: a SWAP
+    /// never costs nothing, and a negative cost would reward SWAPs.
     pub fn from_fn(graph: &Graph, mut f: impl FnMut(NodeId, NodeId) -> f64) -> Self {
         let mut adjacency = vec![Vec::new(); graph.node_count()];
         for e in graph.edges() {

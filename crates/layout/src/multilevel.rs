@@ -257,7 +257,7 @@ impl MultilevelRouter {
                 .filter(|&p| !used[p])
                 .min_by_key(|&p| {
                     let neighbor_cost: u64 = placed.iter().map(|(row, w)| w * row[p] as u64).sum();
-                    let anchor_cost = anchor_row.as_ref().map_or(0, |row| row[p] as u64);
+                    let anchor_cost = anchor_row.map_or(0, |row| row[p] as u64);
                     (
                         neighbor_cost + anchor_cost,
                         arch.num_qubits() - arch.degree(p),
@@ -274,11 +274,6 @@ impl MultilevelRouter {
     /// locations when it reduces the weighted interaction distance.
     fn refine(&self, level: &Level, arch: &Architecture, assignment: &mut [NodeId]) {
         let n = level.node_count();
-        // Point queries, deliberately: the pair sweep below makes `pos` a
-        // fresh source almost every call, so fetching a full row per call
-        // would evict the sparse oracle's cache on every iteration. Point
-        // lookups let the cache settle on the (stable) assignment-side rows
-        // via the oracle's symmetric-row check.
         let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
             level.weights[u]
                 .iter()

@@ -93,7 +93,6 @@ pub fn greedy_bfs_placement(circuit: &Circuit, arch: &Architecture) -> Mapping {
             }
             Some(first) => {
                 totals[..n_phys].copy_from_slice(&first[..n_phys]);
-                drop(first);
                 for row in rows {
                     let row = &row[..n_phys];
                     for p in 0..n_phys {

@@ -74,88 +74,14 @@ fn golden_swap_counts_on_heavy_hex() {
     check_fixture("rochester-53", &arch, &circuit, [54, 71, 107, 85]);
 }
 
-/// The sparse oracle answers exactly the distances the dense matrix does, so
-/// forcing it onto the small fixture devices must reproduce every golden
-/// count bit-for-bit — the acceptance gate for swapping oracle
-/// implementations out from under the routers.
-#[test]
-fn golden_swap_counts_unchanged_under_sparse_oracle() {
-    use qubikos_graph::OracleKind;
-    /// (name, dense-oracle arch, circuit qubits, gates, seed, golden counts).
-    type Fixture = (&'static str, Architecture, usize, usize, u64, [usize; 4]);
-    let fixtures: [Fixture; 3] = [
-        ("line-8", devices::line(8), 6, 30, 42, [10, 16, 29, 25]),
-        ("grid-4x4", devices::grid(4, 4), 12, 60, 7, [16, 34, 48, 52]),
-        (
-            "rochester-53",
-            devices::rochester53(),
-            20,
-            60,
-            3,
-            [54, 71, 107, 85],
-        ),
-    ];
-    for (name, dense_arch, qubits, gates, seed, golden) in fixtures {
-        assert_eq!(dense_arch.oracle_kind(), OracleKind::Dense);
-        let sparse_arch = Architecture::with_oracle(
-            dense_arch.name(),
-            dense_arch.coupling_graph().clone(),
-            OracleKind::Sparse,
-        )
-        .expect("connected");
-        let circuit = random_circuit(qubits, gates, seed);
-        check_fixture(name, &sparse_arch, &circuit, golden);
-        assert!(sparse_arch.oracle_stats().rows_computed > 0);
-    }
-}
-
-/// The landmark-backed oracle adds bound-based candidate pruning on top of
-/// the exact tiers, but pruning only ever discards candidates provably
-/// outside the winner's tie band — so forcing it onto the small fixture
-/// devices must also reproduce every golden count bit-for-bit. This is the
-/// acceptance gate for the pruned candidate scan (and the CI smoke for the
-/// landmark tier).
-#[test]
-fn golden_swap_counts_unchanged_under_landmark_oracle() {
-    use qubikos_graph::OracleKind;
-    /// (name, dense-oracle arch, circuit qubits, gates, seed, golden counts).
-    type Fixture = (&'static str, Architecture, usize, usize, u64, [usize; 4]);
-    let fixtures: [Fixture; 3] = [
-        ("line-8", devices::line(8), 6, 30, 42, [10, 16, 29, 25]),
-        ("grid-4x4", devices::grid(4, 4), 12, 60, 7, [16, 34, 48, 52]),
-        (
-            "rochester-53",
-            devices::rochester53(),
-            20,
-            60,
-            3,
-            [54, 71, 107, 85],
-        ),
-    ];
-    for (name, dense_arch, qubits, gates, seed, golden) in fixtures {
-        let landmark_arch = Architecture::with_oracle(
-            dense_arch.name(),
-            dense_arch.coupling_graph().clone(),
-            OracleKind::Landmark,
-        )
-        .expect("connected");
-        let circuit = random_circuit(qubits, gates, seed);
-        check_fixture(name, &landmark_arch, &circuit, golden);
-        let stats = landmark_arch.oracle_stats();
-        assert!(stats.rows_computed > 0);
-        // The SABRE/tket scans actually exercised the pruning path.
-        assert!(stats.exact_fallbacks > 0, "{name}: pruning never ran");
-    }
-}
-
 /// The construction kit's new cost axis, pinned: the four named
 /// compositions re-run with **fidelity-derived (non-uniform) coupler
 /// weights** forced on, and the resulting SWAP counts fixed as a fresh
 /// golden scenario. The uniform fixtures above stay untouched — this pins
 /// the weighted decision stream *next to* them, so a change to the weight
-/// hash, the `swap_multiplier` composition, or the pruned-score reuse under
-/// non-uniform weights fails here while the bit-identity fixtures keep
-/// guarding the classic path. QMAP's A* ignores the weight axis (the spec
+/// hash or the `swap_multiplier` composition under non-uniform weights
+/// fails here while the bit-identity fixtures keep guarding the classic
+/// path. QMAP's A* ignores the weight axis (the spec
 /// canonicalizes it away), so its counts must equal the uniform goldens.
 #[test]
 fn golden_swap_counts_under_fidelity_weights() {
@@ -206,17 +132,24 @@ fn golden_swap_counts_under_fidelity_weights() {
     }
 }
 
+/// Eagle-127 golden fixture: one small QUEKO instance routed by all four
+/// tools, exact SWAP counts pinned.
+#[test]
+fn golden_swap_counts_on_eagle127_queko() {
+    use qubikos::queko::{generate_queko, QuekoConfig};
+    let arch = devices::eagle127();
+    let queko = generate_queko(&arch, &QuekoConfig::new(6).with_density(0.05).with_seed(5))
+        .expect("generates");
+    check_fixture("eagle-127", &arch, queko.circuit(), [1, 8, 5, 2]);
+}
+
 /// Osprey-433 golden fixture: one small QUEKO instance routed by all four
-/// tools on the auto-selected (landmark-backed) oracle, exact SWAP counts
-/// pinned. Any change to landmark selection, bound pruning, pinned
-/// eviction, or held-row scoring that shifts a routing decision at scale
-/// fails here loudly.
+/// tools, exact SWAP counts pinned. Any change that shifts a routing
+/// decision at scale fails here loudly.
 #[test]
 fn golden_swap_counts_on_osprey433_queko() {
     use qubikos::queko::{generate_queko, QuekoConfig};
-    use qubikos_graph::OracleKind;
     let arch = devices::osprey433();
-    assert_eq!(arch.oracle_kind(), OracleKind::Landmark);
     let queko = generate_queko(&arch, &QuekoConfig::new(5).with_density(0.05).with_seed(9))
         .expect("generates");
     check_fixture("osprey-433", &arch, queko.circuit(), [2, 22, 4, 4]);
