@@ -39,6 +39,11 @@ impl Error for ArchitectureError {}
 /// [`DistanceMatrix`], built once at construction for every device size
 /// (Osprey-433's table is ~1.5 MB and builds in a few milliseconds).
 ///
+/// Construction also fixes the coupler list once: coupler `id` is the
+/// `id`-th edge of [`Graph::edges`], and every qubit keeps the ids of its
+/// incident couplers in ascending order, so a router can enumerate the
+/// couplers around a few qubits without scanning the whole device.
+///
 /// # Example
 ///
 /// ```
@@ -58,6 +63,10 @@ pub struct Architecture {
     name: String,
     coupling: Graph,
     distances: DistanceMatrix,
+    /// Coupler `id` → its edge, in [`Graph::edges`] order.
+    couplers: Vec<Edge>,
+    /// `incident[q]`: ids of the couplers touching qubit `q`, ascending.
+    incident: Vec<Vec<usize>>,
 }
 
 impl Architecture {
@@ -76,10 +85,19 @@ impl Architecture {
             return Err(ArchitectureError::Disconnected { components });
         }
         let distances = DistanceMatrix::new(&coupling);
+        let couplers: Vec<Edge> = coupling.edges().collect();
+        // Visiting couplers in id order fills each list in ascending order.
+        let mut incident = vec![Vec::new(); coupling.node_count()];
+        for (id, edge) in couplers.iter().enumerate() {
+            incident[edge.u].push(id);
+            incident[edge.v].push(id);
+        }
         Ok(Architecture {
             name: name.into(),
             coupling,
             distances,
+            couplers,
+            incident,
         })
     }
 
@@ -95,7 +113,7 @@ impl Architecture {
 
     /// Number of coupler edges.
     pub fn num_couplers(&self) -> usize {
-        self.coupling.edge_count()
+        self.couplers.len()
     }
 
     /// The coupling graph.
@@ -166,9 +184,28 @@ impl Architecture {
         self.coupling.degree(q)
     }
 
-    /// Iterator over coupler edges.
+    /// Iterator over coupler edges, in coupler-id order (the order of
+    /// [`Graph::edges`]).
     pub fn couplers(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.coupling.edges()
+        self.couplers.iter().copied()
+    }
+
+    /// The coupler with id `id` (the `id`-th item of [`Self::couplers`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn coupler(&self, id: usize) -> Edge {
+        self.couplers[id]
+    }
+
+    /// Ids of the couplers touching qubit `q`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn incident_couplers(&self, q: PhysicalQubit) -> &[usize] {
+        &self.incident[q]
     }
 
     /// Average qubit degree — the paper's proxy for "dense" vs "sparse"
@@ -183,8 +220,8 @@ impl Architecture {
     }
 }
 
-/// Structural identity: name and coupling graph. The distance table is
-/// derived from the coupling graph.
+/// Structural identity: name and coupling graph. The distance table and
+/// the coupler lists are derived from the coupling graph.
 impl PartialEq for Architecture {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name && self.coupling == other.coupling
@@ -193,9 +230,9 @@ impl PartialEq for Architecture {
 
 impl Eq for Architecture {}
 
-/// Serializes as `{name, coupling}`; the distance table (derived data) is
-/// rebuilt on deserialization. Any other field, such as the `oracle` kind
-/// older files carry, is ignored.
+/// Serializes as `{name, coupling}`; the distance table and coupler lists
+/// (derived data) are rebuilt on deserialization. Any other field, such as
+/// the `oracle` kind older files carry, is ignored.
 impl Serialize for Architecture {
     fn serialize_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -246,6 +283,42 @@ mod tests {
         assert_eq!(arch.diameter(), 4);
         assert!((arch.average_degree() - 24.0 / 9.0).abs() < 1e-9);
         assert_eq!(arch.couplers().count(), 12);
+    }
+
+    #[test]
+    fn coupler_ids_and_incident_lists_agree_with_the_graph() {
+        use crate::devices;
+        for arch in [
+            devices::line(5),
+            devices::grid(4, 4),
+            devices::aspen4(),
+            devices::eagle127(),
+            devices::osprey433(),
+        ] {
+            let graph_edges: Vec<Edge> = arch.coupling_graph().edges().collect();
+            let couplers: Vec<Edge> = arch.couplers().collect();
+            assert_eq!(couplers, graph_edges, "{}", arch.name());
+            assert_eq!(arch.num_couplers(), arch.coupling_graph().edge_count());
+            for (id, edge) in couplers.iter().enumerate() {
+                assert_eq!(arch.coupler(id), *edge);
+                for q in [edge.u, edge.v] {
+                    assert!(arch.incident_couplers(q).contains(&id), "{}", arch.name());
+                }
+            }
+            for q in 0..arch.num_qubits() {
+                let ids = arch.incident_couplers(q);
+                assert_eq!(ids.len(), arch.degree(q), "{} qubit {q}", arch.name());
+                assert!(
+                    ids.windows(2).all(|w| w[0] < w[1]),
+                    "{} qubit {q}",
+                    arch.name()
+                );
+                assert!(ids.iter().all(|&id| {
+                    let e = arch.coupler(id);
+                    e.u == q || e.v == q
+                }));
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The legacy half ([`run_ablations`]) keeps the three hand-picked sweeps
 //! called out in DESIGN.md (trial count, extended-set size, padding). The
 //! matrix half enumerates the composition cross-product of a
-//! [`CompositionGrid`] — one [`RouterSpec`](qubikos_layout::RouterSpec) per
+//! [`CompositionGrid`] — one [`RouterSpec`] per
 //! surviving grid point after
 //! [`canonicalization`](qubikos_layout::RouterSpec::canonicalized) prunes
 //! redundant combinations — and runs every composition against a stored

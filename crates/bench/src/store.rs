@@ -56,11 +56,11 @@
 //! half-written entry behind.
 //!
 //! **Fault tolerance.** Every byte the store touches goes through a
-//! [`Vfs`](crate::vfs::Vfs), so the whole stack can be driven under scripted
+//! [`Vfs`], so the whole stack can be driven under scripted
 //! faults ([`crate::vfs::FaultVfs`]) and is hardened against real ones:
 //!
 //! * Transient I/O errors are absorbed by a bounded
-//!   [`RetryPolicy`](crate::vfs::RetryPolicy) (and transiently corrupt
+//!   [`RetryPolicy`] (and transiently corrupt
 //!   *reads* by re-reading until the hash check passes).
 //! * Commits of manifests, ledgers, and the quarantine report fsync the
 //!   temp file before the rename and the directory after it (see

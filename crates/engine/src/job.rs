@@ -1,4 +1,4 @@
-//! The [`Job`] identity model: stable ids, derived seeds, per-job timing.
+//! The job identity model: stable ids, derived seeds, per-job timing.
 //!
 //! Every unit of work an experiment submits to the executor gets a [`JobId`]
 //! equal to its index in the submitted worklist. The id is *stable*: it does

@@ -21,18 +21,18 @@
 //!
 //! # Search-core architecture
 //!
-//! The DFS runs on one mutable [`state::SearchState`] with an undo journal
+//! The DFS runs on one mutable `state::SearchState` with an undo journal
 //! (no per-branch clones), deduplicates states through the Zobrist-hashed
-//! transposition table in [`dedup`], canonicalizes SWAP sequences (no
+//! transposition table in `dedup`, canonicalizes SWAP sequences (no
 //! immediate reversals; consecutive independent SWAPs in coupler-index
-//! order), and prunes with the packing lower bound in [`prune`]. The
+//! order), and prunes with the packing lower bound in `prune`. The
 //! [`DependencyDag`] and all scratch are built **once per
 //! [`ExactSolver::solve`]** and shared by every deepening iteration — the
 //! transposition table included, since "state `S` cannot finish with `s`
 //! SWAPs left" is a statement independent of the query that discovered it.
 //!
-//! The pre-refactor clone-per-branch DFS survives as [`reference`] for
-//! differential tests and benchmarks.
+//! The pre-refactor clone-per-branch DFS survives as
+//! [`reference`](mod@reference) for differential tests and benchmarks.
 //!
 //! # Canonicalization soundness
 //!

@@ -314,8 +314,7 @@ impl RouterSpec {
     }
 
     /// The QMAP composition: per-layer A* from a greedy-BFS placement.
-    /// Bit-identical to [`AStarRouter`](crate::AStarRouter) with the
-    /// default config.
+    /// Bit-identical to [`AStarRouter`] with the default config.
     pub fn qmap() -> Self {
         RouterSpec {
             search: SearchSpec::AStar {

@@ -23,7 +23,9 @@
 //! * [`SwapScorer`] — an incremental scorer that maintains the running
 //!   front/extended distance sums and evaluates each candidate SWAP as an
 //!   O(gates-touching-the-two-qubits) delta instead of re-summing all
-//!   front and extended gates per candidate.
+//!   front and extended gates per candidate, and gathers the candidates
+//!   themselves from the front's incident couplers rather than scanning
+//!   the whole device.
 //!
 //! Which router reproduces what: [`SabreRouter`](crate::SabreRouter) is the
 //! paper's LightSABRE subject (§IV-C case study, lookahead-decay ablation);

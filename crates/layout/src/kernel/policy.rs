@@ -12,9 +12,9 @@
 //! DTN routing. A router is then a *named composition* (see
 //! [`crate::composed`]) rather than a monolith.
 //!
-//! Heterogeneous SWAP costs ride the same pipeline: a
-//! [`CouplerWeights`](qubikos_graph::CouplerWeights) multiplies each
-//! candidate's score in the selection scan (see [`swap_multiplier`]).
+//! Heterogeneous SWAP costs ride the same pipeline: a [`CouplerWeights`]
+//! multiplies each candidate's score in the selection scan (see
+//! [`swap_multiplier`]).
 //! Uniform weights skip the multiplication by `1.0`, an IEEE-754 identity,
 //! which is why the pre-refactor routers' SWAP streams are reproduced
 //! bit-for-bit.

@@ -8,6 +8,14 @@
 //! as a delta over only the gates touching the two swapped physical qubits
 //! (`swap_cost` / `front_total`) — O(gates-touching-the-two-qubits).
 //!
+//! Candidate SWAPs come from the front's incident couplers, not from a
+//! device-wide scan: `candidates_into` sets one bit per coupler touching a
+//! front gate's endpoint (the [`Architecture`]'s per-qubit incident lists),
+//! then walks the bitset word by word, emitting — and clearing — the set
+//! couplers in coupler order. That is O(front × degree + couplers/64) per
+//! decision and yields exactly the list a scan of every coupler would, in
+//! the same order, so tie sets and every downstream RNG draw are unchanged.
+//!
 //! Exactness: hop distances are small integers, so the running sums and
 //! deltas are exact in `f64` and a delta-evaluated score is bit-identical
 //! to a full rescan under uniform extended-set weighting (the Qiskit
@@ -60,12 +68,10 @@ pub struct SwapScorer {
     entries: Vec<Entry>,
     /// `touch[p]` = indices of entries with a physical endpoint on `p`.
     touch: Vec<Vec<u32>>,
-    /// Physical qubits whose `touch`/`front_active` state is set (for O(touched) clearing).
+    /// Physical qubits whose `touch` list is set (for O(touched) clearing).
     touched_phys: Vec<NodeId>,
-    /// `front_active[p]`: some *front* gate has an endpoint on `p` — the
-    /// candidate-SWAP activity rule.
-    front_active: Vec<bool>,
-    /// Number of front gates (the denominator of the basic term).
+    /// Number of front gates (the denominator of the basic term). The front
+    /// entries are `entries[..front_len]`.
     front_len: usize,
     /// Running sum of front-gate distances (integer-valued, hence exact).
     front_sum: f64,
@@ -75,6 +81,8 @@ pub struct SwapScorer {
     ext_weight_sum: f64,
     /// Per-candidate dedupe of entries touching both swapped qubits.
     mark: StampSet,
+    /// One bit per coupler id; all zero between `candidates_into` calls.
+    coupler_bits: Vec<u64>,
 }
 
 impl SwapScorer {
@@ -97,12 +105,10 @@ impl SwapScorer {
     ) {
         for &p in &self.touched_phys {
             self.touch[p].clear();
-            self.front_active[p] = false;
         }
         self.touched_phys.clear();
         if self.touch.len() < arch.num_qubits() {
             self.touch.resize(arch.num_qubits(), Vec::new());
-            self.front_active.resize(arch.num_qubits(), false);
         }
         self.entries.clear();
         self.front_len = front.len();
@@ -111,9 +117,7 @@ impl SwapScorer {
         self.ext_weight_sum = 0.0;
 
         for &node in front {
-            let (pa, pb) = self.push_entry(node, dag, mapping, arch, 1.0, true);
-            self.front_active[pa] = true;
-            self.front_active[pb] = true;
+            self.push_entry(node, dag, mapping, arch, 1.0, true);
         }
         for (i, &node) in extended.iter().enumerate() {
             let weight = match params.lookahead_decay {
@@ -132,7 +136,7 @@ impl SwapScorer {
         arch: &Architecture,
         weight: f64,
         is_front: bool,
-    ) -> (NodeId, NodeId) {
+    ) {
         let (a, b) = dag.qubit_pair(node);
         let (pa, pb) = (mapping.physical(a), mapping.physical(b));
         let dist = arch.distance(pa, pb);
@@ -151,21 +155,39 @@ impl SwapScorer {
             self.ext_weight_sum += weight;
         }
         for p in [pa, pb] {
-            if self.touch[p].is_empty() && !self.front_active[p] {
+            if self.touch[p].is_empty() {
                 self.touched_phys.push(p);
             }
             self.touch[p].push(index);
         }
-        (pa, pb)
     }
 
     /// Collects candidate SWAPs into `out`: the coupler edges with at least
     /// one endpoint hosting a qubit of some front gate, in coupler order.
-    pub fn candidates_into(&self, arch: &Architecture, out: &mut Vec<(NodeId, NodeId)>) {
+    ///
+    /// Marks the incident couplers of every front endpoint in a per-coupler
+    /// bitset, then drains the bitset in ascending coupler id — O(front ×
+    /// degree + couplers/64), and the same list, order included, as a scan
+    /// over [`Architecture::couplers`].
+    pub fn candidates_into(&mut self, arch: &Architecture, out: &mut Vec<(NodeId, NodeId)>) {
         out.clear();
-        for edge in arch.couplers() {
-            if self.front_active[edge.u] || self.front_active[edge.v] {
+        let words = arch.num_couplers().div_ceil(64);
+        if self.coupler_bits.len() < words {
+            self.coupler_bits.resize(words, 0);
+        }
+        for entry in &self.entries[..self.front_len] {
+            for p in [entry.phys_a, entry.phys_b] {
+                for &id in arch.incident_couplers(p) {
+                    self.coupler_bits[id / 64] |= 1 << (id % 64);
+                }
+            }
+        }
+        for (w, word) in self.coupler_bits[..words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let edge = arch.coupler(w * 64 + bits.trailing_zeros() as usize);
                 out.push((edge.u, edge.v));
+                bits &= bits - 1;
             }
         }
     }
@@ -283,12 +305,11 @@ impl SwapScorer {
         // Track both endpoints before mutating their state so the next
         // prepare() clears them.
         for p in [u, v] {
-            if self.touch[p].is_empty() && !self.front_active[p] {
+            if self.touch[p].is_empty() {
                 self.touched_phys.push(p);
             }
         }
         self.touch.swap(u, v);
-        self.front_active.swap(u, v);
     }
 }
 
@@ -297,6 +318,152 @@ mod tests {
     use super::*;
     use qubikos_arch::devices;
     use qubikos_circuit::{Circuit, Gate};
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Reference candidate list: the device-wide coupler scan the scorer
+    /// used before the incident-coupler bitset — every coupler with an
+    /// endpoint hosting a qubit of some front gate, in coupler order.
+    fn reference_candidates(
+        front: &[DagNodeId],
+        dag: &DependencyDag,
+        mapping: &Mapping,
+        arch: &Architecture,
+    ) -> Vec<(NodeId, NodeId)> {
+        let mut active = vec![false; arch.num_qubits()];
+        for &node in front {
+            let (a, b) = dag.qubit_pair(node);
+            active[mapping.physical(a)] = true;
+            active[mapping.physical(b)] = true;
+        }
+        arch.couplers()
+            .filter(|edge| active[edge.u] || active[edge.v])
+            .map(|edge| (edge.u, edge.v))
+            .collect()
+    }
+
+    /// A device-width circuit of `gates` random CX gates.
+    fn random_cx_circuit(num_qubits: usize, gates: usize, rng: &mut ChaCha8Rng) -> Circuit {
+        let mut circuit = Circuit::new(num_qubits);
+        for _ in 0..gates {
+            let a = rng.gen_range(0..num_qubits);
+            let mut b = rng.gen_range(0..num_qubits);
+            while b == a {
+                b = rng.gen_range(0..num_qubits);
+            }
+            circuit.push(Gate::cx(a, b));
+        }
+        circuit
+    }
+
+    /// Prepares `scorer` on a random mapping, front and extended set of a
+    /// random circuit on `arch`, then applies a chain of SWAPs; after the
+    /// prepare and after every SWAP the candidates must equal the reference
+    /// scan, in order.
+    fn check_candidates_against_scan(
+        scorer: &mut SwapScorer,
+        arch: &Architecture,
+        rng: &mut ChaCha8Rng,
+    ) {
+        let n = arch.num_qubits();
+        let dag = DependencyDag::from_circuit(&random_cx_circuit(n, 64, rng));
+        let mut mapping = Mapping::random(n, n, rng);
+        let mut nodes: Vec<DagNodeId> = (0..dag.len()).collect();
+        nodes.shuffle(rng);
+        let front_len = rng.gen_range(1..=12);
+        let (front, rest) = nodes.split_at(front_len);
+        let extended = &rest[..rng.gen_range(0..=20)];
+        let params = ScoreParams {
+            extended_set_weight: 0.5,
+            lookahead_decay: None,
+        };
+        scorer.prepare(front, extended, &dag, &mapping, arch, &params);
+        let mut candidates = Vec::new();
+        for step in 0..24 {
+            scorer.candidates_into(arch, &mut candidates);
+            assert_eq!(
+                candidates,
+                reference_candidates(front, &dag, &mapping, arch),
+                "{} after {step} swaps",
+                arch.name()
+            );
+            // Mostly front-touching SWAPs (what routing applies), sometimes
+            // any coupler.
+            let swap = if rng.gen_range(0..4) == 0 {
+                let edge = arch.coupler(rng.gen_range(0..arch.num_couplers()));
+                (edge.u, edge.v)
+            } else {
+                candidates[rng.gen_range(0..candidates.len())]
+            };
+            mapping.apply_swap_physical(swap.0, swap.1);
+            scorer.apply(swap, arch);
+        }
+    }
+
+    #[test]
+    fn candidates_match_the_coupler_scan_on_every_device_size() {
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        for arch in [
+            devices::grid(4, 4),
+            devices::aspen4(),
+            devices::eagle127(),
+            devices::osprey433(),
+        ] {
+            let mut scorer = SwapScorer::new();
+            for _ in 0..8 {
+                check_candidates_against_scan(&mut scorer, &arch, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scorer_leaks_no_candidates_across_devices() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut scorer = SwapScorer::new();
+        for arch in [
+            devices::osprey433(),
+            devices::grid(3, 3),
+            devices::osprey433(),
+        ] {
+            for _ in 0..4 {
+                check_candidates_against_scan(&mut scorer, &arch, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn candidates_shared_by_two_front_gates_appear_once() {
+        // grid(3, 3):  0 1 2 / 3 4 5 / 6 7 8. Front gates on (0, 2) and
+        // (3, 5) both touch couplers (0, 3) and (2, 5).
+        let arch = devices::grid(3, 3);
+        let circuit = Circuit::from_gates(9, [Gate::cx(0, 2), Gate::cx(3, 5)]);
+        let dag = DependencyDag::from_circuit(&circuit);
+        let mapping = Mapping::identity(9, 9);
+        let front = [0, 1];
+        let mut scorer = SwapScorer::new();
+        scorer.prepare(
+            &front,
+            &[],
+            &dag,
+            &mapping,
+            &arch,
+            &ScoreParams::front_only(),
+        );
+        let mut candidates = Vec::new();
+        scorer.candidates_into(&arch, &mut candidates);
+        assert_eq!(
+            candidates,
+            reference_candidates(&front, &dag, &mapping, &arch)
+        );
+        for shared in [(0, 3), (2, 5)] {
+            assert_eq!(candidates.iter().filter(|&&c| c == shared).count(), 1);
+        }
+        let mut sorted = candidates.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), candidates.len());
+    }
 
     /// Brute-force reference: rescan every front/extended gate under the
     /// hypothetical swap, exactly as the pre-kernel SABRE did.

@@ -23,7 +23,7 @@
 //! All routers implement the [`Router`] trait so the benchmark harness can
 //! treat them uniformly, and every result can be checked with
 //! [`validate_routing`]. The shared routing machinery — per-call
-//! [`RoutingProblem`](kernel::RoutingProblem) construction, front-layer
+//! [`RoutingProblem`] construction, front-layer
 //! tracking, incremental SWAP scoring and the policy-parameterized greedy
 //! loop ([`kernel::policy`]) — lives in the [`kernel`] module; each router
 //! module contributes only its tool-specific policy on top.

@@ -201,8 +201,17 @@ impl MultilevelRouter {
 
     /// Places one level's nodes onto distinct physical qubits.
     ///
-    /// When `coarse_assignment` is given, node `u` prefers physical qubits
-    /// close to `coarse_assignment[fine_to_coarse[u]]`.
+    /// Each node, in BFS order, takes the unused physical qubit minimising
+    /// `(Σ w × distance to each placed neighbour + distance to the anchor,
+    /// n − degree)`. When `coarse_assignment` is given, the anchor of node
+    /// `u` is `coarse_assignment[fine_to_coarse[u]]`.
+    ///
+    /// The sums are accumulated row-major (one distance row per placed
+    /// neighbour, added into a per-qubit total) and the selection is one
+    /// strict-`<` scan in index order. That returns the first minimum —
+    /// the qubit a per-candidate `min_by_key` over the same key returns —
+    /// so placements are identical to scoring each qubit separately, at
+    /// O((neighbours + 1) × qubits) per node without per-qubit row lookups.
     fn place_level(
         &self,
         level: &Level,
@@ -242,28 +251,37 @@ impl MultilevelRouter {
             }
         }
 
+        let n_phys = arch.num_qubits();
         let mut assignment = vec![usize::MAX; n];
-        let mut used = vec![false; arch.num_qubits()];
+        let mut used = vec![false; n_phys];
+        // Tie-break key: prefer well-connected physical qubits, then low index.
+        let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
+        let mut totals = vec![0u64; n_phys];
         for &u in &order {
-            // One distance row per placed neighbour (and one for the anchor)
-            // serves the whole candidate scan below.
-            let placed: Vec<(_, u64)> = level.weights[u]
-                .iter()
-                .filter(|&&(v, _)| assignment[v] != usize::MAX)
-                .map(|&(v, w)| (arch.distance_row(assignment[v]), w))
-                .collect();
-            let anchor_row = coarse_assignment.map(|ca| arch.distance_row(ca[fine_to_coarse[u]]));
-            let best = (0..arch.num_qubits())
-                .filter(|&p| !used[p])
-                .min_by_key(|&p| {
-                    let neighbor_cost: u64 = placed.iter().map(|(row, w)| w * row[p] as u64).sum();
-                    let anchor_cost = anchor_row.map_or(0, |row| row[p] as u64);
-                    (
-                        neighbor_cost + anchor_cost,
-                        arch.num_qubits() - arch.degree(p),
-                    )
-                })
-                .expect("device has enough qubits");
+            totals.fill(0);
+            for &(v, w) in &level.weights[u] {
+                if assignment[v] != usize::MAX {
+                    let row = arch.distance_row(assignment[v]);
+                    for (total, &d) in totals.iter_mut().zip(row) {
+                        *total += w * d as u64;
+                    }
+                }
+            }
+            if let Some(ca) = coarse_assignment {
+                let row = arch.distance_row(ca[fine_to_coarse[u]]);
+                for (total, &d) in totals.iter_mut().zip(row) {
+                    *total += d as u64;
+                }
+            }
+            let mut best = usize::MAX;
+            let mut best_key = (u64::MAX, usize::MAX);
+            for p in 0..n_phys {
+                if !used[p] && (totals[p], tie[p]) < best_key {
+                    best_key = (totals[p], tie[p]);
+                    best = p;
+                }
+            }
+            assert_ne!(best, usize::MAX, "device has enough qubits");
             assignment[u] = best;
             used[best] = true;
         }

@@ -11,7 +11,7 @@
 //! The shared machinery — DAG construction, front tracking, incremental
 //! front-distance scoring and the greedy loop itself — comes from
 //! [`crate::kernel`]; this router is simply the composition of a front-only
-//! [`WindowLookahead`], [`NoDecay`](crate::kernel::NoDecay), first-candidate
+//! [`WindowLookahead`], [`NoDecay`], first-candidate
 //! [`QubitIndexTies`] tie-breaking (which reproduces t|ket⟩'s
 //! first-integer-minimum selection exactly — see the tie-breaker docs) and
 //! greedy-BFS placement, run as a single forward pass.

@@ -7,12 +7,21 @@
 //! the incremental scorer, a different tie-break stream — fails here loudly
 //! instead of drifting the paper's Figure-4 numbers.
 //!
+//! Counts alone cannot catch a reordered candidate list that picks
+//! different SWAPs of the same number, so the eagle-127 and osprey-433
+//! fixtures also pin a [`stream_fingerprint`] of each tool's full routed
+//! gate list and initial mapping, and [`multilevel_placements_are_pinned`]
+//! pins the ML-QLS placement itself.
+//!
 //! If a change *intentionally* alters routing decisions, regenerate the
 //! constants below and record the swap-count movement in the PR description.
+//! To regenerate fingerprints, replace the expected array with zeros, run
+//! `cargo test --release -p qubikos-layout --test golden_swaps`, and paste
+//! the `left` array (decimal) from the failure message.
 
 use qubikos_arch::{devices, Architecture};
 use qubikos_circuit::{Circuit, Gate};
-use qubikos_layout::{validate_routing, ToolKind};
+use qubikos_layout::{validate_routing, Mapping, MultilevelRouter, RoutedCircuit, ToolKind};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -40,17 +49,72 @@ fn random_circuit(num_qubits: usize, gates: usize, seed: u64) -> Circuit {
 }
 
 /// Golden counts in [`ToolKind::ALL`] order: lightsabre, ml-qls, qmap, tket.
-fn check_fixture(name: &str, arch: &Architecture, circuit: &Circuit, golden: [usize; 4]) {
-    for (tool, expected) in ToolKind::ALL.into_iter().zip(golden) {
-        let routed = tool.build(TOOL_SEED).route(circuit, arch).expect("fits");
-        validate_routing(circuit, arch, &routed).expect("valid routing");
-        assert_eq!(
-            routed.swap_count(),
-            expected,
-            "{name}/{tool}: routing decisions changed (got {}, golden {expected})",
-            routed.swap_count()
-        );
+/// Returns the routed circuits in the same order.
+fn check_fixture(
+    name: &str,
+    arch: &Architecture,
+    circuit: &Circuit,
+    golden: [usize; 4],
+) -> Vec<RoutedCircuit> {
+    ToolKind::ALL
+        .into_iter()
+        .zip(golden)
+        .map(|(tool, expected)| {
+            let routed = tool.build(TOOL_SEED).route(circuit, arch).expect("fits");
+            validate_routing(circuit, arch, &routed).expect("valid routing");
+            assert_eq!(
+                routed.swap_count(),
+                expected,
+                "{name}/{tool}: routing decisions changed (got {}, golden {expected})",
+                routed.swap_count()
+            );
+            routed
+        })
+        .collect()
+}
+
+/// FNV-1a over a stream of integers, each fed as 8 little-endian bytes.
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for value in values {
+        for byte in value.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
     }
+    hash
+}
+
+/// A stable fingerprint of a prog→phys mapping.
+fn mapping_fingerprint(mapping: &Mapping) -> u64 {
+    fnv1a(mapping.as_slice().iter().map(|&p| p as u64))
+}
+
+/// A stable fingerprint of a routing's full decision stream: every gate of
+/// the physical circuit (arity, mnemonic bytes, qubits, in order), then the
+/// initial mapping.
+fn stream_fingerprint(routed: &RoutedCircuit) -> u64 {
+    let mut words = Vec::new();
+    for gate in routed.physical_circuit.gates() {
+        let (mnemonic, qubits) = match *gate {
+            Gate::One { kind, qubit } => (kind.mnemonic(), vec![qubit]),
+            Gate::Two { kind, qubits } => (kind.mnemonic(), qubits.to_vec()),
+        };
+        words.push(qubits.len() as u64);
+        words.extend(mnemonic.bytes().map(u64::from));
+        words.extend(qubits.iter().map(|&q| q as u64));
+    }
+    words.push(u64::MAX);
+    words.push(mapping_fingerprint(&routed.initial_mapping));
+    fnv1a(words)
+}
+
+/// Asserts each tool's [`stream_fingerprint`], in [`ToolKind::ALL`] order.
+fn check_streams(name: &str, routed: &[RoutedCircuit], golden: [u64; 4]) {
+    let got: Vec<u64> = routed.iter().map(stream_fingerprint).collect();
+    assert_eq!(
+        got, golden,
+        "{name}: a routed gate stream changed (lightsabre, ml-qls, qmap, tket)"
+    );
 }
 
 #[test]
@@ -140,7 +204,17 @@ fn golden_swap_counts_on_eagle127_queko() {
     let arch = devices::eagle127();
     let queko = generate_queko(&arch, &QuekoConfig::new(6).with_density(0.05).with_seed(5))
         .expect("generates");
-    check_fixture("eagle-127", &arch, queko.circuit(), [1, 8, 5, 2]);
+    let routed = check_fixture("eagle-127", &arch, queko.circuit(), [1, 8, 5, 2]);
+    check_streams(
+        "eagle-127",
+        &routed,
+        [
+            0xb946_53d5_b8c5_873a,
+            0x34a1_0895_3864_8d9e,
+            0x28d0_2cb3_e0af_bfd7,
+            0x311c_a544_32a0_3644,
+        ],
+    );
 }
 
 /// Osprey-433 golden fixture: one small QUEKO instance routed by all four
@@ -152,5 +226,40 @@ fn golden_swap_counts_on_osprey433_queko() {
     let arch = devices::osprey433();
     let queko = generate_queko(&arch, &QuekoConfig::new(5).with_density(0.05).with_seed(9))
         .expect("generates");
-    check_fixture("osprey-433", &arch, queko.circuit(), [2, 22, 4, 4]);
+    let routed = check_fixture("osprey-433", &arch, queko.circuit(), [2, 22, 4, 4]);
+    check_streams(
+        "osprey-433",
+        &routed,
+        [
+            0xe390_4fc3_044f_cb63,
+            0xcf22_b46e_3b3d_fa1e,
+            0x3e28_25e4_a168_9ae1,
+            0xf457_922f_4494_a841,
+        ],
+    );
+}
+
+/// ML-QLS placement pins: the prog→phys vector
+/// `MultilevelRouter::default().place` picks for one QUBIKOS instance per
+/// heavy-hex device (the shapes of the benchmark's `route` instances),
+/// stored as a [`mapping_fingerprint`].
+#[test]
+fn multilevel_placements_are_pinned() {
+    use qubikos::{generate, GeneratorConfig};
+    let fixtures = [(devices::eagle127(), 5), (devices::osprey433(), 2)];
+    let got: Vec<u64> = fixtures
+        .iter()
+        .map(|(arch, swaps)| {
+            let bench =
+                generate(arch, &GeneratorConfig::new(*swaps, 60).with_seed(3)).expect("generates");
+            let placement = MultilevelRouter::default().place(bench.circuit(), arch);
+            assert!(placement.is_consistent());
+            mapping_fingerprint(&placement)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [0xdb6a_1747_cbd0_1dba, 0xec09_8667_b7db_63b2],
+        "ML-QLS placement changed (eagle-127, osprey-433)"
+    );
 }
