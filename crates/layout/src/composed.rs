@@ -452,6 +452,7 @@ impl ComposedRouter {
             tie_breaker,
             weights: &weights,
             stall_threshold,
+            incumbent: None,
         };
 
         let passes = mapping_passes.max(1);
@@ -477,18 +478,29 @@ impl ComposedRouter {
                     problem.reversed()
                 };
                 mapping =
-                    run_greedy_pass(view, arch, &policies, mapping, &mut rng, &mut scratch, None);
+                    run_greedy_pass(view, arch, &policies, mapping, &mut rng, &mut scratch, None)
+                        .expect("an unbounded pass runs to the end");
             }
+            // Trials after the first abandon their final pass once it
+            // provably cannot beat the best trial (see
+            // `GreedyPolicies::incumbent`); each trial owns its RNG, so
+            // later trials are unaffected.
+            let bounded = GreedyPolicies {
+                incumbent: best.as_ref().map(RoutedCircuit::swap_count),
+                ..policies
+            };
             let mut physical = Circuit::new(arch.num_qubits());
-            let final_mapping = run_greedy_pass(
+            let Some(final_mapping) = run_greedy_pass(
                 problem.forward(),
                 arch,
-                &policies,
+                &bounded,
                 mapping.clone(),
                 &mut rng,
                 &mut scratch,
                 Some(&mut physical),
-            );
+            ) else {
+                continue;
+            };
             let candidate = RoutedCircuit {
                 physical_circuit: physical,
                 initial_mapping: mapping,
@@ -597,22 +609,71 @@ mod tests {
         );
     }
 
+    /// [`random_circuit`] with about one gate in five an input SWAP gate.
+    fn random_circuit_with_swaps(num_qubits: usize, gates: usize, seed: u64) -> Circuit {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut c = Circuit::new(num_qubits);
+        for _ in 0..gates {
+            let a = rng.gen_range(0..num_qubits);
+            let mut b = rng.gen_range(0..num_qubits);
+            while b == a {
+                b = rng.gen_range(0..num_qubits);
+            }
+            if rng.gen_range(0..5) == 0 {
+                c.push(Gate::swap(a, b));
+            } else {
+                c.push(Gate::cx(a, b));
+            }
+        }
+        c
+    }
+
+    /// The composed LightSABRE abandons final passes that cannot beat the
+    /// best trial; the legacy `SabreRouter` runs every pass to the end. The
+    /// two must still pick the same trial and emit the same circuit.
     #[test]
     fn composed_lightsabre_matches_sabre_router() {
-        let arch = devices::grid(3, 3);
-        let circuit = random_circuit(7, 30, 5);
-        for seed in [0u64, 9] {
-            let legacy = SabreRouter::new(SabreConfig::default().with_seed(seed))
-                .route(&circuit, &arch)
-                .expect("fits");
-            let composed = RouterSpec::lightsabre()
-                .build_named(seed, "lightsabre")
-                .route(&circuit, &arch)
-                .expect("fits");
-            assert_eq!(legacy.physical_circuit, composed.physical_circuit);
-            assert_eq!(legacy.initial_mapping, composed.initial_mapping);
-            assert_eq!(legacy.final_mapping, composed.final_mapping);
-            assert_eq!(legacy.tool, composed.tool);
+        let cases = [
+            (devices::grid(3, 3), 7, 30),
+            (devices::aspen4(), 12, 60),
+            (devices::eagle127(), 20, 40),
+        ];
+        for (arch, qubits, gates) in cases {
+            let circuits = [
+                random_circuit(qubits, gates, 5),
+                random_circuit_with_swaps(qubits, gates, 6),
+            ];
+            for circuit in &circuits {
+                for trials in [1, 4, 16] {
+                    for seed in [0u64, 9, 23] {
+                        let config = SabreConfig {
+                            trials,
+                            ..SabreConfig::default().with_seed(seed)
+                        };
+                        let legacy = SabreRouter::new(config)
+                            .route(circuit, &arch)
+                            .expect("fits");
+                        let spec = RouterSpec {
+                            search: SearchSpec::Greedy {
+                                trials,
+                                mapping_passes: 3,
+                                stall_threshold: 64,
+                            },
+                            ..RouterSpec::lightsabre()
+                        };
+                        let composed = spec
+                            .build_named(seed, "lightsabre")
+                            .route(circuit, &arch)
+                            .expect("fits");
+                        let case =
+                            format!("{} qubits, {trials} trials, seed {seed}", arch.num_qubits());
+                        assert_eq!(legacy.physical_circuit, composed.physical_circuit, "{case}");
+                        assert_eq!(legacy.initial_mapping, composed.initial_mapping, "{case}");
+                        assert_eq!(legacy.final_mapping, composed.final_mapping, "{case}");
+                        assert_eq!(legacy.tool, composed.tool);
+                    }
+                }
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! The shared incremental routing kernel all four routers are built on.
 //!
 //! The paper's headline experiment (Figure 4) routes every QUBIKOS circuit
-//! through four tools — LightSABRE (§IV-B/C), ML-QLS, QMAP and t|ket⟩ — at
-//! up to 1000 trials per circuit, so the router inner loop is the hot path
-//! of the whole reproduction. Before this kernel existed each router
+//! through four tools — LightSABRE (§IV-B/C), ML-QLS, QMAP and t|ket⟩ — so
+//! the router inner loop is the hot path of the whole reproduction.
+//! LightSABRE runs 16 trials × 3 passes here (the paper's Qiskit runs used
+//! up to 1000 trials). Before this kernel existed each router
 //! privately re-implemented front-layer tracking, rebuilt the dependency
 //! DAG per pass per trial, and rescanned every front/extended gate for
 //! every candidate SWAP. The kernel splits that machinery into three

@@ -287,6 +287,20 @@ pub struct GreedyPolicies<'a> {
     /// the pass forces the closest front gate through along a shortest
     /// path (SABRE's release valve / t|ket⟩'s stall fallback).
     pub stall_threshold: usize,
+    /// The SWAP count this pass has to beat, or `None` to run to the end.
+    ///
+    /// With `Some(best)`, [`run_greedy_pass`] returns `None` as soon as the
+    /// SWAPs it has emitted so far (inserted, forced and input SWAP gates,
+    /// as [`Circuit::swap_count`] counts them) plus
+    /// `⌈Σ over front gates of (dist − 1) / 2⌉` reach `best`. Front gates
+    /// share no qubit and one SWAP moves two qubits one hop each, so every
+    /// SWAP — stall-valve SWAPs included — lowers that front deficit by at
+    /// most 2: the sum is a lower bound on the pass's final count, and an
+    /// abandoned pass could not have finished below `best`. The bound is
+    /// checked between decisions only (after the scorer is prepared, before
+    /// candidates are gathered), so the scratch invariants still hold when
+    /// a pass is abandoned.
+    pub incumbent: Option<usize>,
 }
 
 /// Kernel state reused across every pass and trial of one route call.
@@ -319,6 +333,10 @@ pub fn swap_multiplier(weights: &CouplerWeights, decay: &[f64], swap: (NodeId, N
 /// entirely. This is the loop every greedy composition shares — SABRE,
 /// t|ket⟩ and the ablation-matrix variants differ only in the policy
 /// bundle they pass in.
+///
+/// Returns `None` only for a pass bounded by
+/// [`GreedyPolicies::incumbent`] that provably cannot beat it; `out` is
+/// then left partly written, and `scratch` stays reusable.
 pub fn run_greedy_pass(
     view: &ProblemView,
     arch: &Architecture,
@@ -327,7 +345,7 @@ pub fn run_greedy_pass(
     rng: &mut ChaCha8Rng,
     scratch: &mut GreedyScratch,
     mut out: Option<&mut Circuit>,
-) -> Mapping {
+) -> Option<Mapping> {
     let dag = view.dag();
     let params = policies.lookahead.score_params();
     let window = policies.lookahead.window();
@@ -338,6 +356,8 @@ pub fn run_greedy_pass(
     scratch.decay.resize(arch.num_qubits(), 1.0);
     let mut decisions_since_reset = 0usize;
     let mut swaps_since_progress = 0usize;
+    // SWAP gates emitted so far, counted whether or not `out` is present.
+    let mut swaps = 0usize;
     // The scorer snapshot is valid until the front changes or the mapping
     // moves without the scorer seeing it (stall fallback).
     let mut scorer_ready = false;
@@ -352,6 +372,7 @@ pub fn run_greedy_pass(
                 arch.are_coupled(mapping.physical(a), mapping.physical(b))
             },
             |node| {
+                swaps += usize::from(dag.gate(node).is_swap());
                 if let Some(out) = out_ref.as_deref_mut() {
                     view.emit(node, &mapping, out);
                 }
@@ -371,7 +392,7 @@ pub fn run_greedy_pass(
         // Release valve: force the closest front gate through if the
         // heuristic has been spinning without progress.
         if swaps_since_progress >= policies.stall_threshold {
-            force_closest_gate(view, arch, &mut mapping, &mut out, scratch);
+            swaps += force_closest_gate(view, arch, &mut mapping, &mut out, scratch);
             swaps_since_progress = 0;
             scorer_ready = false;
             continue;
@@ -388,6 +409,11 @@ pub fn run_greedy_pass(
                 &params,
             );
             scorer_ready = true;
+        }
+        if let Some(best) = policies.incumbent {
+            if swaps + scratch.scorer.front_deficit().div_ceil(2) >= best {
+                return None;
+            }
         }
 
         // Score candidate SWAPs and collect the epsilon tie band.
@@ -418,6 +444,7 @@ pub fn run_greedy_pass(
         if let Some(out) = out.as_deref_mut() {
             out.push(Gate::swap(chosen.0, chosen.1));
         }
+        swaps += 1;
         mapping.apply_swap_physical(chosen.0, chosen.1);
         scratch.scorer.apply(chosen, arch);
         scratch.decay[chosen.0] += decay_increment;
@@ -434,19 +461,20 @@ pub fn run_greedy_pass(
     if let Some(out) = out {
         view.emit_trailing(&mapping, out);
     }
-    mapping
+    Some(mapping)
 }
 
 /// Forces the front gate whose qubits are closest together to execute by
-/// swapping one qubit along a shortest path towards the other. The gate
-/// itself executes on the next main-loop iteration.
+/// swapping one qubit along a shortest path towards the other, and returns
+/// the number of SWAPs inserted. The gate itself executes on the next
+/// main-loop iteration.
 fn force_closest_gate(
     view: &ProblemView,
     arch: &Architecture,
     mapping: &mut Mapping,
     out: &mut Option<&mut Circuit>,
     scratch: &GreedyScratch,
-) {
+) -> usize {
     let dag = view.dag();
     let &node = scratch
         .tracker
@@ -458,11 +486,14 @@ fn force_closest_gate(
         })
         .expect("front is non-empty");
     let (a, b) = dag.qubit_pair(node);
+    let mut swaps = 0;
     force_adjacent(arch, mapping, a, b, |u, v| {
+        swaps += 1;
         if let Some(out) = out.as_deref_mut() {
             out.push(Gate::swap(u, v));
         }
     });
+    swaps
 }
 
 #[cfg(test)]
@@ -484,6 +515,7 @@ mod tests {
             tie_breaker: tie,
             weights,
             stall_threshold: 64,
+            incumbent: None,
         }
     }
 
@@ -518,8 +550,141 @@ mod tests {
             &mut rng,
             &mut scratch,
             Some(&mut out),
-        );
+        )
+        .expect("an unbounded pass runs to the end");
         (out, final_mapping)
+    }
+
+    /// A seeded random circuit on `num_qubits` qubits; with `swaps`, about
+    /// one gate in five is an input SWAP gate.
+    fn random_circuit(num_qubits: usize, gates: usize, seed: u64, swaps: bool) -> Circuit {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut c = Circuit::new(num_qubits);
+        for _ in 0..gates {
+            let a = rng.gen_range(0..num_qubits);
+            let mut b = rng.gen_range(0..num_qubits);
+            while b == a {
+                b = rng.gen_range(0..num_qubits);
+            }
+            if swaps && rng.gen_range(0..5) == 0 {
+                c.push(Gate::swap(a, b));
+            } else {
+                c.push(Gate::cx(a, b));
+            }
+        }
+        c
+    }
+
+    /// One SABRE-policy pass over `circuit` from `initial`, emitting into a
+    /// fresh circuit, with the given `incumbent`.
+    fn bounded_pass(
+        arch: &Architecture,
+        circuit: &Circuit,
+        initial: &Mapping,
+        scratch: &mut GreedyScratch,
+        incumbent: Option<usize>,
+    ) -> Option<(Circuit, Mapping)> {
+        let lookahead = WindowLookahead::sabre_default();
+        let decay = AdditiveDecay::sabre_default();
+        let weights = CouplerWeights::uniform();
+        let p = GreedyPolicies {
+            incumbent,
+            ..policies(&lookahead, &decay, &SeededRandomTies, &weights)
+        };
+        let problem = RoutingProblem::forward_only(circuit);
+        let mut out = Circuit::new(arch.num_qubits());
+        let mapping = run_greedy_pass(
+            problem.forward(),
+            arch,
+            &p,
+            initial.clone(),
+            &mut ChaCha8Rng::seed_from_u64(3),
+            scratch,
+            Some(&mut out),
+        )?;
+        Some((out, mapping))
+    }
+
+    /// A seeded random mapping of `circuit` onto `arch`.
+    fn random_mapping(circuit: &Circuit, arch: &Architecture) -> Mapping {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        Mapping::random(circuit.num_qubits(), arch.num_qubits(), &mut rng)
+    }
+
+    #[test]
+    fn bounded_pass_is_abandoned_only_when_it_cannot_win() {
+        let arch = devices::aspen4();
+        for (seed, swaps) in [(1, false), (2, false), (3, true), (4, true)] {
+            let circuit = random_circuit(12, 40, seed, swaps);
+            let initial = random_mapping(&circuit, &arch);
+            let run = |incumbent| {
+                bounded_pass(
+                    &arch,
+                    &circuit,
+                    &initial,
+                    &mut GreedyScratch::default(),
+                    incumbent,
+                )
+            };
+            let (out, mapping) = run(None).expect("an unbounded pass runs to the end");
+            let count = out.swap_count();
+            assert!(count > 0, "seed {seed}: the instance must need SWAPs");
+            for incumbent in [0, count] {
+                assert!(
+                    run(Some(incumbent)).is_none(),
+                    "seed {seed}: {incumbent} cannot be beaten"
+                );
+            }
+            assert_eq!(
+                run(Some(count + 1)),
+                Some((out, mapping)),
+                "seed {seed}: a winning pass"
+            );
+        }
+    }
+
+    #[test]
+    fn bound_lets_one_swap_serve_two_front_gates() {
+        // Line 0-1-2-3 with q_i on p_i: cx(0, 2) and cx(1, 3) are each one
+        // hop short (front deficit 2), and swap(1, 2) fixes both at once.
+        let arch = devices::line(4);
+        let circuit = Circuit::from_gates(4, [Gate::cx(0, 2), Gate::cx(1, 3)]);
+        let initial = Mapping::identity(4, 4);
+        let run = |incumbent| {
+            bounded_pass(
+                &arch,
+                &circuit,
+                &initial,
+                &mut GreedyScratch::default(),
+                incumbent,
+            )
+            .map(|(out, _)| out.swap_count())
+        };
+        assert_eq!(run(None), Some(1));
+        assert_eq!(run(Some(2)), Some(1), "⌈2 / 2⌉ SWAPs cannot reach 2");
+        assert_eq!(run(Some(1)), None);
+    }
+
+    #[test]
+    fn scratch_is_reusable_after_an_abandoned_pass() {
+        let arch = devices::aspen4();
+        let circuit = random_circuit(12, 40, 5, true);
+        let initial = random_mapping(&circuit, &arch);
+        let fresh = bounded_pass(
+            &arch,
+            &circuit,
+            &initial,
+            &mut GreedyScratch::default(),
+            None,
+        );
+        let count = fresh.as_ref().expect("unbounded").0.swap_count();
+        let mut scratch = GreedyScratch::default();
+        assert!(bounded_pass(&arch, &circuit, &initial, &mut scratch, Some(count / 2)).is_none());
+        assert_eq!(
+            bounded_pass(&arch, &circuit, &initial, &mut scratch, None),
+            fresh
+        );
     }
 
     #[test]

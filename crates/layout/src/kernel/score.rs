@@ -258,6 +258,15 @@ impl SwapScorer {
         basic + lookahead
     }
 
+    /// The front deficit: Σ over front gates of (dist − 1), the hops the
+    /// front still needs before all of it can execute. Every SWAP lowers it
+    /// by at most 2, which makes `⌈deficit / 2⌉` a lower bound on the SWAPs
+    /// still to come (see
+    /// [`GreedyPolicies::incumbent`](crate::kernel::GreedyPolicies::incumbent)).
+    pub fn front_deficit(&self) -> usize {
+        self.front_sum as usize - self.front_len
+    }
+
     /// The summed front-gate distance (an integer) if `swap` were applied —
     /// the t|ket⟩-style greedy objective.
     pub fn front_total(&mut self, swap: (NodeId, NodeId), arch: &Architecture) -> i64 {

@@ -82,6 +82,7 @@ impl Router for TketRouter {
             tie_breaker: &QubitIndexTies,
             weights: &weights,
             stall_threshold: self.config.stall_threshold,
+            incumbent: None,
         };
         let mut scratch = GreedyScratch::default();
         // The deterministic tie-breaker and trial-0 placement never draw
@@ -97,7 +98,8 @@ impl Router for TketRouter {
             &mut rng,
             &mut scratch,
             Some(&mut out),
-        );
+        )
+        .expect("an unbounded pass runs to the end");
 
         Ok(RoutedCircuit {
             physical_circuit: out,

@@ -1,23 +1,25 @@
 //! Golden SWAP-count regression fixtures.
 //!
-//! Routes a fixed set of seeded circuits (line, grid, heavy-hex) through all
-//! four routers at a fixed seed and asserts the exact per-router SWAP
-//! counts. Any future kernel or router change that silently alters routing
-//! decisions — a reordered candidate scan, a float-associativity change in
-//! the incremental scorer, a different tie-break stream — fails here loudly
-//! instead of drifting the paper's Figure-4 numbers.
+//! Routes a fixed set of seeded circuits (line, grid, heavy-hex, and a
+//! 300-gate Aspen-4 QUBIKOS instance) through all four routers at a fixed
+//! seed and asserts the exact per-router SWAP counts. Any future kernel or
+//! router change that silently alters routing decisions — a reordered
+//! candidate scan, a float-associativity change in the incremental scorer,
+//! a different tie-break stream — fails here loudly instead of drifting the
+//! paper's Figure-4 numbers.
 //!
 //! Counts alone cannot catch a reordered candidate list that picks
-//! different SWAPs of the same number, so the eagle-127 and osprey-433
-//! fixtures also pin a [`stream_fingerprint`] of each tool's full routed
-//! gate list and initial mapping, and [`multilevel_placements_are_pinned`]
-//! pins the ML-QLS placement itself.
+//! different SWAPs of the same number, so every uniform-weight fixture also
+//! pins a [`stream_fingerprint`] of each tool's full routed gate list and
+//! initial mapping, and [`multilevel_placements_are_pinned`] pins the
+//! ML-QLS placement itself.
 //!
 //! If a change *intentionally* alters routing decisions, regenerate the
 //! constants below and record the swap-count movement in the PR description.
 //! To regenerate fingerprints, replace the expected array with zeros, run
 //! `cargo test --release -p qubikos-layout --test golden_swaps`, and paste
-//! the `left` array (decimal) from the failure message.
+//! the `left` array (decimal; the constants are written in hex) from the
+//! failure message.
 
 use qubikos_arch::{devices, Architecture};
 use qubikos_circuit::{Circuit, Gate};
@@ -121,21 +123,72 @@ fn check_streams(name: &str, routed: &[RoutedCircuit], golden: [u64; 4]) {
 fn golden_swap_counts_on_line() {
     let arch = devices::line(8);
     let circuit = random_circuit(6, 30, 42);
-    check_fixture("line-8", &arch, &circuit, [10, 16, 29, 25]);
+    let routed = check_fixture("line-8", &arch, &circuit, [10, 16, 29, 25]);
+    check_streams(
+        "line-8",
+        &routed,
+        [
+            0xbed7_e57b_fb1f_6cfb,
+            0x76d3_be5a_8f8d_3919,
+            0x230e_e210_85da_ba95,
+            0xc75f_3053_fb6c_c589,
+        ],
+    );
 }
 
 #[test]
 fn golden_swap_counts_on_grid() {
     let arch = devices::grid(4, 4);
     let circuit = random_circuit(12, 60, 7);
-    check_fixture("grid-4x4", &arch, &circuit, [16, 34, 48, 52]);
+    let routed = check_fixture("grid-4x4", &arch, &circuit, [16, 34, 48, 52]);
+    check_streams(
+        "grid-4x4",
+        &routed,
+        [
+            0x00b5_3148_11e7_0d72,
+            0xdca7_b96c_1f8a_bbd7,
+            0xf976_50c1_33bb_4f36,
+            0x35da_1bf9_ec06_1865,
+        ],
+    );
 }
 
 #[test]
 fn golden_swap_counts_on_heavy_hex() {
     let arch = devices::rochester53();
     let circuit = random_circuit(20, 60, 3);
-    check_fixture("rochester-53", &arch, &circuit, [54, 71, 107, 85]);
+    let routed = check_fixture("rochester-53", &arch, &circuit, [54, 71, 107, 85]);
+    check_streams(
+        "rochester-53",
+        &routed,
+        [
+            0x0279_5c01_c54b_0be8,
+            0xa4cf_dd34_b497_de1f,
+            0x1b18_8897_f4e5_4245,
+            0xce0d_91a0_37d4_1aec,
+        ],
+    );
+}
+
+/// Aspen-4 golden fixture shaped like one `corpus-cold` instance: a seeded
+/// 300-gate QUBIKOS circuit with a designed optimum of 10 SWAPs, where
+/// LightSABRE's 16 trials and QMAP's A* do most of the evaluation's work.
+#[test]
+fn golden_swap_counts_on_aspen4_qubikos() {
+    use qubikos::{generate, GeneratorConfig};
+    let arch = devices::aspen4();
+    let bench = generate(&arch, &GeneratorConfig::new(10, 300).with_seed(1)).expect("generates");
+    let routed = check_fixture("aspen-4", &arch, bench.circuit(), [54, 24, 284, 232]);
+    check_streams(
+        "aspen-4",
+        &routed,
+        [
+            0xd1b3_b6e4_c8c2_06c5,
+            0x196b_15e6_cbb4_6704,
+            0xca59_5de7_a10f_9c21,
+            0x76c9_4d22_bda6_5c4f,
+        ],
+    );
 }
 
 /// The construction kit's new cost axis, pinned: the four named
