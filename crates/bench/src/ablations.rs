@@ -787,6 +787,31 @@ mod tests {
         }
     }
 
+    /// The quick sweeps' exact mean ratios (`f64::to_bits`), in trial,
+    /// extended-set, padding order.
+    #[test]
+    fn quick_ablations_are_pinned() {
+        let report = run_ablations(&AblationConfig::quick()).expect("valid config");
+        let bits: Vec<u64> = report
+            .trial_counts
+            .iter()
+            .chain(&report.extended_set_sizes)
+            .chain(&report.padding_gate_budgets)
+            .map(|point| point.mean_swap_ratio.to_bits())
+            .collect();
+        assert_eq!(
+            bits,
+            [
+                0x400b_0000_0000_0000,
+                0x4007_0000_0000_0000,
+                0x4014_8000_0000_0000,
+                0x3ff8_0000_0000_0000,
+                0x3ff8_0000_0000_0000,
+                0x4006_0000_0000_0000,
+            ]
+        );
+    }
+
     #[test]
     fn reports_identical_across_thread_counts() {
         let reference = run_ablations(&AblationConfig::quick().with_threads(1)).expect("valid");

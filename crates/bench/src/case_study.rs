@@ -187,6 +187,22 @@ mod tests {
         assert!((outcome.decay - 0.6).abs() < 1e-12);
     }
 
+    /// The tiny study's exact outcome: both mean ratios as `f64::to_bits`
+    /// and both optimal counts.
+    #[test]
+    fn tiny_outcome_is_pinned() {
+        let outcome = run_case_study(&tiny_config()).expect("valid config");
+        assert_eq!(
+            (
+                outcome.uniform_lookahead_ratio.to_bits(),
+                outcome.decayed_lookahead_ratio.to_bits(),
+                outcome.uniform_optimal,
+                outcome.decayed_optimal,
+            ),
+            (0x3ff0_0000_0000_0000, 0x3ff0_0000_0000_0000, 4, 4)
+        );
+    }
+
     #[test]
     fn outcomes_identical_across_thread_counts() {
         let reference = run_case_study(&tiny_config().with_threads(1)).expect("valid config");

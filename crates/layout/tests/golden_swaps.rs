@@ -316,3 +316,47 @@ fn multilevel_placements_are_pinned() {
         "ML-QLS placement changed (eagle-127, osprey-433)"
     );
 }
+
+/// Standalone-router pins (the paper's §IV-C mode): LightSABRE's single
+/// forward pass and QMAP's per-layer A* routed from each QUBIKOS instance's
+/// known-optimal reference mapping, as [`stream_fingerprint`]s in
+/// (lightsabre, qmap) order per device: grid-4x4, aspen-4, eagle-127.
+#[test]
+fn standalone_streams_are_pinned() {
+    use qubikos::{generate, GeneratorConfig};
+    use qubikos_layout::{AStarRouter, SabreConfig, SabreRouter};
+    let fixtures = [
+        (devices::grid(4, 4), 4, 120, 1),
+        (devices::aspen4(), 10, 300, 1),
+        (devices::eagle127(), 5, 60, 3),
+    ];
+    let sabre = SabreRouter::new(SabreConfig::default().with_seed(TOOL_SEED));
+    let astar = AStarRouter::default();
+    let mut got = Vec::new();
+    for (arch, swaps, gates, seed) in &fixtures {
+        let bench = generate(arch, &GeneratorConfig::new(*swaps, *gates).with_seed(*seed))
+            .expect("generates");
+        let initial = bench.reference_mapping();
+        for routed in [
+            sabre.route_with_initial_mapping(bench.circuit(), arch, initial),
+            astar.route_with_initial_mapping(bench.circuit(), arch, initial),
+        ] {
+            let routed = routed.expect("fits");
+            validate_routing(bench.circuit(), arch, &routed).expect("valid routing");
+            assert_eq!(&routed.initial_mapping, initial);
+            got.push(stream_fingerprint(&routed));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            0x3031_5406_c3f6_0674,
+            0x58ea_ea57_a764_8c74,
+            0x4d59_2908_c82b_ede8,
+            0xd633_77fe_925b_d3a2,
+            0xe8dd_9108_02b2_7364,
+            0x055e_3b98_edff_b18c,
+        ],
+        "a standalone routed stream changed (grid-4x4, aspen-4, eagle-127 × lightsabre, qmap)"
+    );
+}
