@@ -13,7 +13,7 @@
 //! Rochester and Eagle are generated from the published heavy-hex pattern
 //! (long rows of qubits joined by sparse bridge qubits); the Rochester
 //! parameters are chosen to match the device's qubit count and average
-//! degree rather than its exact edge list (see DESIGN.md, substitution 6).
+//! degree rather than its exact edge list.
 
 use crate::architecture::Architecture;
 use qubikos_graph::{generators, Graph};

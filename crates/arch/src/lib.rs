@@ -11,8 +11,8 @@
 //! (53) and IBM Eagle (127) — plus an Osprey-scale 433-qubit heavy-hex
 //! lattice for scaling studies and the line and grid topologies used
 //! in the optimality study and the test suites. Rochester, Eagle and Osprey
-//! are heavy-hex style lattices generated from the published layout pattern;
-//! see DESIGN.md for the exact modelling notes.
+//! are heavy-hex style lattices generated from the published layout pattern
+//! (see [`devices`] for the modelling notes).
 //!
 //! # Example
 //!

@@ -1,16 +1,14 @@
 //! Benchmark behind the §IV-C case study (experiment E6): routing from the
 //! known-optimal initial mapping under a sweep of lookahead policies.
 //!
-//! The sweep goes through the kernel's [`WindowLookahead`] policy (via
-//! [`SabreConfig::with_lookahead`]) — the same axis the composition matrix
-//! enumerates — instead of mutating individual config fields, so the bench
-//! exercises exactly what an ablation run builds.
+//! The sweep varies the [`LookaheadSpec`] of the LightSABRE composition —
+//! the same axis the composition matrix enumerates — so the bench exercises
+//! exactly what an ablation run builds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qubikos::{generate, GeneratorConfig};
 use qubikos_arch::DeviceKind;
-use qubikos_layout::kernel::WindowLookahead;
-use qubikos_layout::{SabreConfig, SabreRouter};
+use qubikos_layout::{LookaheadSpec, RouterSpec};
 use std::hint::black_box;
 
 fn bench_lookahead_variants(c: &mut Criterion) {
@@ -19,30 +17,30 @@ fn bench_lookahead_variants(c: &mut Criterion) {
         generate(&arch, &GeneratorConfig::new(4, 150).with_seed(6)).expect("generates");
     let mut group = c.benchmark_group("sabre_lookahead_aspen4");
     group.sample_size(10);
-    let variants: [(&str, WindowLookahead); 4] = [
-        ("front_only", WindowLookahead::front_only()),
-        ("uniform", WindowLookahead::sabre_default()),
+    let variants: [(&str, LookaheadSpec); 4] = [
+        ("front_only", LookaheadSpec::front_only()),
+        ("uniform", LookaheadSpec::sabre_default()),
         (
             "decay_0.7",
-            WindowLookahead {
+            LookaheadSpec {
                 depth_decay: Some(0.7),
-                ..WindowLookahead::sabre_default()
+                ..LookaheadSpec::sabre_default()
             },
         ),
         (
             "decay_0.4",
-            WindowLookahead {
+            LookaheadSpec {
                 depth_decay: Some(0.4),
-                ..WindowLookahead::sabre_default()
+                ..LookaheadSpec::sabre_default()
             },
         ),
     ];
     for (name, lookahead) in variants {
-        let router = SabreRouter::new(
-            SabreConfig::default()
-                .with_seed(5)
-                .with_lookahead(lookahead),
-        );
+        let router = RouterSpec {
+            lookahead,
+            ..RouterSpec::lightsabre()
+        }
+        .build(5);
         group.bench_with_input(BenchmarkId::from_parameter(name), &router, |b, router| {
             b.iter(|| {
                 black_box(

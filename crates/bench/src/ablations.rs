@@ -1,8 +1,9 @@
 //! Design ablations: the legacy SABRE parameter sweeps, plus the router
 //! construction kit's **composition matrix**.
 //!
-//! The legacy half ([`run_ablations`]) keeps the three hand-picked sweeps
-//! called out in DESIGN.md (trial count, extended-set size, padding). The
+//! The legacy half ([`run_ablations`]) keeps three hand-picked LightSABRE
+//! sweeps (trial count, extended-set size, padding), each a one-axis slice
+//! of [`RouterSpec::lightsabre`](qubikos_layout::RouterSpec::lightsabre). The
 //! matrix half enumerates the composition cross-product of a
 //! [`CompositionGrid`] — one [`RouterSpec`] per
 //! surviving grid point after
@@ -20,8 +21,8 @@ use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
 use qubikos_engine::{Engine, JobKey, NullSink, ProgressSink, AUTO_THREADS};
 use qubikos_layout::{
-    validate_routing, DecaySpec, LookaheadSpec, PlacementSpec, Router, RouterSpec, SabreConfig,
-    SabreRouter, SearchSpec, TieBreakerSpec, WeightsSpec,
+    validate_routing, DecaySpec, LookaheadSpec, PlacementSpec, Router, RouterSpec, SearchSpec,
+    TieBreakerSpec, WeightsSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -160,10 +161,8 @@ pub fn run_ablations_with_sink(
             mean_swap_ratio: mean_ratio_on(
                 &arch,
                 &suite,
-                SabreConfig::default()
-                    .with_trials(trials)
-                    .with_seed(config.router_seed),
-                config.threads,
+                lightsabre_with_trials(trials),
+                config,
                 sink,
             ),
         })
@@ -173,15 +172,21 @@ pub fn run_ablations_with_sink(
     let extended_set_sizes = config
         .extended_set_sizes
         .iter()
-        .map(|&size| {
-            let mut sabre = SabreConfig::default()
-                .with_trials(4)
-                .with_seed(config.router_seed);
-            sabre.extended_set_size = size;
-            AblationPoint {
-                parameter: size,
-                mean_swap_ratio: mean_ratio_on(&arch, &suite, sabre, config.threads, sink),
-            }
+        .map(|&size| AblationPoint {
+            parameter: size,
+            mean_swap_ratio: mean_ratio_on(
+                &arch,
+                &suite,
+                RouterSpec {
+                    lookahead: LookaheadSpec {
+                        window: size,
+                        ..LookaheadSpec::sabre_default()
+                    },
+                    ..lightsabre_with_trials(4)
+                },
+                config,
+                sink,
+            ),
         })
         .collect();
 
@@ -204,10 +209,8 @@ pub fn run_ablations_with_sink(
                 mean_swap_ratio: mean_ratio_on(
                     &arch,
                     &padded_suite,
-                    SabreConfig::default()
-                        .with_trials(4)
-                        .with_seed(config.router_seed),
-                    config.threads,
+                    lightsabre_with_trials(4),
+                    config,
                     sink,
                 ),
             })
@@ -223,21 +226,33 @@ pub fn run_ablations_with_sink(
     })
 }
 
-/// Mean SWAP ratio of one router configuration over a suite, computed on the
-/// engine (one job per circuit, one reused router per worker, job-order fold
-/// so the mean is schedule-independent).
+/// [`RouterSpec::lightsabre`] with `trials` random-restart trials.
+fn lightsabre_with_trials(trials: usize) -> RouterSpec {
+    RouterSpec {
+        search: SearchSpec::Greedy {
+            trials,
+            mapping_passes: 3,
+            stall_threshold: 64,
+        },
+        ..RouterSpec::lightsabre()
+    }
+}
+
+/// Mean SWAP ratio of one composition over a suite at the sweep's router
+/// seed, computed on the engine (one job per circuit, one reused router per
+/// worker, job-order fold so the mean is schedule-independent).
 fn mean_ratio_on(
     arch: &Architecture,
     suite: &[ExperimentPoint],
-    sabre: SabreConfig,
-    threads: usize,
+    spec: RouterSpec,
+    config: &AblationConfig,
     sink: &dyn ProgressSink,
 ) -> f64 {
-    let engine = Engine::new(threads).with_base_seed(sabre.seed);
+    let engine = Engine::new(config.threads).with_base_seed(config.router_seed);
     let ratios = engine
         .run_values(
             suite,
-            |_worker| SabreRouter::new(sabre.clone()),
+            |_worker| spec.build_named(config.router_seed, "lightsabre"),
             |router, _ctx, point| {
                 let routed = router
                     .route(point.benchmark.circuit(), arch)

@@ -12,9 +12,7 @@
 //! qubikos ablations --threads 8                        # design ablations
 //! ```
 //!
-//! The single-purpose bins (`tool_evaluation`, `optimality_study`,
-//! `sabre_case_study`, `ablations`, `export_suite`) remain and run the same
-//! command implementations from [`qubikos_bench::cli`].
+//! The command implementations live in [`qubikos_bench::cli`].
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

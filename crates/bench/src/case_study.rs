@@ -15,7 +15,7 @@
 use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
 use qubikos_engine::{Engine, NullSink, ProgressSink};
-use qubikos_layout::{validate_routing, SabreConfig, SabreRouter};
+use qubikos_layout::{validate_routing, ComposedRouter, LookaheadSpec, RouterSpec};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the case study.
@@ -108,13 +108,18 @@ pub fn run_case_study_with_sink(
         .run_values(
             &suite,
             |_worker| {
-                let uniform = SabreRouter::new(SabreConfig::default().with_seed(config.seed));
-                let decayed = SabreRouter::new(
-                    SabreConfig::default()
-                        .with_seed(config.seed)
-                        .with_lookahead_decay(config.decay),
-                );
-                (uniform, decayed)
+                let uniform = RouterSpec::lightsabre();
+                let decayed = RouterSpec {
+                    lookahead: LookaheadSpec {
+                        depth_decay: Some(config.decay),
+                        ..LookaheadSpec::sabre_default()
+                    },
+                    ..uniform
+                };
+                (
+                    uniform.build_named(config.seed, "lightsabre"),
+                    decayed.build_named(config.seed, "lightsabre"),
+                )
             },
             |(uniform, decayed), _ctx, point| {
                 let (uniform_ratio, uniform_optimal) = route_ratio(uniform, point, &arch);
@@ -147,7 +152,11 @@ pub fn run_case_study_with_sink(
 
 /// Routes one circuit from its known-optimal initial mapping and returns the
 /// SWAP ratio plus whether the routing matched the optimum exactly.
-fn route_ratio(router: &SabreRouter, point: &ExperimentPoint, arch: &Architecture) -> (f64, bool) {
+fn route_ratio(
+    router: &ComposedRouter,
+    point: &ExperimentPoint,
+    arch: &Architecture,
+) -> (f64, bool) {
     let bench = &point.benchmark;
     let routed = router
         .route_with_initial_mapping(bench.circuit(), arch, bench.reference_mapping())

@@ -1,11 +1,8 @@
-//! The command layer shared by the unified `qubikos` CLI and the legacy
-//! per-command bins.
+//! The command layer of the unified `qubikos` CLI.
 //!
 //! Every experiment entry point (`eval`, `optimality`, `case-study`,
-//! `ablations`, `suite export`, `suite verify`) is one function taking the
-//! raw argument list, so the `qubikos` multiplexer bin and the original
-//! single-purpose bins (`tool_evaluation`, `optimality_study`, …) share one
-//! implementation and one flag vocabulary (parsed with the
+//! `ablations`, `analytics`, `suite export`, `suite verify`) is one function
+//! taking the raw argument list, with one flag vocabulary (parsed with the
 //! [`crate::microbench`] helpers). Commands return a process exit code with
 //! one meaning per failure class, so scripts and CI can react without
 //! parsing stderr:
@@ -37,9 +34,7 @@ use crate::report::{
 };
 use crate::store::{ExportOptions, SuiteStore};
 use qubikos_arch::DeviceKind;
-use qubikos_engine::{
-    threads_from_args, ProgressSink, StderrProgress, TeeSink, TimingSink, AUTO_THREADS,
-};
+use qubikos_engine::{ProgressSink, StderrProgress, TeeSink, TimingSink, AUTO_THREADS};
 use qubikos_layout::{ToolKind, ToolParseError};
 
 /// Exit code: the run completed and every check passed.
@@ -191,7 +186,7 @@ EXIT CODES:
   3  verify  — completed, but verification or optimality failures were found
   4  timeout — completed with no failures, but jobs exceeded their deadline";
 
-/// `qubikos suite export` / the `export_suite` bin.
+/// `qubikos suite export`.
 ///
 /// # Errors
 ///
@@ -199,7 +194,7 @@ EXIT CODES:
 pub fn suite_export_command(args: &[String]) -> CommandOutcome {
     let device = parse_arch(args)?.unwrap_or(DeviceKind::Aspen4);
     let out = arg_value(args, "--out").unwrap_or_else(|| "qubikos_suite".to_string());
-    let threads = threads_from_args(args).unwrap_or(AUTO_THREADS);
+    let threads = threads_flag(args)?;
     let mut options = ExportOptions::default();
     if let Some(shard_size) = numeric_flag(args, "--shard-size")? {
         if shard_size == 0 {
@@ -265,6 +260,11 @@ fn numeric_flag(args: &[String], flag: &str) -> Result<Option<usize>, Box<dyn st
             .map(Some)
             .map_err(|_| format!("{flag}: expected an integer, found `{value}`").into()),
     }
+}
+
+/// Parses the shared `--threads N` flag ([`AUTO_THREADS`] when absent).
+fn threads_flag(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
+    Ok(numeric_flag(args, "--threads")?.unwrap_or(AUTO_THREADS))
 }
 
 /// Parses `--arch`, erroring on an unrecognized device name instead of
@@ -345,7 +345,7 @@ fn suite_flag(args: &[String]) -> Result<Option<String>, Box<dyn std::error::Err
 pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
     let dir = suite_flag(args)?
         .ok_or("suite verify requires --suite DIR (the exported suite directory)")?;
-    let threads = threads_from_args(args).unwrap_or(AUTO_THREADS);
+    let threads = threads_flag(args)?;
     let max_shards = numeric_flag(args, "--max-shards")?;
     let store = SuiteStore::open(&dir)?;
     let progress = StderrProgress::new(format!("verify {}", store.device().name()), 10);
@@ -396,9 +396,8 @@ pub fn analytics_command(args: &[String]) -> CommandOutcome {
         None if flag_present(args, "--json") => return Err("--json requires an output path".into()),
         None => None,
     };
+    let config = AnalyticsConfig::default().with_threads(threads_flag(args)?);
     let store = SuiteStore::open(&dir)?;
-    let config =
-        AnalyticsConfig::default().with_threads(threads_from_args(args).unwrap_or(AUTO_THREADS));
     let progress = StderrProgress::new(format!("analytics {}", store.device().name()), 10);
     let report = run_suite_analytics_with_sink(&store, &config, &progress)?;
     print!("{}", render_analytics(&report));
@@ -410,13 +409,13 @@ pub fn analytics_command(args: &[String]) -> CommandOutcome {
     Ok(0)
 }
 
-/// `qubikos eval` / the `tool_evaluation` bin.
+/// `qubikos eval`.
 ///
 /// # Errors
 ///
 /// Generation or store errors.
 pub fn eval_command(args: &[String]) -> CommandOutcome {
-    let threads = threads_from_args(args).unwrap_or(AUTO_THREADS);
+    let threads = threads_flag(args)?;
     let full = flag_present(args, "--full");
     let timing_path = match arg_value(args, "--timing-json") {
         Some(value) if value.starts_with("--") => {
@@ -552,7 +551,7 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
     Ok(0)
 }
 
-/// `qubikos optimality` / the `optimality_study` bin.
+/// `qubikos optimality`.
 ///
 /// # Errors
 ///
@@ -567,7 +566,7 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
     } else {
         OptimalityConfig::quick()
     }
-    .with_threads(threads_from_args(args).unwrap_or(AUTO_THREADS));
+    .with_threads(threads_flag(args)?);
     if let Some(millis) = numeric_flag(args, "--exact-deadline-ms")? {
         config = config.with_exact_deadline(std::time::Duration::from_millis(millis as u64));
     }
@@ -624,17 +623,26 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
     Ok(report_exit_code(report.failures, report.deadline_exceeded))
 }
 
-/// `qubikos case-study` / the `sabre_case_study` bin.
+/// `qubikos case-study`.
 ///
 /// # Errors
 ///
-/// Generation errors.
+/// A `--decay` that is not a finite number above 0, or generation errors.
 pub fn case_study_command(args: &[String]) -> CommandOutcome {
-    let decay = arg_value(args, "--decay")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.7);
+    let decay = match arg_value(args, "--decay") {
+        None if flag_present(args, "--decay") => return Err("--decay requires a number".into()),
+        None => 0.7,
+        Some(value) => match value.parse::<f64>() {
+            Ok(decay) if decay.is_finite() && decay > 0.0 => decay,
+            _ => {
+                return Err(
+                    format!("--decay: expected a finite number above 0, found `{value}`").into(),
+                )
+            }
+        },
+    };
     let full = flag_present(args, "--full");
-    let threads = threads_from_args(args).unwrap_or(AUTO_THREADS);
+    let threads = threads_flag(args)?;
     // The lookahead effect the paper analyses only shows up once the padding
     // is dense enough to mislead the extended set, so the default run already
     // uses the paper's Aspen-4 gate budget (300 two-qubit gates).
@@ -661,15 +669,15 @@ pub fn case_study_command(args: &[String]) -> CommandOutcome {
     Ok(0)
 }
 
-/// `qubikos ablations` / the `ablations` bin. Without `--grid`, the legacy
-/// hand-picked SABRE sweeps; with `--grid`, the router construction kit's
-/// composition matrix against a stored known-optimal suite.
+/// `qubikos ablations`. Without `--grid`, the legacy hand-picked SABRE
+/// sweeps; with `--grid`, the router construction kit's composition matrix
+/// against a stored known-optimal suite.
 ///
 /// # Errors
 ///
 /// Generation or store errors.
 pub fn ablations_command(args: &[String]) -> CommandOutcome {
-    let threads = threads_from_args(args).unwrap_or(AUTO_THREADS);
+    let threads = threads_flag(args)?;
     if flag_present(args, "--grid") {
         return ablations_grid_command(args, threads);
     }
@@ -847,6 +855,39 @@ mod tests {
         assert!(suite_export_command(&args(&["--shard-size", "0"])).is_err());
         assert!(suite_export_command(&args(&["--max-shards", "-1"])).is_err());
         assert!(suite_verify_command(&args(&["--suite", "x", "--max-shards", "two"])).is_err());
+    }
+
+    #[test]
+    fn case_study_decay_rejects_garbage_and_non_positive_values() {
+        for decay in ["foo", "NaN", "inf", "-inf", "0", "-0.5"] {
+            assert!(
+                case_study_command(&args(&["--decay", decay])).is_err(),
+                "--decay {decay}"
+            );
+        }
+        assert!(case_study_command(&args(&["--decay"])).is_err());
+    }
+
+    #[test]
+    fn threads_flag_is_a_usage_error_not_a_panic() {
+        let commands: [fn(&[String]) -> CommandOutcome; 7] = [
+            suite_export_command,
+            suite_verify_command,
+            analytics_command,
+            eval_command,
+            optimality_command,
+            case_study_command,
+            ablations_command,
+        ];
+        for command in commands {
+            for bad in [
+                &["--threads", "many"][..],
+                &["--suite", "x", "--threads"][..],
+            ] {
+                assert!(command(&args(bad)).is_err(), "{bad:?}");
+            }
+        }
+        assert!(dispatch(&args(&["eval", "--threads", "many"])).is_err());
     }
 
     #[test]

@@ -2,20 +2,20 @@
 //!
 //! | Paper artefact | Harness entry point |
 //! |---|---|
-//! | §IV-A optimality study (exact verification of generated SWAP counts) | [`optimality::run_optimality_study`], `--bin optimality_study` |
-//! | Figure 4 (a)–(d): SWAP-ratio optimality gaps of four tools on four devices | [`evaluation::run_tool_evaluation`], `--bin tool_evaluation` |
-//! | Abstract headline gaps (per-tool averages across devices) | [`evaluation::aggregate_by_tool`], printed by `tool_evaluation --all` |
-//! | §IV-C LightSABRE case study (lookahead decay) | [`case_study::run_case_study`], `--bin sabre_case_study` |
-//! | Design ablations (trials, extended-set size, padding) | [`ablations::run_ablations`], `--bin ablations`, criterion benches |
+//! | §IV-A optimality study (exact verification of generated SWAP counts) | [`optimality::run_optimality_study`], `qubikos optimality` |
+//! | Figure 4 (a)–(d): SWAP-ratio optimality gaps of four tools on four devices | [`evaluation::run_tool_evaluation`], `qubikos eval` |
+//! | Abstract headline gaps (per-tool averages across devices) | [`evaluation::aggregate_by_tool`], printed by `qubikos eval` without `--arch` |
+//! | §IV-C LightSABRE case study (lookahead decay) | [`case_study::run_case_study`], `qubikos case-study` |
+//! | Design ablations (trials, extended-set size, padding) | [`ablations::run_ablations`], `qubikos ablations`, criterion benches |
 //! | Router-construction-kit ablation matrix (composition cross-product ranked against known optima) | [`ablations::run_composition_matrix`], `qubikos ablations --grid` |
 //!
 //! The library functions return plain data structures so that both the CLI
-//! binaries and the criterion benches can reuse them; [`report`] renders the
-//! tables the paper prints.
+//! and the criterion benches can reuse them; [`report`] renders the tables
+//! the paper prints.
 //!
-//! Every command is also a subcommand of the unified `qubikos` binary
-//! ([`cli`] holds the shared implementations; the single-purpose bins are
-//! thin wrappers), and the evaluation/optimality pipelines can run from a
+//! Every command is a subcommand of the unified `qubikos` binary ([`cli`]
+//! holds the implementations), and the evaluation/optimality pipelines can
+//! run from a
 //! persistent on-disk corpus ([`store::SuiteStore`]: a small `manifest.json`
 //! root index pointing at `shards/shard_*.json` shard manifests plus QASM
 //! files and a content-addressed `results/` cache keyed by
@@ -27,7 +27,7 @@
 //!
 //! Every pipeline executes on the [`qubikos_engine`] work-stealing executor:
 //! results are identical for any thread count, a `--threads` flag is shared
-//! by all binaries (default: every available core), and per-job timings can
+//! by all commands (default: every available core), and per-job timings can
 //! stream to any [`qubikos_engine::ProgressSink`] via the `*_with_sink`
 //! entry points.
 

@@ -1,8 +1,8 @@
 //! Exact minimal-SWAP layout synthesis for small instances.
 //!
 //! The paper verifies QUBIKOS optimality with OLSQ2, a SAT/SMT-based exact
-//! tool. This crate plays that role without an external solver (see
-//! DESIGN.md, substitution 1): [`ExactSolver`] performs an exhaustive,
+//! tool. This crate plays that role without an external solver:
+//! [`ExactSolver`] performs an exhaustive,
 //! provably complete search over initial mappings and SWAP sequences, and
 //! [`lower_bound`] provides cheap admissible lower bounds used both for
 //! pruning and as stand-alone sanity checks.

@@ -1,4 +1,5 @@
-//! A QMAP-style per-layer A* router.
+//! The QMAP-style per-layer A* search behind
+//! [`SearchSpec::AStar`](crate::SearchSpec::AStar).
 //!
 //! QMAP's published heuristic mapper partitions the circuit into layers of
 //! independent gates and, for each layer, searches over SWAP sequences until
@@ -12,7 +13,8 @@
 //!
 //! The circuit-derived state (dependency DAG, layering, single-qubit gate
 //! schedule) comes from [`crate::kernel`]; the per-layer search is the
-//! QMAP-specific policy this module keeps.
+//! QMAP-specific part this module keeps. The composed router runs it after
+//! placement, or from a caller's mapping in the standalone mode.
 //!
 //! # State storage
 //!
@@ -45,146 +47,73 @@
 //! the SWAP sequences are the same (a test keeps that search as its
 //! reference).
 
-use crate::kernel::{check_fit, RoutingProblem};
+use crate::kernel::{force_adjacent, RoutingProblem};
 use crate::mapping::Mapping;
-use crate::placement::greedy_bfs_placement;
-use crate::result::RoutedCircuit;
-use crate::router::{RouteError, Router};
 use qubikos_arch::Architecture;
 use qubikos_circuit::{Circuit, Gate};
 use qubikos_graph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Tuning knobs of the QMAP-style router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AStarConfig {
-    /// RNG seed (reserved; the search itself is deterministic).
-    pub seed: u64,
-    /// Maximum number of states expanded per layer before falling back to a
-    /// greedy completion of that layer.
-    pub max_expansions_per_layer: usize,
-}
+/// Routes `circuit` layer by layer from `initial`, expanding at most
+/// `max_expansions` states per layer before completing that layer greedily.
+/// Returns the physical circuit and the final mapping. The caller checks
+/// that the circuit fits the device.
+pub(crate) fn route_layers(
+    circuit: &Circuit,
+    arch: &Architecture,
+    initial: &Mapping,
+    max_expansions: usize,
+) -> (Circuit, Mapping) {
+    let mut mapping = initial.clone();
+    let problem = RoutingProblem::forward_only(circuit);
+    let view = problem.forward();
+    let dag = view.dag();
+    let mut out = Circuit::new(arch.num_qubits());
 
-impl Default for AStarConfig {
-    fn default() -> Self {
-        AStarConfig {
-            seed: 0,
-            max_expansions_per_layer: 4000,
-        }
-    }
-}
+    for layer in dag.layers() {
+        // Find a SWAP sequence that makes every gate of this layer executable.
+        let pairs: Vec<(usize, usize)> = layer.iter().map(|&node| dag.qubit_pair(node)).collect();
+        let swaps = solve_layer(&pairs, arch, &mapping, max_expansions);
 
-impl AStarConfig {
-    /// Returns the config with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// QMAP-style layer-by-layer A* router.
-#[derive(Debug, Clone, Default)]
-pub struct AStarRouter {
-    config: AStarConfig,
-}
-
-impl AStarRouter {
-    /// Creates a router with the given configuration.
-    pub fn new(config: AStarConfig) -> Self {
-        AStarRouter { config }
-    }
-}
-
-impl AStarRouter {
-    /// Routes `circuit` from a caller-supplied initial mapping — the same
-    /// per-layer search as [`Router::route`], with the placement stage
-    /// skipped. This is the hook the composed-router construction kit uses
-    /// to pair the QMAP search with any
-    /// [`PlacementStrategy`](crate::kernel::PlacementStrategy) — see
-    /// [`crate::composed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RouteError::TooManyQubits`] if the circuit does not fit.
-    pub fn route_with_initial_mapping(
-        &self,
-        circuit: &Circuit,
-        arch: &Architecture,
-        initial: &Mapping,
-    ) -> Result<RoutedCircuit, RouteError> {
-        check_fit(circuit, arch)?;
-        let initial = initial.clone();
-        let mut mapping = initial.clone();
-        let problem = RoutingProblem::forward_only(circuit);
-        let view = problem.forward();
-        let dag = view.dag();
-        let mut out = Circuit::new(arch.num_qubits());
-
-        for layer in dag.layers() {
-            // Find a SWAP sequence that makes every gate of this layer executable.
-            let pairs: Vec<(usize, usize)> =
-                layer.iter().map(|&node| dag.qubit_pair(node)).collect();
-            let swaps = self.solve_layer(&pairs, arch, &mapping);
-
-            // Gates within a layer act on disjoint qubits, so each one can be
-            // emitted the moment its pair becomes adjacent — later SWAPs of
-            // the same layer are then free to move its qubits again.
-            let mut emitted = vec![false; layer.len()];
-            let emit_ready = |mapping: &Mapping, out: &mut Circuit, emitted: &mut Vec<bool>| {
-                for (k, &node) in layer.iter().enumerate() {
-                    if emitted[k] {
-                        continue;
-                    }
-                    let (a, b) = pairs[k];
-                    if arch.are_coupled(mapping.physical(a), mapping.physical(b)) {
-                        view.emit(node, mapping, out);
-                        emitted[k] = true;
-                    }
-                }
-            };
-            emit_ready(&mapping, &mut out, &mut emitted);
-            for (pa, pb) in swaps {
-                out.push(Gate::swap(pa, pb));
-                mapping.apply_swap_physical(pa, pb);
-                emit_ready(&mapping, &mut out, &mut emitted);
-            }
-            // Safety net: if the search's fallback left a pair apart, walk it
-            // together along a shortest path so routing always completes.
+        // Gates within a layer act on disjoint qubits, so each one can be
+        // emitted the moment its pair becomes adjacent — later SWAPs of
+        // the same layer are then free to move its qubits again.
+        let mut emitted = vec![false; layer.len()];
+        let emit_ready = |mapping: &Mapping, out: &mut Circuit, emitted: &mut Vec<bool>| {
             for (k, &node) in layer.iter().enumerate() {
                 if emitted[k] {
                     continue;
                 }
                 let (a, b) = pairs[k];
-                crate::kernel::force_adjacent(arch, &mut mapping, a, b, |u, v| {
-                    out.push(Gate::swap(u, v));
-                });
-                view.emit(node, &mapping, &mut out);
+                if arch.are_coupled(mapping.physical(a), mapping.physical(b)) {
+                    view.emit(node, mapping, out);
+                    emitted[k] = true;
+                }
             }
+        };
+        emit_ready(&mapping, &mut out, &mut emitted);
+        for (pa, pb) in swaps {
+            out.push(Gate::swap(pa, pb));
+            mapping.apply_swap_physical(pa, pb);
+            emit_ready(&mapping, &mut out, &mut emitted);
         }
-        view.emit_trailing(&mapping, &mut out);
-
-        Ok(RoutedCircuit {
-            physical_circuit: out,
-            initial_mapping: initial,
-            final_mapping: mapping,
-            tool: self.name().to_string(),
-        })
+        // Safety net: if the search's fallback left a pair apart, walk it
+        // together along a shortest path so routing always completes.
+        for (k, &node) in layer.iter().enumerate() {
+            if emitted[k] {
+                continue;
+            }
+            let (a, b) = pairs[k];
+            force_adjacent(arch, &mut mapping, a, b, |u, v| {
+                out.push(Gate::swap(u, v));
+            });
+            view.emit(node, &mapping, &mut out);
+        }
     }
-}
-
-impl Router for AStarRouter {
-    fn route(&self, circuit: &Circuit, arch: &Architecture) -> Result<RoutedCircuit, RouteError> {
-        check_fit(circuit, arch)?;
-        let initial = greedy_bfs_placement(circuit, arch);
-        self.route_with_initial_mapping(circuit, arch, &initial)
-    }
-
-    fn name(&self) -> &str {
-        "qmap"
-    }
+    view.emit_trailing(&mapping, &mut out);
+    (out, mapping)
 }
 
 /// Marks an empty slot in the per-layer lookup buffers (an unoccupied
@@ -339,199 +268,198 @@ impl StateIndex {
     }
 }
 
-impl AStarRouter {
-    /// Summed excess distance of the layer's gate pairs under `assignment`.
-    fn heuristic(pairs: &[(usize, usize)], arch: &Architecture, assignment: &[NodeId]) -> usize {
-        pairs
-            .iter()
-            .map(|&(a, b)| {
-                arch.distance(assignment[a], assignment[b])
-                    .saturating_sub(1)
-            })
-            .sum()
+/// Summed excess distance of the layer's gate pairs under `assignment`.
+fn heuristic(pairs: &[(usize, usize)], arch: &Architecture, assignment: &[NodeId]) -> usize {
+    pairs
+        .iter()
+        .map(|&(a, b)| {
+            arch.distance(assignment[a], assignment[b])
+                .saturating_sub(1)
+        })
+        .sum()
+}
+
+/// A* over SWAP sequences until every pair in `pairs` is adjacent. See
+/// the module docs for the state storage.
+fn solve_layer(
+    pairs: &[(usize, usize)],
+    arch: &Architecture,
+    mapping: &Mapping,
+    max_expansions: usize,
+) -> Vec<(NodeId, NodeId)> {
+    let start = mapping.as_slice();
+    let start_h = heuristic(pairs, arch, start);
+    if start_h == 0 {
+        return Vec::new();
+    }
+    let n = start.len();
+    // `pair_of[q]` = the layer pair containing program qubit `q`. Layer
+    // gates never share a qubit, so a SWAP changes at most two pairs.
+    let mut pair_of = vec![NONE; n];
+    for (k, &(a, b)) in pairs.iter().enumerate() {
+        debug_assert!(pair_of[a] == NONE && pair_of[b] == NONE);
+        pair_of[a] = k;
+        pair_of[b] = k;
     }
 
-    /// A* over SWAP sequences until every pair in `pairs` is adjacent. See
-    /// the module docs for the state storage.
-    fn solve_layer(
-        &self,
-        pairs: &[(usize, usize)],
-        arch: &Architecture,
-        mapping: &Mapping,
-    ) -> Vec<(NodeId, NodeId)> {
-        let start = mapping.as_slice();
-        let start_h = Self::heuristic(pairs, arch, start);
-        if start_h == 0 {
-            return Vec::new();
+    // Priority queue keyed by f = g + h; ties go to the smaller g, then
+    // the earlier-pushed state.
+    let mut open: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
+    let mut arena = StateArena::new(n);
+    let mut index = StateIndex::default();
+    let start_hash = state_hash(start);
+    arena.push(start, None, start_h, start_hash);
+    index.insert(start_hash, 0, 0);
+    open.push(Reverse((start_h, 0, 0)));
+
+    let mut expansions = 0usize;
+    let mut best_fallback = (start_h, 0usize);
+    // Per-expansion buffers, cleared entry by entry after each use: the
+    // physical→program occupants, the active-qubit marks, each pair's
+    // distance, and the child assignment under construction.
+    let mut occupant = vec![NONE; arch.num_qubits()];
+    let mut active = vec![false; arch.num_qubits()];
+    let mut pair_dist = vec![0usize; pairs.len()];
+    let mut child: Vec<NodeId> = Vec::with_capacity(n);
+
+    while let Some(Reverse((_, g, id))) = open.pop() {
+        let hash = arena.hashes[id];
+        let entry = index.find(hash, arena.assignment(id), &arena);
+        if index.g(entry.expect("every pushed state is indexed")) < g {
+            continue; // stale entry
         }
-        let n = start.len();
-        // `pair_of[q]` = the layer pair containing program qubit `q`. Layer
-        // gates never share a qubit, so a SWAP changes at most two pairs.
-        let mut pair_of = vec![NONE; n];
+        let h = arena.h[id];
+        if h == 0 {
+            return arena.reconstruct(id);
+        }
+        if h < best_fallback.0 {
+            best_fallback = (h, id);
+        }
+        expansions += 1;
+        if expansions > max_expansions {
+            // Budget exhausted: finish the layer greedily from the most
+            // promising state seen so far.
+            let mut swaps = arena.reconstruct(best_fallback.1);
+            let mut assignment = arena.assignment(best_fallback.1).to_vec();
+            swaps.extend(greedy_finish(pairs, arch, &mut assignment));
+            return swaps;
+        }
+
+        child.clear();
+        child.extend_from_slice(arena.assignment(id));
+        for (q, &p) in child.iter().enumerate() {
+            occupant[p] = q;
+        }
+        // Candidate SWAPs: couplers touching a physical qubit used by a
+        // still-unsatisfied pair.
         for (k, &(a, b)) in pairs.iter().enumerate() {
-            debug_assert!(pair_of[a] == NONE && pair_of[b] == NONE);
-            pair_of[a] = k;
-            pair_of[b] = k;
-        }
-
-        // Priority queue keyed by f = g + h; ties go to the smaller g, then
-        // the earlier-pushed state.
-        let mut open: BinaryHeap<Reverse<(usize, usize, usize)>> = BinaryHeap::new();
-        let mut arena = StateArena::new(n);
-        let mut index = StateIndex::default();
-        let start_hash = state_hash(start);
-        arena.push(start, None, start_h, start_hash);
-        index.insert(start_hash, 0, 0);
-        open.push(Reverse((start_h, 0, 0)));
-
-        let mut expansions = 0usize;
-        let mut best_fallback = (start_h, 0usize);
-        // Per-expansion buffers, cleared entry by entry after each use: the
-        // physical→program occupants, the active-qubit marks, each pair's
-        // distance, and the child assignment under construction.
-        let mut occupant = vec![NONE; arch.num_qubits()];
-        let mut active = vec![false; arch.num_qubits()];
-        let mut pair_dist = vec![0usize; pairs.len()];
-        let mut child: Vec<NodeId> = Vec::with_capacity(n);
-
-        while let Some(Reverse((_, g, id))) = open.pop() {
-            let hash = arena.hashes[id];
-            let entry = index.find(hash, arena.assignment(id), &arena);
-            if index.g(entry.expect("every pushed state is indexed")) < g {
-                continue; // stale entry
-            }
-            let h = arena.h[id];
-            if h == 0 {
-                return arena.reconstruct(id);
-            }
-            if h < best_fallback.0 {
-                best_fallback = (h, id);
-            }
-            expansions += 1;
-            if expansions > self.config.max_expansions_per_layer {
-                // Budget exhausted: finish the layer greedily from the most
-                // promising state seen so far.
-                let mut swaps = arena.reconstruct(best_fallback.1);
-                let mut assignment = arena.assignment(best_fallback.1).to_vec();
-                swaps.extend(Self::greedy_finish(pairs, arch, &mut assignment));
-                return swaps;
-            }
-
-            child.clear();
-            child.extend_from_slice(arena.assignment(id));
-            for (q, &p) in child.iter().enumerate() {
-                occupant[p] = q;
-            }
-            // Candidate SWAPs: couplers touching a physical qubit used by a
-            // still-unsatisfied pair.
-            for (k, &(a, b)) in pairs.iter().enumerate() {
-                pair_dist[k] = arch.distance(child[a], child[b]);
-                if pair_dist[k] > 1 {
-                    active[child[a]] = true;
-                    active[child[b]] = true;
-                }
-            }
-            for edge in arch.couplers() {
-                if !(active[edge.u] || active[edge.v]) {
-                    continue;
-                }
-                let (qu, qv) = (occupant[edge.u], occupant[edge.v]);
-                let mut next_hash = hash;
-                if qu != NONE {
-                    next_hash ^= hash_term(qu, edge.u) ^ hash_term(qu, edge.v);
-                    child[qu] = edge.v;
-                }
-                if qv != NONE {
-                    next_hash ^= hash_term(qv, edge.v) ^ hash_term(qv, edge.u);
-                    child[qv] = edge.u;
-                }
-                // Only the pairs holding a moved qubit change distance. A
-                // pair whose two qubits trade places keeps its distance, so
-                // visiting it twice adds nothing.
-                let mut next_h = h;
-                for q in [qu, qv] {
-                    let k = if q == NONE { NONE } else { pair_of[q] };
-                    if k != NONE {
-                        let (a, b) = pairs[k];
-                        let d = arch.distance(child[a], child[b]);
-                        next_h = next_h + d.saturating_sub(1) - pair_dist[k].saturating_sub(1);
-                    }
-                }
-
-                debug_assert_eq!(next_hash, state_hash(&child));
-                debug_assert_eq!(next_h, Self::heuristic(pairs, arch, &child));
-
-                let next_g = g + 1;
-                let entry = index.find(next_hash, &child, &arena);
-                if entry.map_or(true, |e| index.g(e) > next_g) {
-                    let next_id =
-                        arena.push(&child, Some((id, (edge.u, edge.v))), next_h, next_hash);
-                    match entry {
-                        Some(e) => index.lower(e, next_g),
-                        None => index.insert(next_hash, next_id, next_g),
-                    }
-                    open.push(Reverse((next_g + next_h, next_g, next_id)));
-                }
-                if qu != NONE {
-                    child[qu] = edge.u;
-                }
-                if qv != NONE {
-                    child[qv] = edge.v;
-                }
-            }
-            for &p in &child {
-                occupant[p] = NONE;
-            }
-            for &(a, b) in pairs {
-                active[child[a]] = false;
-                active[child[b]] = false;
+            pair_dist[k] = arch.distance(child[a], child[b]);
+            if pair_dist[k] > 1 {
+                active[child[a]] = true;
+                active[child[b]] = true;
             }
         }
+        for edge in arch.couplers() {
+            if !(active[edge.u] || active[edge.v]) {
+                continue;
+            }
+            let (qu, qv) = (occupant[edge.u], occupant[edge.v]);
+            let mut next_hash = hash;
+            if qu != NONE {
+                next_hash ^= hash_term(qu, edge.u) ^ hash_term(qu, edge.v);
+                child[qu] = edge.v;
+            }
+            if qv != NONE {
+                next_hash ^= hash_term(qv, edge.v) ^ hash_term(qv, edge.u);
+                child[qv] = edge.u;
+            }
+            // Only the pairs holding a moved qubit change distance. A
+            // pair whose two qubits trade places keeps its distance, so
+            // visiting it twice adds nothing.
+            let mut next_h = h;
+            for q in [qu, qv] {
+                let k = if q == NONE { NONE } else { pair_of[q] };
+                if k != NONE {
+                    let (a, b) = pairs[k];
+                    let d = arch.distance(child[a], child[b]);
+                    next_h = next_h + d.saturating_sub(1) - pair_dist[k].saturating_sub(1);
+                }
+            }
 
-        // Open set exhausted without a goal (cannot happen on a connected
-        // architecture, but stay safe): finish greedily from the start.
-        let mut assignment = start.to_vec();
-        Self::greedy_finish(pairs, arch, &mut assignment)
-    }
+            debug_assert_eq!(next_hash, state_hash(&child));
+            debug_assert_eq!(next_h, heuristic(pairs, arch, &child));
 
-    /// Moves each unsatisfied pair together along shortest paths.
-    fn greedy_finish(
-        pairs: &[(usize, usize)],
-        arch: &Architecture,
-        assignment: &mut [NodeId],
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut swaps = Vec::new();
+            let next_g = g + 1;
+            let entry = index.find(next_hash, &child, &arena);
+            if entry.map_or(true, |e| index.g(e) > next_g) {
+                let next_id = arena.push(&child, Some((id, (edge.u, edge.v))), next_h, next_hash);
+                match entry {
+                    Some(e) => index.lower(e, next_g),
+                    None => index.insert(next_hash, next_id, next_g),
+                }
+                open.push(Reverse((next_g + next_h, next_g, next_id)));
+            }
+            if qu != NONE {
+                child[qu] = edge.u;
+            }
+            if qv != NONE {
+                child[qv] = edge.v;
+            }
+        }
+        for &p in &child {
+            occupant[p] = NONE;
+        }
         for &(a, b) in pairs {
-            // `b` never moves while `a` walks towards it (the walk's next hop
-            // is never `b`'s qubit), so one distance row serves the whole
-            // path.
-            let to_pb = arch.distance_row(assignment[b]);
-            while to_pb[assignment[a]] > 1 {
-                let pa = assignment[a];
-                let next = arch
-                    .neighbors(pa)
-                    .iter()
-                    .copied()
-                    .min_by_key(|&n| to_pb[n])
-                    .expect("connected architecture");
-                swaps.push((pa, next));
-                for slot in assignment.iter_mut() {
-                    if *slot == pa {
-                        *slot = next;
-                    } else if *slot == next {
-                        *slot = pa;
-                    }
+            active[child[a]] = false;
+            active[child[b]] = false;
+        }
+    }
+
+    // Open set exhausted without a goal (cannot happen on a connected
+    // architecture, but stay safe): finish greedily from the start.
+    let mut assignment = start.to_vec();
+    greedy_finish(pairs, arch, &mut assignment)
+}
+
+/// Moves each unsatisfied pair together along shortest paths.
+fn greedy_finish(
+    pairs: &[(usize, usize)],
+    arch: &Architecture,
+    assignment: &mut [NodeId],
+) -> Vec<(NodeId, NodeId)> {
+    let mut swaps = Vec::new();
+    for &(a, b) in pairs {
+        // `b` never moves while `a` walks towards it (the walk's next hop
+        // is never `b`'s qubit), so one distance row serves the whole
+        // path.
+        let to_pb = arch.distance_row(assignment[b]);
+        while to_pb[assignment[a]] > 1 {
+            let pa = assignment[a];
+            let next = arch
+                .neighbors(pa)
+                .iter()
+                .copied()
+                .min_by_key(|&n| to_pb[n])
+                .expect("connected architecture");
+            swaps.push((pa, next));
+            for slot in assignment.iter_mut() {
+                if *slot == pa {
+                    *slot = next;
+                } else if *slot == next {
+                    *slot = pa;
                 }
             }
         }
-        swaps
     }
+    swaps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Router;
     use crate::validate::validate_routing;
+    use crate::{RouterSpec, SearchSpec};
     use qubikos_arch::devices;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -552,60 +480,15 @@ mod tests {
     }
 
     #[test]
-    fn routes_valid_circuits_on_grid() {
-        let arch = devices::grid(3, 3);
-        let circuit = random_circuit(8, 30, 31);
-        let routed = AStarRouter::default().route(&circuit, &arch).expect("fits");
-        validate_routing(&circuit, &arch, &routed).expect("valid");
-    }
-
-    #[test]
-    fn routes_valid_circuits_on_aspen() {
-        let arch = devices::aspen4();
-        let circuit = random_circuit(12, 50, 5);
-        let routed = AStarRouter::default().route(&circuit, &arch).expect("fits");
-        validate_routing(&circuit, &arch, &routed).expect("valid");
-    }
-
-    #[test]
-    fn executable_circuit_needs_no_swaps() {
-        let arch = devices::line(5);
-        let circuit = Circuit::from_gates(5, [Gate::cx(0, 1), Gate::cx(2, 3), Gate::cx(3, 4)]);
-        let routed = AStarRouter::default().route(&circuit, &arch).expect("fits");
-        assert_eq!(routed.swap_count(), 0);
-    }
-
-    #[test]
     fn tiny_expansion_budget_still_terminates() {
-        let config = AStarConfig {
-            seed: 0,
-            max_expansions_per_layer: 1,
+        let spec = RouterSpec {
+            search: SearchSpec::AStar { max_expansions: 1 },
+            ..RouterSpec::qmap()
         };
         let arch = devices::grid(3, 3);
         let circuit = random_circuit(9, 40, 7);
-        let routed = AStarRouter::new(config)
-            .route(&circuit, &arch)
-            .expect("fits");
+        let routed = spec.build(0).route(&circuit, &arch).expect("fits");
         validate_routing(&circuit, &arch, &routed).expect("valid");
-    }
-
-    #[test]
-    fn single_qubit_gates_survive() {
-        let arch = devices::line(3);
-        let circuit = Circuit::from_gates(3, [Gate::h(1), Gate::cx(0, 2), Gate::z(0)]);
-        let routed = AStarRouter::default().route(&circuit, &arch).expect("fits");
-        validate_routing(&circuit, &arch, &routed).expect("valid");
-    }
-
-    #[test]
-    fn rejects_oversized_circuit() {
-        let arch = devices::line(2);
-        assert!(matches!(
-            AStarRouter::default()
-                .route(&random_circuit(3, 5, 0), &arch)
-                .unwrap_err(),
-            RouteError::TooManyQubits { .. }
-        ));
     }
 
     /// The per-layer search as it was before the state arena: every state a
@@ -628,7 +511,7 @@ mod tests {
             swaps.reverse();
             swaps
         }
-        let heuristic = |assignment: &[NodeId]| AStarRouter::heuristic(pairs, arch, assignment);
+        let heuristic = |assignment: &[NodeId]| heuristic(pairs, arch, assignment);
 
         let start: Vec<NodeId> = mapping.as_slice().to_vec();
         if heuristic(&start) == 0 {
@@ -659,7 +542,7 @@ mod tests {
             if expansions > max_expansions {
                 let mut swaps = reconstruct(&states, best_fallback.1);
                 let mut assignment = states[best_fallback.1].0.clone();
-                swaps.extend(AStarRouter::greedy_finish(pairs, arch, &mut assignment));
+                swaps.extend(greedy_finish(pairs, arch, &mut assignment));
                 return swaps;
             }
             let mut active = vec![false; arch.num_qubits()];
@@ -692,7 +575,7 @@ mod tests {
             }
         }
         let mut assignment = start;
-        AStarRouter::greedy_finish(pairs, arch, &mut assignment)
+        greedy_finish(pairs, arch, &mut assignment)
     }
 
     /// A random mapping of `program` qubits onto `arch` and a random layer
@@ -744,11 +627,7 @@ mod tests {
                 let pairs = rng.gen_range(1..=*max_pairs);
                 let (layer, mapping) = random_layer(arch, *program, pairs, *max_dist, &mut rng);
                 for budget in [1, 16, 4000] {
-                    let router = AStarRouter::new(AStarConfig {
-                        seed: 0,
-                        max_expansions_per_layer: budget,
-                    });
-                    let got = router.solve_layer(&layer, arch, &mapping);
+                    let got = solve_layer(&layer, arch, &mapping, budget);
                     let expected = reference_solve_layer(budget, &layer, arch, &mapping);
                     assert_eq!(
                         got,
@@ -788,11 +667,5 @@ mod tests {
         // assignment under another hash, are both absent.
         assert_eq!(index.find(HASH, &[1, 0, 2], &arena), None);
         assert_eq!(index.find(HASH + 1, &[0, 1, 2], &arena), None);
-    }
-
-    #[test]
-    fn config_builder() {
-        assert_eq!(AStarConfig::default().with_seed(5).seed, 5);
-        assert_eq!(AStarRouter::default().name(), "qmap");
     }
 }

@@ -8,28 +8,30 @@
 //! weighting ([`WeightsSpec`]). [`RouterSpec::build`] turns a spec plus an
 //! RNG seed into a [`ComposedRouter`] implementing [`Router`].
 //!
-//! The four paper tools are named compositions — [`RouterSpec::lightsabre`],
-//! [`RouterSpec::tket`], [`RouterSpec::ml_qls`], [`RouterSpec::qmap`] — and
-//! [`ToolKind::build`](crate::ToolKind::build) is a thin alias over them:
-//! each named composition emits a SWAP stream *bit-identical* to the
-//! pre-refactor monolithic router (the golden fixtures and a workspace
-//! proptest pin this). Everything else in the cross-product is an ablation
-//! variant the benchmark harness can enumerate and rank against the
-//! known-optimal suite.
+//! [`ComposedRouter`] is the only [`Router`]. The four paper tools are named
+//! compositions — [`RouterSpec::lightsabre`], [`RouterSpec::tket`],
+//! [`RouterSpec::ml_qls`], [`RouterSpec::qmap`] — and
+//! [`ToolKind::build`](crate::ToolKind::build) is a thin alias over them;
+//! the golden fixtures (`tests/golden_swaps.rs`) pin each one's SWAP counts
+//! and routed gate streams, in both the full and the standalone
+//! ([`ComposedRouter::route_with_initial_mapping`]) mode. Everything else
+//! in the cross-product is an ablation variant the benchmark harness can
+//! enumerate and rank against the known-optimal suite.
 //!
 //! Every spec has a stable, human-readable [`RouterSpec::id`] such as
 //! `g16x3s64.la20w0.5.dec0.001r5.randtie.bfs.uw`; the ablation matrix uses
 //! it as the cache namespace, so per-composition results are keyed by
 //! composition identity.
 
-use crate::astar::{AStarConfig, AStarRouter};
+use crate::astar::route_layers;
 use crate::kernel::{
     check_fit, run_greedy_pass, AdditiveDecay, DecaySchedule, DistanceRefinedTies,
     GreedyBfsRestarts, GreedyPolicies, GreedyScratch, IdentityPlacement, NoDecay,
     PlacementStrategy, QubitIndexTies, RoutingProblem, SeededRandomTies, TieBreaker,
     WindowLookahead,
 };
-use crate::multilevel::MultilevelPlacement;
+use crate::mapping::Mapping;
+use crate::multilevel::MultilevelRouter;
 use crate::result::RoutedCircuit;
 use crate::router::{RouteError, Router};
 use qubikos_arch::Architecture;
@@ -259,8 +261,9 @@ pub struct RouterSpec {
 impl RouterSpec {
     /// The LightSABRE composition: 16-trial, 3-pass greedy search with the
     /// published lookahead and decay, seeded-random ties, greedy-BFS
-    /// restarts, uniform weights. Bit-identical to
-    /// [`SabreRouter`](crate::SabreRouter) with the default config.
+    /// restarts, uniform weights. The paper's §IV-C case study routes it
+    /// from the optimal mapping with
+    /// [`ComposedRouter::route_with_initial_mapping`].
     pub fn lightsabre() -> Self {
         RouterSpec {
             search: SearchSpec::Greedy {
@@ -277,8 +280,8 @@ impl RouterSpec {
     }
 
     /// The t|ket⟩-style composition: one front-only greedy pass, no decay,
-    /// first-candidate ties, greedy-BFS placement. Bit-identical to
-    /// [`TketRouter`](crate::TketRouter) with the default config.
+    /// first-candidate ties (t|ket⟩'s first-integer-minimum selection),
+    /// greedy-BFS placement.
     pub fn tket() -> Self {
         RouterSpec {
             search: SearchSpec::Greedy {
@@ -295,9 +298,8 @@ impl RouterSpec {
     }
 
     /// The ML-QLS composition: multilevel placement followed by a single
-    /// SABRE-policy routing pass. Bit-identical to
-    /// [`MultilevelRouter`](crate::MultilevelRouter) with the default
-    /// config.
+    /// SABRE-policy routing pass ([`MultilevelRouter`] places, with its
+    /// default tuning).
     pub fn ml_qls() -> Self {
         RouterSpec {
             search: SearchSpec::Greedy {
@@ -313,8 +315,8 @@ impl RouterSpec {
         }
     }
 
-    /// The QMAP composition: per-layer A* from a greedy-BFS placement.
-    /// Bit-identical to [`AStarRouter`] with the default config.
+    /// The QMAP composition: per-layer A* (4000 expansions per layer) from
+    /// a greedy-BFS placement.
     pub fn qmap() -> Self {
         RouterSpec {
             search: SearchSpec::AStar {
@@ -408,14 +410,56 @@ impl ComposedRouter {
         self.seed
     }
 
-    fn route_greedy(
+    /// Routes `circuit` from a caller-supplied initial mapping, skipping
+    /// placement: the paper's standalone-router mode (§IV-C). QUBIKOS
+    /// supplies the known-optimal initial mapping, so every excess SWAP is
+    /// the router's. A greedy spec runs one unbounded forward pass with its
+    /// policies and an RNG seeded with the router seed (its trial and pass
+    /// counts do not apply); an A* spec runs its per-layer search.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RouteError::TooManyQubits`] if the circuit does not fit.
+    pub fn route_with_initial_mapping(
         &self,
         circuit: &Circuit,
         arch: &Architecture,
-        trials: usize,
-        mapping_passes: usize,
-        stall_threshold: usize,
+        initial: &Mapping,
     ) -> Result<RoutedCircuit, RouteError> {
+        check_fit(circuit, arch)?;
+        Ok(match self.spec.search {
+            SearchSpec::Greedy {
+                stall_threshold, ..
+            } => {
+                let problem = RoutingProblem::forward_only(circuit);
+                let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+                self.with_policies(arch, stall_threshold, |policies| {
+                    self.final_pass(
+                        &problem,
+                        arch,
+                        policies,
+                        initial.clone(),
+                        &mut rng,
+                        &mut GreedyScratch::default(),
+                    )
+                })
+                .expect("an unbounded pass runs to the end")
+            }
+            SearchSpec::AStar { max_expansions } => {
+                let (physical, final_mapping) =
+                    route_layers(circuit, arch, initial, max_expansions);
+                self.routed(physical, initial.clone(), final_mapping)
+            }
+        })
+    }
+
+    /// Calls `f` with the spec's greedy policy bundle, unbounded.
+    fn with_policies<R>(
+        &self,
+        arch: &Architecture,
+        stall_threshold: usize,
+        f: impl FnOnce(&GreedyPolicies<'_>) -> R,
+    ) -> R {
         let lookahead = self.spec.lookahead.policy();
         let additive;
         let decay: &dyn DecaySchedule = match self.spec.decay {
@@ -436,112 +480,131 @@ impl ComposedRouter {
             TieBreakerSpec::QubitIndex => &QubitIndexTies,
             TieBreakerSpec::DistanceRefined => &DistanceRefinedTies,
         };
-        let multilevel;
-        let placement: &dyn PlacementStrategy = match self.spec.placement {
-            PlacementSpec::GreedyBfs => &GreedyBfsRestarts,
-            PlacementSpec::Identity => &IdentityPlacement,
-            PlacementSpec::Multilevel => {
-                multilevel = MultilevelPlacement::default();
-                &multilevel
-            }
-        };
         let weights = self.spec.weights.build(arch);
-        let policies = GreedyPolicies {
+        f(&GreedyPolicies {
             lookahead: &lookahead,
             decay,
             tie_breaker,
             weights: &weights,
             stall_threshold,
             incumbent: None,
-        };
+        })
+    }
 
+    /// Trial `trial`'s initial mapping under the placement axis.
+    fn place(
+        &self,
+        trial: usize,
+        circuit: &Circuit,
+        arch: &Architecture,
+        rng: &mut ChaCha8Rng,
+    ) -> Mapping {
+        match self.spec.placement {
+            PlacementSpec::GreedyBfs => GreedyBfsRestarts.place(trial, circuit, arch, rng),
+            PlacementSpec::Identity => IdentityPlacement.place(trial, circuit, arch, rng),
+            PlacementSpec::Multilevel => {
+                PlacementStrategy::place(&MultilevelRouter::default(), trial, circuit, arch, rng)
+            }
+        }
+    }
+
+    /// The emitting forward pass from `initial`; `None` when a pass bounded
+    /// by [`GreedyPolicies::incumbent`] cannot beat it.
+    fn final_pass(
+        &self,
+        problem: &RoutingProblem,
+        arch: &Architecture,
+        policies: &GreedyPolicies<'_>,
+        initial: Mapping,
+        rng: &mut ChaCha8Rng,
+        scratch: &mut GreedyScratch,
+    ) -> Option<RoutedCircuit> {
+        let mut physical = Circuit::new(arch.num_qubits());
+        let final_mapping = run_greedy_pass(
+            problem.forward(),
+            arch,
+            policies,
+            initial.clone(),
+            rng,
+            scratch,
+            Some(&mut physical),
+        )?;
+        Some(self.routed(physical, initial, final_mapping))
+    }
+
+    /// A routing result tagged with this router's name.
+    fn routed(&self, physical: Circuit, initial: Mapping, final_mapping: Mapping) -> RoutedCircuit {
+        RoutedCircuit {
+            physical_circuit: physical,
+            initial_mapping: initial,
+            final_mapping,
+            tool: self.name.clone(),
+        }
+    }
+
+    fn route_greedy(
+        &self,
+        circuit: &Circuit,
+        arch: &Architecture,
+        trials: usize,
+        mapping_passes: usize,
+        stall_threshold: usize,
+    ) -> RoutedCircuit {
         let passes = mapping_passes.max(1);
-        // The reversed DAG exists only when a refinement pass will read it,
-        // preserving the builds-exactly-what-it-needs guarantee of the
-        // pre-refactor routers (2 DAG builds for multi-pass SABRE, 1 for
-        // every single-pass composition).
+        // The reversed DAG exists only when a refinement pass will read it:
+        // 2 DAG builds for a multi-pass spec, 1 for every single-pass one.
         let problem = if passes > 1 {
             RoutingProblem::bidirectional(circuit)
         } else {
             RoutingProblem::forward_only(circuit)
         };
         let mut scratch = GreedyScratch::default();
-        let mut best: Option<RoutedCircuit> = None;
-
-        for trial in 0..trials.max(1) {
-            let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(trial as u64));
-            let mut mapping = placement.place(trial, circuit, arch, &mut rng);
-            for p in 0..passes.saturating_sub(1) {
-                let view = if p % 2 == 0 {
-                    problem.forward()
-                } else {
-                    problem.reversed()
+        self.with_policies(arch, stall_threshold, |policies| {
+            let mut best: Option<RoutedCircuit> = None;
+            for trial in 0..trials.max(1) {
+                let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(trial as u64));
+                let mut mapping = self.place(trial, circuit, arch, &mut rng);
+                // Forward/backward refinement passes only move the mapping,
+                // so they skip physical-circuit emission.
+                for p in 0..passes - 1 {
+                    let view = if p % 2 == 0 {
+                        problem.forward()
+                    } else {
+                        problem.reversed()
+                    };
+                    mapping = run_greedy_pass(
+                        view,
+                        arch,
+                        policies,
+                        mapping,
+                        &mut rng,
+                        &mut scratch,
+                        None,
+                    )
+                    .expect("an unbounded pass runs to the end");
+                }
+                // Trials after the first abandon their final pass once it
+                // provably cannot beat the best trial (see
+                // `GreedyPolicies::incumbent`); each trial owns its RNG, so
+                // later trials are unaffected.
+                let bounded = GreedyPolicies {
+                    incumbent: best.as_ref().map(RoutedCircuit::swap_count),
+                    ..*policies
                 };
-                mapping =
-                    run_greedy_pass(view, arch, &policies, mapping, &mut rng, &mut scratch, None)
-                        .expect("an unbounded pass runs to the end");
+                let Some(candidate) =
+                    self.final_pass(&problem, arch, &bounded, mapping, &mut rng, &mut scratch)
+                else {
+                    continue;
+                };
+                if best
+                    .as_ref()
+                    .map_or(true, |b| candidate.swap_count() < b.swap_count())
+                {
+                    best = Some(candidate);
+                }
             }
-            // Trials after the first abandon their final pass once it
-            // provably cannot beat the best trial (see
-            // `GreedyPolicies::incumbent`); each trial owns its RNG, so
-            // later trials are unaffected.
-            let bounded = GreedyPolicies {
-                incumbent: best.as_ref().map(RoutedCircuit::swap_count),
-                ..policies
-            };
-            let mut physical = Circuit::new(arch.num_qubits());
-            let Some(final_mapping) = run_greedy_pass(
-                problem.forward(),
-                arch,
-                &bounded,
-                mapping.clone(),
-                &mut rng,
-                &mut scratch,
-                Some(&mut physical),
-            ) else {
-                continue;
-            };
-            let candidate = RoutedCircuit {
-                physical_circuit: physical,
-                initial_mapping: mapping,
-                final_mapping,
-                tool: self.name.clone(),
-            };
-            if best
-                .as_ref()
-                .map(|b| candidate.swap_count() < b.swap_count())
-                .unwrap_or(true)
-            {
-                best = Some(candidate);
-            }
-        }
-        Ok(best.expect("at least one trial ran"))
-    }
-
-    fn route_astar(
-        &self,
-        circuit: &Circuit,
-        arch: &Architecture,
-        max_expansions: usize,
-    ) -> Result<RoutedCircuit, RouteError> {
-        let multilevel;
-        let placement: &dyn PlacementStrategy = match self.spec.placement {
-            PlacementSpec::GreedyBfs => &GreedyBfsRestarts,
-            PlacementSpec::Identity => &IdentityPlacement,
-            PlacementSpec::Multilevel => {
-                multilevel = MultilevelPlacement::default();
-                &multilevel
-            }
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let initial = placement.place(0, circuit, arch, &mut rng);
-        let astar = AStarRouter::new(AStarConfig {
-            seed: self.seed,
-            max_expansions_per_layer: max_expansions,
-        });
-        let mut routed = astar.route_with_initial_mapping(circuit, arch, &initial)?;
-        routed.tool = self.name.clone();
-        Ok(routed)
+            best.expect("at least one trial ran")
+        })
     }
 }
 
@@ -553,8 +616,12 @@ impl Router for ComposedRouter {
                 trials,
                 mapping_passes,
                 stall_threshold,
-            } => self.route_greedy(circuit, arch, trials, mapping_passes, stall_threshold),
-            SearchSpec::AStar { max_expansions } => self.route_astar(circuit, arch, max_expansions),
+            } => Ok(self.route_greedy(circuit, arch, trials, mapping_passes, stall_threshold)),
+            SearchSpec::AStar { .. } => {
+                let initial =
+                    self.place(0, circuit, arch, &mut ChaCha8Rng::seed_from_u64(self.seed));
+                self.route_with_initial_mapping(circuit, arch, &initial)
+            }
         }
     }
 
@@ -566,10 +633,8 @@ impl Router for ComposedRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::astar::AStarRouter;
-    use crate::multilevel::MultilevelRouter;
-    use crate::sabre::{SabreConfig, SabreRouter};
-    use crate::tket::TketRouter;
+    use crate::kernel::dag_builds_on_this_thread;
+    use crate::router::ToolKind;
     use crate::validate::validate_routing;
     use qubikos_arch::devices;
     use qubikos_circuit::Gate;
@@ -628,11 +693,76 @@ mod tests {
         c
     }
 
+    /// A LightSABRE spec with `trials` random-restart trials.
+    fn lightsabre_with(trials: usize) -> RouterSpec {
+        RouterSpec {
+            search: SearchSpec::Greedy {
+                trials,
+                mapping_passes: 3,
+                stall_threshold: 64,
+            },
+            ..RouterSpec::lightsabre()
+        }
+    }
+
+    /// The composed trial loop with every final pass unbounded
+    /// (`incumbent: None`): the reference the bounded loop must match.
+    fn unbounded_trial_loop(
+        router: &ComposedRouter,
+        circuit: &Circuit,
+        arch: &Architecture,
+    ) -> RoutedCircuit {
+        let SearchSpec::Greedy {
+            trials,
+            mapping_passes,
+            stall_threshold,
+        } = router.spec.search
+        else {
+            panic!("a greedy spec");
+        };
+        let problem = RoutingProblem::bidirectional(circuit);
+        let mut scratch = GreedyScratch::default();
+        router.with_policies(arch, stall_threshold, |policies| {
+            let mut best: Option<RoutedCircuit> = None;
+            for trial in 0..trials.max(1) {
+                let mut rng = ChaCha8Rng::seed_from_u64(router.seed.wrapping_add(trial as u64));
+                let mut mapping = router.place(trial, circuit, arch, &mut rng);
+                for p in 0..mapping_passes.max(1) - 1 {
+                    let view = if p % 2 == 0 {
+                        problem.forward()
+                    } else {
+                        problem.reversed()
+                    };
+                    mapping = run_greedy_pass(
+                        view,
+                        arch,
+                        policies,
+                        mapping,
+                        &mut rng,
+                        &mut scratch,
+                        None,
+                    )
+                    .expect("unbounded");
+                }
+                let candidate = router
+                    .final_pass(&problem, arch, policies, mapping, &mut rng, &mut scratch)
+                    .expect("unbounded");
+                if best
+                    .as_ref()
+                    .map_or(true, |b| candidate.swap_count() < b.swap_count())
+                {
+                    best = Some(candidate);
+                }
+            }
+            best.expect("at least one trial ran")
+        })
+    }
+
     /// The composed LightSABRE abandons final passes that cannot beat the
-    /// best trial; the legacy `SabreRouter` runs every pass to the end. The
+    /// best trial; the unbounded trial loop runs every pass to the end. The
     /// two must still pick the same trial and emit the same circuit.
     #[test]
-    fn composed_lightsabre_matches_sabre_router() {
+    fn composed_lightsabre_matches_unbounded_trial_loop() {
         let cases = [
             (devices::grid(3, 3), 7, 30),
             (devices::aspen4(), 12, 60),
@@ -646,31 +776,21 @@ mod tests {
             for circuit in &circuits {
                 for trials in [1, 4, 16] {
                     for seed in [0u64, 9, 23] {
-                        let config = SabreConfig {
-                            trials,
-                            ..SabreConfig::default().with_seed(seed)
-                        };
-                        let legacy = SabreRouter::new(config)
-                            .route(circuit, &arch)
-                            .expect("fits");
-                        let spec = RouterSpec {
-                            search: SearchSpec::Greedy {
-                                trials,
-                                mapping_passes: 3,
-                                stall_threshold: 64,
-                            },
-                            ..RouterSpec::lightsabre()
-                        };
-                        let composed = spec
-                            .build_named(seed, "lightsabre")
-                            .route(circuit, &arch)
-                            .expect("fits");
+                        let router = lightsabre_with(trials).build_named(seed, "lightsabre");
+                        let reference = unbounded_trial_loop(&router, circuit, &arch);
+                        let composed = router.route(circuit, &arch).expect("fits");
                         let case =
                             format!("{} qubits, {trials} trials, seed {seed}", arch.num_qubits());
-                        assert_eq!(legacy.physical_circuit, composed.physical_circuit, "{case}");
-                        assert_eq!(legacy.initial_mapping, composed.initial_mapping, "{case}");
-                        assert_eq!(legacy.final_mapping, composed.final_mapping, "{case}");
-                        assert_eq!(legacy.tool, composed.tool);
+                        assert_eq!(
+                            reference.physical_circuit, composed.physical_circuit,
+                            "{case}"
+                        );
+                        assert_eq!(
+                            reference.initial_mapping, composed.initial_mapping,
+                            "{case}"
+                        );
+                        assert_eq!(reference.final_mapping, composed.final_mapping, "{case}");
+                        assert_eq!(reference.tool, composed.tool);
                     }
                 }
             }
@@ -678,45 +798,129 @@ mod tests {
     }
 
     #[test]
-    fn composed_tket_matches_tket_router() {
-        let arch = devices::aspen4();
-        let circuit = random_circuit(12, 50, 23);
-        let legacy = TketRouter::default().route(&circuit, &arch).expect("fits");
-        let composed = RouterSpec::tket()
-            .build_named(0, "tket")
-            .route(&circuit, &arch)
-            .expect("fits");
-        assert_eq!(legacy.physical_circuit, composed.physical_circuit);
-        assert_eq!(legacy.tool, composed.tool);
+    fn named_compositions_route_validly() {
+        let cases = [
+            (devices::grid(3, 3), random_circuit(8, 40, 11)),
+            (devices::aspen4(), random_circuit(14, 60, 3)),
+            (devices::rochester53(), random_circuit(20, 60, 3)),
+        ];
+        for tool in ToolKind::ALL {
+            let router = tool.build(0);
+            for (arch, circuit) in &cases {
+                let routed = router.route(circuit, arch).expect("fits");
+                validate_routing(circuit, arch, &routed).expect("valid");
+            }
+            // An already-executable circuit needs no SWAPs (ML-QLS's
+            // coarsened placement does not promise to find its embedding).
+            let line = devices::line(4);
+            let executable =
+                Circuit::from_gates(4, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(2, 3)]);
+            let routed = router.route(&executable, &line).expect("fits");
+            validate_routing(&executable, &line, &routed).expect("valid");
+            if tool != ToolKind::MlQls {
+                assert_eq!(routed.swap_count(), 0, "{tool}");
+            }
+            // Single-qubit gates are all re-emitted.
+            let line = devices::line(3);
+            let mixed = Circuit::from_gates(
+                3,
+                [
+                    Gate::h(0),
+                    Gate::cx(0, 2),
+                    Gate::t(2),
+                    Gate::cx(0, 1),
+                    Gate::z(1),
+                ],
+            );
+            let routed = router.route(&mixed, &line).expect("fits");
+            validate_routing(&mixed, &line, &routed).expect("valid");
+            let ones = routed
+                .physical_circuit
+                .gates()
+                .iter()
+                .filter(|g| !g.is_two_qubit())
+                .count();
+            assert_eq!(ones, 3, "{tool}");
+            assert!(matches!(
+                router.route(&random_circuit(5, 10, 0), &line),
+                Err(RouteError::TooManyQubits { .. })
+            ));
+        }
     }
 
     #[test]
-    fn composed_ml_qls_matches_multilevel_router() {
-        let arch = devices::aspen4();
-        let circuit = random_circuit(14, 60, 3);
-        let legacy = MultilevelRouter::default()
-            .route(&circuit, &arch)
-            .expect("fits");
-        let composed = RouterSpec::ml_qls()
-            .build_named(0, "ml-qls")
-            .route(&circuit, &arch)
-            .expect("fits");
-        assert_eq!(legacy.physical_circuit, composed.physical_circuit);
-        assert_eq!(legacy.initial_mapping, composed.initial_mapping);
-        assert_eq!(legacy.tool, composed.tool);
-    }
-
-    #[test]
-    fn composed_qmap_matches_astar_router() {
+    fn lookahead_variants_route_validly() {
         let arch = devices::grid(3, 3);
-        let circuit = random_circuit(8, 30, 31);
-        let legacy = AStarRouter::default().route(&circuit, &arch).expect("fits");
-        let composed = RouterSpec::qmap()
-            .build_named(0, "qmap")
-            .route(&circuit, &arch)
-            .expect("fits");
-        assert_eq!(legacy.physical_circuit, composed.physical_circuit);
-        assert_eq!(legacy.tool, composed.tool);
+        let circuit = random_circuit(8, 30, 8);
+        for lookahead in [
+            LookaheadSpec {
+                depth_decay: Some(0.8),
+                ..LookaheadSpec::sabre_default()
+            },
+            LookaheadSpec {
+                window: 0,
+                ..LookaheadSpec::sabre_default()
+            },
+        ] {
+            let spec = RouterSpec {
+                lookahead,
+                ..lightsabre_with(2)
+            };
+            let routed = spec.build(0).route(&circuit, &arch).expect("fits");
+            validate_routing(&circuit, &arch, &routed).expect("valid");
+        }
+    }
+
+    #[test]
+    fn more_trials_never_hurt() {
+        let arch = devices::grid(4, 4);
+        let circuit = random_circuit(12, 60, 21);
+        let few = lightsabre_with(1).build(1).route(&circuit, &arch);
+        let many = lightsabre_with(12).build(1).route(&circuit, &arch);
+        assert!(many.expect("fits").swap_count() <= few.expect("fits").swap_count());
+    }
+
+    #[test]
+    fn route_with_initial_mapping_keeps_the_mapping() {
+        let arch = devices::grid(3, 3);
+        let circuit = random_circuit(6, 20, 2);
+        let initial = Mapping::from_prog_to_phys(vec![0, 1, 2, 3, 4, 5], 9);
+        for tool in ToolKind::ALL {
+            let routed = tool
+                .spec()
+                .build_named(0, tool.name())
+                .route_with_initial_mapping(&circuit, &arch, &initial)
+                .expect("fits");
+            assert_eq!(routed.initial_mapping, initial);
+            assert_eq!(routed.tool, tool.name());
+            validate_routing(&circuit, &arch, &routed).expect("valid");
+        }
+    }
+
+    /// The builds-DAGs-once guarantee: a multi-trial, multi-pass route
+    /// builds exactly the forward and reversed DAGs, never one per trial or
+    /// per pass; single-pass routes and the standalone mode build only the
+    /// forward DAG.
+    #[test]
+    fn route_builds_each_dag_at_most_once() {
+        let arch = devices::grid(3, 3);
+        let circuit = random_circuit(7, 30, 4);
+        let dag_builds = |route: &dyn Fn()| {
+            let before = dag_builds_on_this_thread();
+            route();
+            dag_builds_on_this_thread() - before
+        };
+        let lightsabre = RouterSpec::lightsabre().build(0);
+        assert_eq!(dag_builds(&|| drop(lightsabre.route(&circuit, &arch))), 2);
+        for spec in [RouterSpec::tket(), RouterSpec::ml_qls(), RouterSpec::qmap()] {
+            let router = spec.build(0);
+            assert_eq!(dag_builds(&|| drop(router.route(&circuit, &arch))), 1);
+        }
+        let initial = Mapping::from_prog_to_phys((0..7).collect(), 9);
+        assert_eq!(
+            dag_builds(&|| drop(lightsabre.route_with_initial_mapping(&circuit, &arch, &initial))),
+            1
+        );
     }
 
     #[test]

@@ -28,14 +28,17 @@
 //!   themselves from the front's incident couplers rather than scanning
 //!   the whole device.
 //!
-//! Which router reproduces what: [`SabreRouter`](crate::SabreRouter) is the
-//! paper's LightSABRE subject (§IV-C case study, lookahead-decay ablation);
-//! [`TketRouter`](crate::TketRouter) the t|ket⟩-style greedy baseline;
-//! [`AStarRouter`](crate::AStarRouter) the QMAP-style per-layer search;
-//! [`MultilevelRouter`](crate::MultilevelRouter) the ML-QLS-style
-//! multilevel placement (all compared in Figure 4). New router variants
-//! (ablations, additional tools) should be written against this kernel
-//! rather than re-deriving the machinery.
+//! Which composition reproduces what: every tool is a
+//! [`RouterSpec`](crate::RouterSpec) run by the one
+//! [`ComposedRouter`](crate::ComposedRouter).
+//! [`RouterSpec::lightsabre`](crate::RouterSpec::lightsabre) is the paper's
+//! LightSABRE subject (§IV-C case study, lookahead-decay ablation);
+//! [`RouterSpec::tket`](crate::RouterSpec::tket) the t|ket⟩-style greedy
+//! baseline; [`RouterSpec::qmap`](crate::RouterSpec::qmap) the QMAP-style
+//! per-layer search; [`RouterSpec::ml_qls`](crate::RouterSpec::ml_qls) the
+//! ML-QLS-style multilevel placement (all compared in Figure 4). New router
+//! variants (ablations, additional tools) are new policy choices on this
+//! kernel, not new routers.
 
 pub mod front;
 pub mod policy;

@@ -29,8 +29,8 @@ use qubikos_arch::Architecture;
 use qubikos_circuit::{DagNodeId, DependencyDag};
 use qubikos_graph::NodeId;
 
-/// Weighting of the extended-set (lookahead) term, mirroring
-/// [`SabreConfig`](crate::SabreConfig).
+/// Weighting of the extended-set (lookahead) term, as a
+/// [`LookaheadSpec`](crate::LookaheadSpec) describes it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreParams {
     /// Weight of the extended-set term (0.0 disables lookahead).

@@ -7,44 +7,44 @@
 //! qubits plus a physical circuit with SWAP gates inserted so that every
 //! two-qubit gate acts on coupled qubits.
 //!
-//! Four routers are provided, mirroring the tools in the paper's evaluation
-//! (see DESIGN.md for the substitution notes):
+//! One router, [`ComposedRouter`], runs every tool. A [`RouterSpec`]
+//! composes one choice per policy axis — lookahead, decay, tie-breaking,
+//! placement, coupler weights and search engine — and the four tools of the
+//! paper's evaluation are named compositions of it:
 //!
-//! * [`SabreRouter`] — SABRE / LightSABRE-style bidirectional-pass router
-//!   with basic, lookahead (extended-set) and decay costs and multi-trial
-//!   search. This is the strongest heuristic and also the subject of the
-//!   paper's §IV-C case study (see [`SabreConfig::lookahead_decay`]).
-//! * [`TketRouter`] — a greedy distance-directed router in the spirit of
-//!   t|ket⟩'s routing pass.
-//! * [`AStarRouter`] — a QMAP-style per-layer A* search over SWAP sequences.
-//! * [`MultilevelRouter`] — an ML-QLS-style multilevel placement plus
-//!   SABRE-style refinement.
+//! * [`RouterSpec::lightsabre`] — SABRE / LightSABRE-style multi-trial,
+//!   forward–backward–forward greedy search with extended-set lookahead and
+//!   decay. The strongest heuristic and the subject of the paper's §IV-C
+//!   case study, which routes it from the known-optimal mapping with
+//!   [`ComposedRouter::route_with_initial_mapping`] and adds a depth decay
+//!   to the lookahead ([`LookaheadSpec::depth_decay`]).
+//! * [`RouterSpec::tket`] — a greedy distance-directed pass in the spirit
+//!   of t|ket⟩'s routing.
+//! * [`RouterSpec::qmap`] — a QMAP-style per-layer A* search over SWAP
+//!   sequences.
+//! * [`RouterSpec::ml_qls`] — ML-QLS-style multilevel placement
+//!   ([`MultilevelRouter`]) plus one SABRE-style routing pass.
 //!
-//! All routers implement the [`Router`] trait so the benchmark harness can
-//! treat them uniformly, and every result can be checked with
-//! [`validate_routing`]. The shared routing machinery — per-call
-//! [`RoutingProblem`] construction, front-layer
-//! tracking, incremental SWAP scoring and the policy-parameterized greedy
-//! loop ([`kernel::policy`]) — lives in the [`kernel`] module; each router
-//! module contributes only its tool-specific policy on top.
-//!
-//! The [`composed`] module is the *router construction kit*: a
-//! [`RouterSpec`] composes one choice per policy axis (lookahead, decay,
-//! tie-breaking, placement, coupler weights, search engine) into a
-//! [`ComposedRouter`], the four paper tools are named compositions, and the
-//! benchmark harness enumerates the cross-product as an ablation matrix.
+//! [`ToolKind::build`] builds a tool by name as a boxed [`Router`], so the
+//! benchmark harness can treat the tools uniformly, and
+//! every result can be checked with [`validate_routing`]. The shared
+//! routing machinery — per-call [`RoutingProblem`] construction,
+//! front-layer tracking, incremental SWAP scoring and the
+//! policy-parameterized greedy loop ([`kernel::policy`]) — lives in the
+//! [`kernel`] module. The benchmark harness enumerates the cross-product of
+//! the policy axes as an ablation matrix.
 //!
 //! # Example
 //!
 //! ```
 //! use qubikos_arch::devices;
 //! use qubikos_circuit::{Circuit, Gate};
-//! use qubikos_layout::{Router, SabreRouter, validate_routing};
+//! use qubikos_layout::{validate_routing, Router, ToolKind};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let arch = devices::grid(3, 3);
 //! let circuit = Circuit::from_gates(4, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(0, 3)]);
-//! let routed = SabreRouter::default().route(&circuit, &arch)?;
+//! let routed = ToolKind::LightSabre.build(7).route(&circuit, &arch)?;
 //! validate_routing(&circuit, &arch, &routed)?;
 //! # Ok(())
 //! # }
@@ -61,21 +61,16 @@ pub mod multilevel;
 pub mod placement;
 pub mod result;
 pub mod router;
-pub mod sabre;
-pub mod tket;
 pub mod validate;
 
-pub use astar::{AStarConfig, AStarRouter};
 pub use composed::{
     ComposedRouter, DecaySpec, LookaheadSpec, PlacementSpec, RouterSpec, SearchSpec,
     TieBreakerSpec, WeightsSpec,
 };
 pub use kernel::{FrontTracker, RoutingProblem, SwapScorer};
 pub use mapping::Mapping;
-pub use multilevel::{MultilevelConfig, MultilevelPlacement, MultilevelRouter};
+pub use multilevel::{MultilevelConfig, MultilevelRouter};
 pub use placement::{greedy_bfs_placement, random_placement, vf2_placement};
 pub use result::RoutedCircuit;
 pub use router::{RouteError, Router, ToolKind, ToolParseError};
-pub use sabre::{SabreConfig, SabreRouter};
-pub use tket::{TketConfig, TketRouter};
 pub use validate::{validate_routing, ValidationError};

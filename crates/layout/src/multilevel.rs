@@ -1,4 +1,4 @@
-//! An ML-QLS-style multilevel router.
+//! ML-QLS-style multilevel placement.
 //!
 //! ML-QLS (Lin & Cong, 2024) scales layout synthesis to large devices by
 //! coarsening the interaction graph, solving placement on the small coarse
@@ -12,24 +12,23 @@
 //! 3. **Uncoarsening + refinement** — each finer level places its nodes near
 //!    their cluster's location and runs pairwise-exchange refinement sweeps
 //!    that reduce the weighted distance of interaction edges.
-//! 4. **Routing** — a single SABRE-style routing pass from the refined
-//!    placement (no random-restart trials; the placement is supposed to have
-//!    done that work).
+//!
+//! The routing itself — a single SABRE-style pass from the refined
+//! placement, with no random-restart trials — is the
+//! [`RouterSpec::ml_qls`](crate::RouterSpec::ml_qls) composition;
+//! [`MultilevelRouter`] is its [`PlacementStrategy`].
 
+use crate::kernel::PlacementStrategy;
 use crate::mapping::Mapping;
-use crate::result::RoutedCircuit;
-use crate::router::{RouteError, Router};
-use crate::sabre::{SabreConfig, SabreRouter};
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
 use qubikos_graph::{bfs_order, Graph, NodeId};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// Tuning knobs of the multilevel router.
+/// Tuning knobs of the multilevel placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MultilevelConfig {
-    /// RNG seed forwarded to the final SABRE routing pass.
-    pub seed: u64,
     /// Coarsening stops once the graph has at most this many nodes.
     pub coarsest_size: usize,
     /// Number of pairwise-exchange refinement sweeps per level.
@@ -39,18 +38,9 @@ pub struct MultilevelConfig {
 impl Default for MultilevelConfig {
     fn default() -> Self {
         MultilevelConfig {
-            seed: 0,
             coarsest_size: 8,
             refinement_sweeps: 2,
         }
-    }
-}
-
-impl MultilevelConfig {
-    /// Returns the config with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 }
 
@@ -155,7 +145,7 @@ impl Level {
     }
 }
 
-/// ML-QLS-style multilevel layout synthesis tool.
+/// ML-QLS-style multilevel placement: coarsen, place, uncoarsen and refine.
 #[derive(Debug, Clone, Default)]
 pub struct MultilevelRouter {
     config: MultilevelConfig,
@@ -321,64 +311,32 @@ impl MultilevelRouter {
     }
 }
 
-/// The multilevel placement pipeline as a kernel
-/// [`PlacementStrategy`](crate::kernel::PlacementStrategy): trial 0 runs the
-/// full coarsen–place–refine hierarchy, later trials fall back to random
-/// restarts like every other strategy. This is how the composed-router
-/// construction kit (see [`crate::composed`]) mixes ML-QLS placement with
-/// arbitrary routing policies.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MultilevelPlacement {
-    config: MultilevelConfig,
-}
-
-impl MultilevelPlacement {
-    /// A placement strategy using the given multilevel tuning knobs (the
-    /// seed field is ignored; the hierarchy is deterministic).
-    pub fn new(config: MultilevelConfig) -> Self {
-        MultilevelPlacement { config }
-    }
-}
-
-impl crate::kernel::PlacementStrategy for MultilevelPlacement {
+/// Trial 0 runs the full coarsen–place–refine hierarchy; later trials fall
+/// back to random restarts like every other strategy. This is how the
+/// router construction kit (see [`crate::composed`]) mixes ML-QLS placement
+/// with arbitrary routing policies.
+impl PlacementStrategy for MultilevelRouter {
     fn place(
         &self,
         trial: usize,
         circuit: &Circuit,
         arch: &Architecture,
-        rng: &mut rand_chacha::ChaCha8Rng,
+        rng: &mut ChaCha8Rng,
     ) -> Mapping {
         if trial == 0 {
-            MultilevelRouter::new(self.config).place(circuit, arch)
+            MultilevelRouter::place(self, circuit, arch)
         } else {
             Mapping::random(circuit.num_qubits(), arch.num_qubits(), rng)
         }
     }
 }
 
-impl Router for MultilevelRouter {
-    fn route(&self, circuit: &Circuit, arch: &Architecture) -> Result<RoutedCircuit, RouteError> {
-        crate::kernel::check_fit(circuit, arch)?;
-        let placement = self.place(circuit, arch);
-        let sabre = SabreRouter::new(SabreConfig::default().with_seed(self.config.seed));
-        let mut routed = sabre.route_with_initial_mapping(circuit, arch, &placement)?;
-        routed.tool = self.name().to_string();
-        Ok(routed)
-    }
-
-    fn name(&self) -> &str {
-        "ml-qls"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::validate_routing;
     use qubikos_arch::devices;
     use qubikos_circuit::Gate;
     use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
 
     fn random_circuit(num_qubits: usize, gates: usize, seed: u64) -> Circuit {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -433,33 +391,5 @@ mod tests {
             })
             .sum();
         assert!(total <= 10, "placement scattered a line circuit: {total}");
-    }
-
-    #[test]
-    fn routes_valid_circuits() {
-        let arch = devices::aspen4();
-        let circuit = random_circuit(14, 60, 3);
-        let routed = MultilevelRouter::default()
-            .route(&circuit, &arch)
-            .expect("fits");
-        validate_routing(&circuit, &arch, &routed).expect("valid");
-        assert_eq!(routed.tool, "ml-qls");
-    }
-
-    #[test]
-    fn rejects_oversized_circuit() {
-        let arch = devices::line(3);
-        assert!(matches!(
-            MultilevelRouter::default()
-                .route(&random_circuit(5, 10, 0), &arch)
-                .unwrap_err(),
-            RouteError::TooManyQubits { .. }
-        ));
-    }
-
-    #[test]
-    fn config_builder() {
-        assert_eq!(MultilevelConfig::default().with_seed(4).seed, 4);
-        assert_eq!(MultilevelRouter::default().name(), "ml-qls");
     }
 }

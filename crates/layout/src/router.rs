@@ -58,13 +58,16 @@ pub trait Router {
 /// The four tools evaluated in the paper, as an enumerable registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ToolKind {
-    /// SABRE / LightSABRE-style router ([`crate::SabreRouter`]).
+    /// SABRE / LightSABRE-style router
+    /// ([`RouterSpec::lightsabre`](crate::RouterSpec::lightsabre)).
     LightSabre,
-    /// ML-QLS-style multilevel router ([`crate::MultilevelRouter`]).
+    /// ML-QLS-style multilevel router
+    /// ([`RouterSpec::ml_qls`](crate::RouterSpec::ml_qls)).
     MlQls,
-    /// QMAP-style per-layer A* router ([`crate::AStarRouter`]).
+    /// QMAP-style per-layer A* router
+    /// ([`RouterSpec::qmap`](crate::RouterSpec::qmap)).
     Qmap,
-    /// t|ket⟩-style greedy router ([`crate::TketRouter`]).
+    /// t|ket⟩-style greedy router ([`RouterSpec::tket`](crate::RouterSpec::tket)).
     Tket,
 }
 
@@ -138,10 +141,9 @@ impl ToolKind {
         }
     }
 
-    /// Builds the tool with its default configuration and the given seed —
-    /// a thin alias over [`Self::spec`]: the returned router is the named
-    /// composition, emitting the same SWAP stream (and the same tool tag)
-    /// as the pre-refactor monolithic router.
+    /// Builds the tool with the given seed — a thin alias over
+    /// [`Self::spec`]: the returned router is the named composition, tagged
+    /// with [`Self::name`].
     pub fn build(self, seed: u64) -> Box<dyn Router + Send + Sync> {
         Box::new(self.spec().build_named(seed, self.name()))
     }

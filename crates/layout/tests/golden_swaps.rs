@@ -324,14 +324,15 @@ fn multilevel_placements_are_pinned() {
 #[test]
 fn standalone_streams_are_pinned() {
     use qubikos::{generate, GeneratorConfig};
-    use qubikos_layout::{AStarRouter, SabreConfig, SabreRouter};
     let fixtures = [
         (devices::grid(4, 4), 4, 120, 1),
         (devices::aspen4(), 10, 300, 1),
         (devices::eagle127(), 5, 60, 3),
     ];
-    let sabre = SabreRouter::new(SabreConfig::default().with_seed(TOOL_SEED));
-    let astar = AStarRouter::default();
+    let sabre = ToolKind::LightSabre
+        .spec()
+        .build_named(TOOL_SEED, "lightsabre");
+    let astar = ToolKind::Qmap.spec().build_named(TOOL_SEED, "qmap");
     let mut got = Vec::new();
     for (arch, swaps, gates, seed) in &fixtures {
         let bench = generate(arch, &GeneratorConfig::new(*swaps, *gates).with_seed(*seed))

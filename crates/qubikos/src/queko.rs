@@ -208,7 +208,7 @@ pub fn generate_queko(
 mod tests {
     use super::*;
     use qubikos_arch::devices;
-    use qubikos_layout::{validate_routing, vf2_placement, Router, SabreRouter};
+    use qubikos_layout::{validate_routing, vf2_placement, Router, RouterSpec};
 
     #[test]
     fn rejects_bad_configs() {
@@ -254,7 +254,7 @@ mod tests {
     fn sabre_routes_queko_without_swaps_given_the_mapping() {
         let arch = devices::grid(3, 3);
         let queko = generate_queko(&arch, &QuekoConfig::new(6).with_seed(2)).expect("generates");
-        let router = SabreRouter::default();
+        let router = RouterSpec::lightsabre().build(0);
         let routed = router
             .route_with_initial_mapping(queko.circuit(), &arch, queko.reference_mapping())
             .expect("fits");

@@ -13,7 +13,7 @@ use std::time::Instant;
 use qubikos::queko::{generate_queko, QuekoConfig};
 use qubikos_arch::{devices, Architecture};
 use qubikos_circuit::Circuit;
-use qubikos_layout::{validate_routing, Router, SabreConfig, SabreRouter, ToolKind};
+use qubikos_layout::{validate_routing, Router, RouterSpec, SearchSpec, ToolKind};
 
 const TOOL_SEED: u64 = 11;
 
@@ -57,7 +57,15 @@ fn osprey433_routes_at_grid_like_per_gate_cost() {
     let _exclusive = CPU.write().unwrap_or_else(|e| e.into_inner());
     // Same router config on both devices so the comparison isolates the
     // per-gate distance + scan cost, not trial counts.
-    let router = SabreRouter::new(SabreConfig::default().with_seed(TOOL_SEED).with_trials(1));
+    let router = RouterSpec {
+        search: SearchSpec::Greedy {
+            trials: 1,
+            mapping_passes: 3,
+            stall_threshold: 64,
+        },
+        ..RouterSpec::lightsabre()
+    }
+    .build(TOOL_SEED);
     let per_gate = |arch: &Architecture, circuit: &Circuit| -> f64 {
         let start = Instant::now();
         let routed = router.route(circuit, arch).expect("fits");

@@ -7,7 +7,7 @@
 
 use qubikos::{generate, verify_certificate, GeneratorConfig};
 use qubikos_arch::devices;
-use qubikos_layout::{validate_routing, Router, SabreRouter};
+use qubikos_layout::{validate_routing, ToolKind};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 3. Route the circuit with the SABRE-style tool and validate the result.
-    let router = SabreRouter::default();
+    let router = ToolKind::LightSabre.build(0);
     let routed = router.route(bench.circuit(), &arch)?;
     validate_routing(bench.circuit(), &arch, &routed)?;
 

@@ -11,17 +11,20 @@
 
 use qubikos::{generate, GeneratorConfig};
 use qubikos_arch::devices;
-use qubikos_layout::{validate_routing, SabreConfig, SabreRouter};
+use qubikos_layout::{validate_routing, LookaheadSpec, RouterSpec};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let arch = devices::aspen4();
-    let uniform = SabreRouter::new(SabreConfig::default().with_seed(11));
-    let decayed = SabreRouter::new(
-        SabreConfig::default()
-            .with_seed(11)
-            .with_lookahead_decay(0.7),
-    );
+    let uniform = RouterSpec::lightsabre().build(11);
+    let decayed = RouterSpec {
+        lookahead: LookaheadSpec {
+            depth_decay: Some(0.7),
+            ..LookaheadSpec::sabre_default()
+        },
+        ..RouterSpec::lightsabre()
+    }
+    .build(11);
 
     println!("routing from the optimal initial mapping on {arch}");
     println!(

@@ -2,7 +2,7 @@
 //! SWAP-ratio optimality gap of all four QLS tools on QUBIKOS circuits.
 //!
 //! The full-scale version (paper circuit sizes, all devices) lives in the
-//! harness binary `cargo run --release -p qubikos-bench --bin tool_evaluation`.
+//! harness: `cargo run --release -p qubikos-bench --bin qubikos -- eval --full`.
 //!
 //! ```text
 //! cargo run --release --example tool_evaluation

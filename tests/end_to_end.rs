@@ -108,10 +108,10 @@ fn generated_suites_certify() {
 /// valid and never better than the proven optimum.
 #[test]
 fn routing_from_the_optimal_mapping_is_valid() {
-    use qubikos_layout::{SabreConfig, SabreRouter};
+    use qubikos_layout::RouterSpec;
     let arch = devices::sycamore54();
     let bench = generate(&arch, &GeneratorConfig::new(3, 200).with_seed(23)).expect("generates");
-    let router = SabreRouter::new(SabreConfig::default().with_seed(1));
+    let router = RouterSpec::lightsabre().build(1);
     let routed = router
         .route_with_initial_mapping(bench.circuit(), &arch, bench.reference_mapping())
         .expect("fits");

@@ -9,11 +9,23 @@ use qubikos_graph::{
     find_subgraph_embedding, generators, isomorphism::verify_embedding, DistanceMatrix,
 };
 use qubikos_layout::{
-    validate_routing, AStarRouter, Mapping, MultilevelRouter, Router, RouterSpec, SabreConfig,
-    SabreRouter, TketRouter, ToolKind,
+    validate_routing, ComposedRouter, Mapping, Router, RouterSpec, SearchSpec, ToolKind,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// LightSABRE with `trials` random-restart trials and routing seed `seed`.
+fn lightsabre(trials: usize, seed: u64) -> ComposedRouter {
+    RouterSpec {
+        search: SearchSpec::Greedy {
+            trials,
+            mapping_passes: 3,
+            stall_threshold: 64,
+        },
+        ..RouterSpec::lightsabre()
+    }
+    .build(seed)
+}
 
 /// Strategy: a random circuit over `num_qubits` qubits with `len` gates,
 /// roughly 1/4 single-qubit gates.
@@ -38,7 +50,7 @@ proptest! {
     #[test]
     fn sabre_routings_are_always_valid(circuit in arb_circuit(6, 30), seed in 0u64..1000) {
         let arch = devices::grid(3, 3);
-        let router = SabreRouter::new(SabreConfig::default().with_trials(2).with_seed(seed));
+        let router = lightsabre(2, seed);
         let routed = router.route(&circuit, &arch).expect("fits");
         prop_assert!(validate_routing(&circuit, &arch, &routed).is_ok());
         prop_assert!(routed.swap_count() >= swap_lower_bound(&circuit, &arch));
@@ -48,7 +60,7 @@ proptest! {
     #[test]
     fn tket_routings_are_always_valid(circuit in arb_circuit(8, 40)) {
         let arch = devices::aspen4();
-        let routed = TketRouter::default().route(&circuit, &arch).expect("fits");
+        let routed = ToolKind::Tket.build(0).route(&circuit, &arch).expect("fits");
         prop_assert!(validate_routing(&circuit, &arch, &routed).is_ok());
     }
 
@@ -130,56 +142,6 @@ proptest! {
         }
     }
 
-    /// The construction kit's refactor contract: every named composition is
-    /// bit-identical (physical circuit, mappings, tool tag) to the
-    /// pre-refactor monolithic router it replaces, on arbitrary QUEKO
-    /// instances — not just the fixed golden circuits. The SABRE pair also
-    /// sweeps the routing seed, since the seed threads through trials and
-    /// tie-breaking; the other three are seed-free by construction.
-    #[test]
-    fn named_compositions_match_pre_refactor_routers_on_queko(
-        instance_seed in 0u64..200,
-        swaps in 1usize..4,
-        router_seed in 0u64..100,
-    ) {
-        let arch = devices::grid(3, 3);
-        let bench = generate(&arch, &GeneratorConfig::new(swaps, 25).with_seed(instance_seed))
-            .expect("generates");
-        let circuit = bench.circuit();
-        type Legacy = Box<dyn Router>;
-        let pairs: [(&str, RouterSpec, u64, Legacy); 4] = [
-            (
-                "lightsabre",
-                RouterSpec::lightsabre(),
-                router_seed,
-                Box::new(SabreRouter::new(SabreConfig::default().with_seed(router_seed))),
-            ),
-            ("tket", RouterSpec::tket(), 0, Box::<TketRouter>::default()),
-            ("ml-qls", RouterSpec::ml_qls(), 0, Box::<MultilevelRouter>::default()),
-            ("qmap", RouterSpec::qmap(), 0, Box::<AStarRouter>::default()),
-        ];
-        for (name, spec, seed, legacy) in pairs {
-            let expected = legacy.route(circuit, &arch).expect("fits");
-            let composed = spec
-                .build_named(seed, name)
-                .route(circuit, &arch)
-                .expect("fits");
-            prop_assert_eq!(
-                &expected.physical_circuit, &composed.physical_circuit,
-                "{} physical circuit diverged", name
-            );
-            prop_assert_eq!(
-                &expected.initial_mapping, &composed.initial_mapping,
-                "{} initial mapping diverged", name
-            );
-            prop_assert_eq!(
-                &expected.final_mapping, &composed.final_mapping,
-                "{} final mapping diverged", name
-            );
-            prop_assert_eq!(&expected.tool, &composed.tool, "{} tool tag diverged", name);
-        }
-    }
-
     /// Random connected architectures are routable: SABRE produces a valid
     /// result on any connected coupling graph, not just the named devices.
     #[test]
@@ -187,7 +149,7 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let graph = generators::random_connected_graph(8, 4, &mut rng);
         let arch = Architecture::new("random", graph).expect("connected");
-        let router = SabreRouter::new(SabreConfig::default().with_trials(1).with_seed(seed));
+        let router = lightsabre(1, seed);
         let routed = router.route(&circuit, &arch).expect("fits");
         prop_assert!(validate_routing(&circuit, &arch, &routed).is_ok());
     }

@@ -11,9 +11,7 @@
 use qubikos::{generate_queko, QuekoConfig};
 use qubikos_arch::devices;
 use qubikos_exact::swap_lower_bound;
-use qubikos_layout::{
-    validate_routing, vf2_placement, AStarRouter, MultilevelRouter, Router, SabreRouter, TketRouter,
-};
+use qubikos_layout::{validate_routing, vf2_placement, ToolKind};
 
 /// Builds the shared QUEKO instance: depth 5 on a 4x4 grid.
 fn queko_on_grid4x4() -> (qubikos_arch::Architecture, qubikos::QuekoCircuit) {
@@ -53,25 +51,28 @@ macro_rules! router_smoke_test {
 }
 
 router_smoke_test! {
-    sabre_routes_queko_on_grid => SabreRouter::default();
-    tket_routes_queko_on_grid => TketRouter::default();
-    astar_routes_queko_on_grid => AStarRouter::default();
-    multilevel_routes_queko_on_grid => MultilevelRouter::default();
+    sabre_routes_queko_on_grid => ToolKind::LightSabre.build(0);
+    tket_routes_queko_on_grid => ToolKind::Tket.build(0);
+    astar_routes_queko_on_grid => ToolKind::Qmap.build(0);
+    multilevel_routes_queko_on_grid => ToolKind::MlQls.build(0);
 }
 
-/// Routing from the bundled reference mapping must stay SWAP-free for the
-/// SABRE router: the mapping satisfies every gate, so no SWAP is ever needed.
+/// Routing from the bundled reference mapping must stay SWAP-free for every
+/// tool: the mapping satisfies every gate, so no SWAP is ever needed.
 #[test]
 fn reference_mapping_routes_swap_free() {
     let (arch, queko) = queko_on_grid4x4();
-    let router = SabreRouter::default();
-    let routed = router
-        .route_with_initial_mapping(queko.circuit(), &arch, queko.reference_mapping())
-        .expect("routes");
-    validate_routing(queko.circuit(), &arch, &routed).expect("valid routing");
-    assert_eq!(
-        routed.swap_count(),
-        0,
-        "the QUEKO reference mapping needs no SWAPs by construction"
-    );
+    for tool in ToolKind::ALL {
+        let routed = tool
+            .spec()
+            .build(0)
+            .route_with_initial_mapping(queko.circuit(), &arch, queko.reference_mapping())
+            .expect("routes");
+        validate_routing(queko.circuit(), &arch, &routed).expect("valid routing");
+        assert_eq!(
+            routed.swap_count(),
+            0,
+            "{tool}: the QUEKO reference mapping needs no SWAPs by construction"
+        );
+    }
 }
