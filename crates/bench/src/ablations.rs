@@ -930,6 +930,107 @@ mod tests {
         assert_eq!(warm.report, cold.report);
     }
 
+    /// The quick matrix's ranked rows at 12 compositions: id, mean gap as
+    /// `f64::to_bits`, wins and optimal counts.
+    #[test]
+    fn quick_matrix_is_pinned() {
+        let store = fresh_store("pinned");
+        let config = MatrixConfig::quick()
+            .with_threads(2)
+            .with_max_compositions(12);
+        let outcome = run_composition_matrix(&store, &config, &NullSink).expect("matrix run");
+        let rows: Vec<(&str, u64, usize, usize)> = outcome
+            .report
+            .compositions
+            .iter()
+            .map(|row| {
+                (
+                    row.id.as_str(),
+                    row.mean_gap.to_bits(),
+                    row.wins,
+                    row.optimal,
+                )
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (
+                    "g2x1s64.front.dec0.001r5.randtie.bfs.uw",
+                    0x4020_0000_0000_0000,
+                    1,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.randtie.bfs.uw",
+                    0x4020_0000_0000_0000,
+                    2,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.randtie.ident.uw",
+                    0x4020_8000_0000_0000,
+                    2,
+                    0
+                ),
+                (
+                    "g2x1s64.front.dec0.001r5.randtie.ident.uw",
+                    0x4021_0000_0000_0000,
+                    1,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.idxtie.bfs.uw",
+                    0x4022_4000_0000_0000,
+                    2,
+                    0
+                ),
+                (
+                    "g2x1s64.front.dec0.001r5.randtie.ident.fw1",
+                    0x4023_4000_0000_0000,
+                    1,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.idxtie.ident.fw1",
+                    0x4023_4000_0000_0000,
+                    1,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.randtie.ident.fw1",
+                    0x4023_4000_0000_0000,
+                    1,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.idxtie.ident.uw",
+                    0x4026_0000_0000_0000,
+                    0,
+                    0
+                ),
+                (
+                    "g2x1s64.front.dec0.001r5.randtie.bfs.fw1",
+                    0x4027_4000_0000_0000,
+                    0,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.idxtie.bfs.fw1",
+                    0x4027_4000_0000_0000,
+                    0,
+                    0
+                ),
+                (
+                    "g2x1s64.front.nodecay.randtie.bfs.fw1",
+                    0x4027_4000_0000_0000,
+                    0,
+                    0
+                ),
+            ]
+        );
+    }
+
     #[test]
     fn matrix_reports_identical_across_thread_counts() {
         // Two independent stores (separate caches), one cold run each: the

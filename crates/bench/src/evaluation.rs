@@ -689,6 +689,51 @@ mod tests {
         }
     }
 
+    /// The tiny report's exact cells: tool, designed count, circuit count,
+    /// and both averages as `f64::to_bits`.
+    #[test]
+    fn tiny_report_is_pinned() {
+        let report = run_tool_evaluation(&tiny_config()).expect("valid config");
+        let cells: Vec<(&str, usize, usize, u64, u64)> = report
+            .cells
+            .iter()
+            .map(|cell| {
+                (
+                    cell.tool.name(),
+                    cell.optimal_swaps,
+                    cell.circuits,
+                    cell.average_swaps.to_bits(),
+                    cell.swap_ratio.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                (
+                    "lightsabre",
+                    1,
+                    2,
+                    0x3ff0_0000_0000_0000,
+                    0x3ff0_0000_0000_0000
+                ),
+                (
+                    "lightsabre",
+                    2,
+                    2,
+                    0x4008_0000_0000_0000,
+                    0x3ff8_0000_0000_0000
+                ),
+                ("ml-qls", 1, 2, 0x4018_0000_0000_0000, 0x4018_0000_0000_0000),
+                ("ml-qls", 2, 2, 0x402b_0000_0000_0000, 0x401b_0000_0000_0000),
+                ("qmap", 1, 2, 0x4030_0000_0000_0000, 0x4030_0000_0000_0000),
+                ("qmap", 2, 2, 0x402a_0000_0000_0000, 0x401a_0000_0000_0000),
+                ("tket", 1, 2, 0x402c_0000_0000_0000, 0x402c_0000_0000_0000),
+                ("tket", 2, 2, 0x4029_0000_0000_0000, 0x4019_0000_0000_0000),
+            ]
+        );
+    }
+
     #[test]
     fn aggregate_averages_device_gaps() {
         let report = run_tool_evaluation(&tiny_config()).expect("valid config");

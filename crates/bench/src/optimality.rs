@@ -701,6 +701,31 @@ mod tests {
         );
     }
 
+    /// The tiny study's integer fields, including the per-`k` node counts
+    /// as `(swaps, queries, nodes)`.
+    #[test]
+    fn tiny_report_is_pinned() {
+        let report = run_optimality_study(&tiny_config()).expect("valid config");
+        let by_k: Vec<(usize, usize, u64)> = report
+            .exact_nodes_by_k
+            .iter()
+            .map(|entry| (entry.swaps, entry.queries, entry.nodes))
+            .collect();
+        assert_eq!(
+            (
+                report.circuits,
+                report.certified,
+                report.exactly_confirmed,
+                report.exact_budget_exceeded,
+                report.deadline_exceeded,
+                report.failures,
+                report.exact_nodes,
+            ),
+            (4, 4, 2, 0, 0, 0, 238)
+        );
+        assert_eq!(by_k, [(1, 2, 238)]);
+    }
+
     /// The study, previously fully sequential, must produce the identical
     /// report now that it runs on the engine — at any thread count. (The
     /// comparison covers node counts; wall-clock is excluded from `==`.)

@@ -179,3 +179,88 @@ fn eval_and_optimality_caches_are_disjoint() {
     );
     assert_eq!(outcome.verified, 4);
 }
+
+/// The on-disk cache formats, byte for byte: one routing entry and two
+/// verification entries of a tiny stored suite. The certified-only entry is
+/// pinned whole; the exactly-confirmed one records a wall clock, so its
+/// `wall_micros` value is masked.
+#[test]
+fn cache_entries_are_pinned_byte_for_byte() {
+    let dir = TempDir::new("entry-bytes");
+    let store = export_suite(&dir.0, DeviceKind::Grid3x3, &tiny_suite(), 2).expect("export");
+    let mut eval = SuiteEvalConfig::default().with_threads(1);
+    eval.tools = vec![ToolKind::LightSabre];
+    run_suite_evaluation(&store, &eval).expect("eval");
+    let config = OptimalityConfig {
+        devices: vec![DeviceKind::Grid3x3],
+        suite: tiny_suite(),
+        exact: ExactConfig {
+            max_swaps: 3,
+            node_budget: 10_000_000,
+        },
+        exact_swap_limit: 1,
+        exact_deadline_micros: None,
+        threads: 1,
+    };
+    run_suite_optimality(&store, &config).expect("optimality");
+
+    // Instance 0 has one designed SWAP (within the exact limit); the last
+    // instance has two (certificate only).
+    let records = store.shard_records(0).expect("shard 0");
+    let first = &records[0].content_hash;
+    let last_records = store
+        .shard_records(store.shard_count() - 1)
+        .expect("last shard");
+    let last = &last_records[last_records.len() - 1].content_hash;
+    let read = |rel: String| std::fs::read_to_string(dir.0.join(rel)).expect("cache entry");
+
+    assert_eq!(
+        read(format!("results/lightsabre/{first}.json")),
+        r#"{
+  "tool": "lightsabre",
+  "tool_seed": 7,
+  "circuit_hash": "2b5f4722266d3087440bf51f15dc3c1d",
+  "swaps": 1
+}"#
+    );
+    assert_eq!(
+        read(format!("results/optimality/{last}.json")),
+        r#"{
+  "circuit_hash": "f5ff5038617fe965cc5863a49415ceab",
+  "max_swaps": 3,
+  "node_budget": 10000000,
+  "exact_swap_limit": 1,
+  "verdict": "certified-only",
+  "queries": [],
+  "wall_micros": 0
+}"#
+    );
+    let confirmed: String = read(format!("results/optimality/{first}.json"))
+        .lines()
+        .map(|line| {
+            if line.trim_start().starts_with("\"wall_micros\"") {
+                "  \"wall_micros\": _"
+            } else {
+                line
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert_eq!(
+        confirmed,
+        r#"{
+  "circuit_hash": "2b5f4722266d3087440bf51f15dc3c1d",
+  "max_swaps": 3,
+  "node_budget": 10000000,
+  "exact_swap_limit": 1,
+  "verdict": "exactly-confirmed",
+  "queries": [
+    [
+      1,
+      772
+    ]
+  ],
+  "wall_micros": _
+}"#
+    );
+}
