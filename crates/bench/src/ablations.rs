@@ -10,19 +10,24 @@
 //! [`canonicalization`](qubikos_layout::RouterSpec::canonicalized) prunes
 //! redundant combinations — and runs every composition against a stored
 //! known-optimal suite ([`run_composition_matrix`]), ranking compositions
-//! by mean optimality gap and win rate. Results are banked in the suite
-//! store's content-addressed cache under the composition's
-//! [`id`](qubikos_layout::RouterSpec::id) as the namespace, so a rerun of
-//! the same grid on the same corpus is answered entirely from cache.
+//! by mean optimality gap and win rate.
+//!
+//! Both halves run on the crate's one cached shard map with the evaluation's
+//! routing jobs; only the specs and the fold differ. The sweeps map their
+//! generated suites with no cache. The matrix maps the stored suite shard by
+//! shard and banks results in the store's content-addressed cache under
+//! each composition's [`id`](qubikos_layout::RouterSpec::id) as the
+//! namespace, so a rerun of the same grid on the same corpus is answered
+//! entirely from cache.
 
-use crate::evaluation::{all_pairs, cell_gap, route_and_count, CachedRouting, DEFAULT_TOOL_SEED};
+use crate::evaluation::{cell_gap, RoutingJobs, DEFAULT_TOOL_SEED};
+use crate::shard_map::{map_shards, Corpus};
 use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
-use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, JobKey, NullSink, ProgressSink, AUTO_THREADS};
+use qubikos_arch::DeviceKind;
+use qubikos_engine::{NullSink, ProgressSink, AUTO_THREADS};
 use qubikos_layout::{
-    validate_routing, DecaySpec, LookaheadSpec, PlacementSpec, Router, RouterSpec, SearchSpec,
-    TieBreakerSpec, WeightsSpec,
+    DecaySpec, LookaheadSpec, PlacementSpec, RouterSpec, SearchSpec, TieBreakerSpec, WeightsSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -151,71 +156,78 @@ pub fn run_ablations_with_sink(
 ) -> Result<AblationReport, GenerateError> {
     let arch = config.device.build();
     let suite = generate_suite(&arch, &config.suite)?;
+    // One sweep: the mean SWAP ratio of each (parameter, spec) point over
+    // `suite`, every router named `lightsabre`.
+    let sweep = |suite: &[ExperimentPoint], points: Vec<(usize, RouterSpec)>| {
+        let jobs = RoutingJobs {
+            arch: &arch,
+            routers: points
+                .iter()
+                .map(|&(_, spec)| ("lightsabre".to_string(), spec))
+                .collect(),
+            seed: config.router_seed,
+            threads: config.threads,
+            standalone: false,
+        };
+        points
+            .iter()
+            .zip(jobs.mean_ratios(suite, sink))
+            .map(|(&(parameter, _), (mean_swap_ratio, _))| AblationPoint {
+                parameter,
+                mean_swap_ratio,
+            })
+            .collect::<Vec<_>>()
+    };
 
     // Ablation 1: SABRE trial count.
-    let trial_counts = config
-        .trial_counts
-        .iter()
-        .map(|&trials| AblationPoint {
-            parameter: trials,
-            mean_swap_ratio: mean_ratio_on(
-                &arch,
-                &suite,
-                lightsabre_with_trials(trials),
-                config,
-                sink,
-            ),
-        })
-        .collect();
+    let trial_counts = sweep(
+        &suite,
+        config
+            .trial_counts
+            .iter()
+            .map(|&trials| (trials, lightsabre_with_trials(trials)))
+            .collect(),
+    );
 
     // Ablation 2: extended-set size (at a fixed modest trial count).
-    let extended_set_sizes = config
-        .extended_set_sizes
-        .iter()
-        .map(|&size| AblationPoint {
-            parameter: size,
-            mean_swap_ratio: mean_ratio_on(
-                &arch,
-                &suite,
-                RouterSpec {
-                    lookahead: LookaheadSpec {
-                        window: size,
-                        ..LookaheadSpec::sabre_default()
+    let extended_set_sizes = sweep(
+        &suite,
+        config
+            .extended_set_sizes
+            .iter()
+            .map(|&size| {
+                let lookahead = LookaheadSpec {
+                    window: size,
+                    ..LookaheadSpec::sabre_default()
+                };
+                (
+                    size,
+                    RouterSpec {
+                        lookahead,
+                        ..lightsabre_with_trials(4)
                     },
-                    ..lightsabre_with_trials(4)
-                },
-                config,
-                sink,
-            ),
-        })
-        .collect();
+                )
+            })
+            .collect(),
+    );
 
     // Ablation 3: padding (total gate budget) at a fixed optimal SWAP count.
-    let padding_gate_budgets = config
-        .padding_gate_budgets
-        .iter()
-        .map(|&gates| {
-            let padded_suite = generate_suite(
-                &arch,
-                &SuiteConfig {
-                    swap_counts: vec![config.padding_swap_count],
-                    circuits_per_count: config.padding_circuits_per_budget,
-                    two_qubit_gates: gates,
-                    base_seed: config.padding_base_seed,
-                },
-            )?;
-            Ok(AblationPoint {
-                parameter: gates,
-                mean_swap_ratio: mean_ratio_on(
-                    &arch,
-                    &padded_suite,
-                    lightsabre_with_trials(4),
-                    config,
-                    sink,
-                ),
-            })
-        })
-        .collect::<Result<_, GenerateError>>()?;
+    let mut padding_gate_budgets = Vec::new();
+    for &gates in &config.padding_gate_budgets {
+        let padded_suite = generate_suite(
+            &arch,
+            &SuiteConfig {
+                swap_counts: vec![config.padding_swap_count],
+                circuits_per_count: config.padding_circuits_per_budget,
+                two_qubit_gates: gates,
+                base_seed: config.padding_base_seed,
+            },
+        )?;
+        padding_gate_budgets.extend(sweep(
+            &padded_suite,
+            vec![(gates, lightsabre_with_trials(4))],
+        ));
+    }
 
     Ok(AblationReport {
         device: config.device,
@@ -236,37 +248,6 @@ fn lightsabre_with_trials(trials: usize) -> RouterSpec {
         },
         ..RouterSpec::lightsabre()
     }
-}
-
-/// Mean SWAP ratio of one composition over a suite at the sweep's router
-/// seed, computed on the engine (one job per circuit, one reused router per
-/// worker, job-order fold so the mean is schedule-independent).
-fn mean_ratio_on(
-    arch: &Architecture,
-    suite: &[ExperimentPoint],
-    spec: RouterSpec,
-    config: &AblationConfig,
-    sink: &dyn ProgressSink,
-) -> f64 {
-    let engine = Engine::new(config.threads).with_base_seed(config.router_seed);
-    let ratios = engine
-        .run_values(
-            suite,
-            |_worker| spec.build_named(config.router_seed, "lightsabre"),
-            |router, _ctx, point| {
-                let routed = router
-                    .route(point.benchmark.circuit(), arch)
-                    .expect("benchmark fits");
-                validate_routing(point.benchmark.circuit(), arch, &routed).expect("valid");
-                point
-                    .benchmark
-                    .swap_ratio(&routed)
-                    .expect("non-zero optimum")
-            },
-            sink,
-        )
-        .unwrap_or_else(|error| panic!("ablation sweep aborted: {error}"));
-    ratios.iter().sum::<f64>() / ratios.len().max(1) as f64
 }
 
 /// One choice-list per policy axis of the router construction kit. The
@@ -547,159 +528,44 @@ pub fn run_composition_matrix(
     config: &MatrixConfig,
     sink: &dyn ProgressSink,
 ) -> Result<MatrixOutcome, StoreError> {
-    run_composition_matrix_partial(store, config, None, sink)
-}
-
-/// [`run_composition_matrix`] truncated to the first `stop_after_shards`
-/// shards (the resume/CI hook; per-pair results are banked as produced, so
-/// a rerun answers processed shards from cache).
-///
-/// # Errors
-///
-/// # Panics
-///
-/// As [`run_composition_matrix`].
-pub fn run_composition_matrix_partial(
-    store: &SuiteStore,
-    config: &MatrixConfig,
-    stop_after_shards: Option<usize>,
-    sink: &dyn ProgressSink,
-) -> Result<MatrixOutcome, StoreError> {
     let device = store.device();
     let arch = device.build();
-    let compositions: Vec<(String, RouterSpec)> = config
-        .compositions()
-        .into_iter()
-        .map(|spec| (spec.id(), spec))
-        .collect();
+    let jobs = RoutingJobs {
+        arch: &arch,
+        routers: config
+            .compositions()
+            .into_iter()
+            .map(|spec| (spec.id(), spec))
+            .collect(),
+        seed: config.tool_seed,
+        threads: config.threads,
+        standalone: false,
+    };
     assert!(
-        !compositions.is_empty(),
+        !jobs.routers.is_empty(),
         "composition grid enumerates no compositions"
     );
-    let shards = stop_after_shards
-        .unwrap_or(usize::MAX)
-        .min(store.shard_count());
-    let mut fold = MatrixFold::new(compositions.len());
-    let mut routed_total = 0;
-    let mut cache_hits = 0;
-    let mut shards_quarantined = 0;
-
-    for shard in 0..shards {
-        match matrix_shard(store, &compositions, config, &arch, shard, sink) {
-            Ok((designed, swaps, routed, hits)) => {
-                fold.add_shard(&designed, &swaps);
-                routed_total += routed;
-                cache_hits += hits;
-            }
-            Err(error) if error.is_corruption() => {
-                store.quarantine_shard_error(shard, &error);
-                shards_quarantined += 1;
-            }
-            Err(error) => return Err(error),
-        }
-    }
-
+    let mut fold = MatrixFold::new(jobs.routers.len());
+    let outcome = map_shards(
+        Corpus::Stored(store, None),
+        &jobs,
+        sink,
+        |designed, swaps| fold.add(designed, swaps),
+    )?;
     Ok(MatrixOutcome {
-        report: fold.finish(device, &compositions),
-        routed: routed_total,
-        cache_hits,
-        shards,
-        shards_quarantined,
-        complete: shards == store.shard_count(),
+        report: fold.finish(device, &jobs.routers),
+        routed: outcome.computed,
+        cache_hits: outcome.cache_hits,
+        shards: outcome.shards,
+        shards_quarantined: outcome.shards_quarantined,
+        complete: outcome.complete,
     })
 }
 
-/// Scores one shard for every composition: cache lookups first, engine
-/// routing of the misses (per-worker composed routers, results persisted
-/// from inside each job), then the resolved SWAP counts in point-major job
-/// order alongside each instance's designed count.
-#[allow(clippy::type_complexity)]
-fn matrix_shard(
-    store: &SuiteStore,
-    compositions: &[(String, RouterSpec)],
-    config: &MatrixConfig,
-    arch: &Architecture,
-    shard: usize,
-    sink: &dyn ProgressSink,
-) -> Result<(Vec<usize>, Vec<usize>, usize, usize), StoreError> {
-    let records = store.shard_records(shard)?;
-    let jobs: Vec<(usize, usize)> = all_pairs(records.len(), compositions.len());
-    let job_key = |&(comp_index, point_index): &(usize, usize)| {
-        JobKey::new(
-            &compositions[comp_index].0,
-            &records[point_index].content_hash,
-        )
-    };
-
-    // Resolve the cache first: only misses become engine jobs. An entry is
-    // keyed by composition identity, so two compositions never share (or
-    // clobber) each other's results, and an entry produced under a
-    // different routing seed reads as a miss.
-    let mut swaps: Vec<Option<usize>> = jobs
-        .iter()
-        .map(|job| {
-            let cached: CachedRouting = store.read_cached(&job_key(job))?;
-            (cached.tool_seed == config.tool_seed
-                && cached.circuit_hash == records[job.1].content_hash)
-                .then_some(cached.swaps)
-        })
-        .collect();
-    let misses: Vec<(usize, usize)> = jobs
-        .iter()
-        .zip(&swaps)
-        .filter(|(_, cached)| cached.is_none())
-        .map(|(&job, _)| job)
-        .collect();
-
-    if !misses.is_empty() {
-        let loaded = store.load_shard(shard)?;
-        let engine = Engine::new(config.threads).with_base_seed(config.tool_seed);
-        let routed: Vec<usize> = engine
-            .run_values(
-                &misses,
-                |_worker| {
-                    compositions
-                        .iter()
-                        .map(|(id, spec)| spec.build_named(config.tool_seed, id.clone()))
-                        .collect::<Vec<_>>()
-                },
-                |routers, _ctx, job: &(usize, usize)| -> Result<usize, StoreError> {
-                    let swaps = route_and_count(&routers[job.0], &loaded[job.1], arch);
-                    store.write_cached(
-                        &job_key(job),
-                        &CachedRouting {
-                            tool: compositions[job.0].0.clone(),
-                            tool_seed: config.tool_seed,
-                            circuit_hash: records[job.1].content_hash.clone(),
-                            swaps,
-                        },
-                    )?;
-                    Ok(swaps)
-                },
-                sink,
-            )
-            .unwrap_or_else(|error| panic!("composition matrix aborted: {error}"))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-
-        let mut fresh = routed.iter();
-        for slot in swaps.iter_mut().filter(|slot| slot.is_none()) {
-            *slot = Some(*fresh.next().expect("one routed result per miss"));
-        }
-    }
-
-    let designed = records.iter().map(|r| r.swap_count).collect();
-    let resolved = swaps
-        .into_iter()
-        .map(|slot| slot.expect("every job resolved"))
-        .collect();
-    Ok((designed, resolved, misses.len(), jobs.len() - misses.len()))
-}
-
-/// Per-composition accumulator behind the matrix report. Sums are folded
-/// shard by shard in shard order, and within a shard in point-major job
-/// order, so the finished report is bit-identical for any thread count
-/// (the engine returns results in job order regardless of scheduling).
+/// Per-composition accumulator behind the matrix report. Instances are
+/// folded in corpus order (the engine returns results in job order
+/// regardless of scheduling), so the finished report is bit-identical for
+/// any thread count.
 struct MatrixFold {
     stats: Vec<CompositionStats>,
 }
@@ -720,27 +586,20 @@ impl MatrixFold {
         }
     }
 
-    /// Folds one shard: `swaps` holds every composition's SWAP count in
-    /// point-major job order (`swaps[point * compositions + comp]`). Wins
-    /// are judged within the enumerated matrix: every composition matching
-    /// the instance's best count wins that instance.
-    fn add_shard(&mut self, designed: &[usize], swaps: &[usize]) {
-        let n = self.stats.len();
-        debug_assert_eq!(designed.len() * n, swaps.len());
-        for (point_index, &optimal_swaps) in designed.iter().enumerate() {
-            let row = &swaps[point_index * n..(point_index + 1) * n];
-            let best = *row.iter().min().expect("at least one composition");
-            for (comp_index, &inserted) in row.iter().enumerate() {
-                let stats = &mut self.stats[comp_index];
-                stats.instances += 1;
-                stats.sum_swaps += inserted as u64;
-                stats.gap_sum += cell_gap(inserted as f64, optimal_swaps);
-                if inserted == best {
-                    stats.wins += 1;
-                }
-                if inserted <= optimal_swaps {
-                    stats.optimal += 1;
-                }
+    /// Folds one instance: `swaps` holds every composition's SWAP count.
+    /// Wins are judged within the enumerated matrix: every composition
+    /// matching the instance's best count wins that instance.
+    fn add(&mut self, optimal_swaps: usize, swaps: &[usize]) {
+        let best = *swaps.iter().min().expect("at least one composition");
+        for (stats, &inserted) in self.stats.iter_mut().zip(swaps) {
+            stats.instances += 1;
+            stats.sum_swaps += inserted as u64;
+            stats.gap_sum += cell_gap(inserted as f64, optimal_swaps);
+            if inserted == best {
+                stats.wins += 1;
+            }
+            if inserted <= optimal_swaps {
+                stats.optimal += 1;
             }
         }
     }

@@ -8,14 +8,15 @@
 //! their known-optimal initial mapping with the stock uniform lookahead and
 //! with the proposed decayed lookahead, and reports the SWAP ratios of both.
 //!
-//! Both routings of each circuit form one [`qubikos_engine`] job, so the
-//! study parallelizes across circuits while each worker reuses one uniform
-//! and one decayed router for all of its jobs.
+//! The study runs on the crate's one shard map, like the evaluation: one
+//! job per (variant, circuit) pair over the generated suite, with each
+//! worker reusing one uniform and one decayed router for all of its jobs.
 
-use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
-use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, NullSink, ProgressSink};
-use qubikos_layout::{validate_routing, ComposedRouter, LookaheadSpec, RouterSpec};
+use crate::evaluation::RoutingJobs;
+use qubikos::{generate_suite, GenerateError, SuiteConfig};
+use qubikos_arch::DeviceKind;
+use qubikos_engine::{NullSink, ProgressSink};
+use qubikos_layout::{LookaheadSpec, RouterSpec};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the case study.
@@ -66,15 +67,6 @@ pub struct CaseStudyOutcome {
     pub decayed_optimal: usize,
 }
 
-/// One circuit's routing quality under both lookahead variants.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PointOutcome {
-    uniform_ratio: f64,
-    decayed_ratio: f64,
-    uniform_optimal: bool,
-    decayed_optimal: bool,
-}
-
 /// Runs the case study.
 ///
 /// # Errors
@@ -103,69 +95,35 @@ pub fn run_case_study_with_sink(
     };
     let suite = generate_suite(&arch, &suite_config)?;
 
-    let engine = Engine::new(config.threads).with_base_seed(config.seed);
-    let outcomes = engine
-        .run_values(
-            &suite,
-            |_worker| {
-                let uniform = RouterSpec::lightsabre();
-                let decayed = RouterSpec {
-                    lookahead: LookaheadSpec {
-                        depth_decay: Some(config.decay),
-                        ..LookaheadSpec::sabre_default()
-                    },
-                    ..uniform
-                };
-                (
-                    uniform.build_named(config.seed, "lightsabre"),
-                    decayed.build_named(config.seed, "lightsabre"),
-                )
-            },
-            |(uniform, decayed), _ctx, point| {
-                let (uniform_ratio, uniform_optimal) = route_ratio(uniform, point, &arch);
-                let (decayed_ratio, decayed_optimal) = route_ratio(decayed, point, &arch);
-                PointOutcome {
-                    uniform_ratio,
-                    decayed_ratio,
-                    uniform_optimal,
-                    decayed_optimal,
-                }
-            },
-            sink,
-        )
-        .unwrap_or_else(|error| panic!("case study aborted: {error}"));
-
-    // Fold in job order so the floating-point sums are schedule-independent.
-    let mean = |select: &dyn Fn(&PointOutcome) -> f64| {
-        outcomes.iter().map(select).sum::<f64>() / outcomes.len().max(1) as f64
+    let uniform = RouterSpec::lightsabre();
+    let decayed = RouterSpec {
+        lookahead: LookaheadSpec {
+            depth_decay: Some(config.decay),
+            ..LookaheadSpec::sabre_default()
+        },
+        ..uniform
     };
+    let jobs = RoutingJobs {
+        arch: &arch,
+        routers: vec![
+            ("lightsabre".to_string(), uniform),
+            ("lightsabre".to_string(), decayed),
+        ],
+        seed: config.seed,
+        threads: config.threads,
+        standalone: true,
+    };
+    let means = jobs.mean_ratios(&suite, sink);
+    let ((uniform_ratio, uniform_optimal), (decayed_ratio, decayed_optimal)) = (means[0], means[1]);
     Ok(CaseStudyOutcome {
         device: config.device,
-        circuits: outcomes.len(),
-        uniform_lookahead_ratio: mean(&|o| o.uniform_ratio),
-        decayed_lookahead_ratio: mean(&|o| o.decayed_ratio),
+        circuits: suite.len(),
+        uniform_lookahead_ratio: uniform_ratio,
+        decayed_lookahead_ratio: decayed_ratio,
         decay: config.decay,
-        uniform_optimal: outcomes.iter().filter(|o| o.uniform_optimal).count(),
-        decayed_optimal: outcomes.iter().filter(|o| o.decayed_optimal).count(),
+        uniform_optimal,
+        decayed_optimal,
     })
-}
-
-/// Routes one circuit from its known-optimal initial mapping and returns the
-/// SWAP ratio plus whether the routing matched the optimum exactly.
-fn route_ratio(
-    router: &ComposedRouter,
-    point: &ExperimentPoint,
-    arch: &Architecture,
-) -> (f64, bool) {
-    let bench = &point.benchmark;
-    let routed = router
-        .route_with_initial_mapping(bench.circuit(), arch, bench.reference_mapping())
-        .expect("benchmark fits its architecture");
-    validate_routing(bench.circuit(), arch, &routed).expect("router output is valid");
-    let ratio = bench
-        .swap_ratio(&routed)
-        .expect("optimal count is non-zero");
-    (ratio, routed.swap_count() == bench.optimal_swaps())
 }
 
 #[cfg(test)]

@@ -141,7 +141,7 @@ USAGE:
       scaling curves) folded shard-by-shard from the results/ cache a prior
       `eval --suite` run banked — no circuits are loaded, memory stays flat,
       and the report is bit-identical at any thread count.
-  qubikos eval [--arch DEV | --all] [--tools LIST] [--full] [--threads N]
+  qubikos eval [--arch DEV] [--tools LIST] [--full] [--threads N]
                [--timing-json PATH] [--suite DIR] [--require-cached]
       Figure-4 tool evaluation. With --suite, runs from the stored corpus
       and the content-addressed result cache (already-evaluated
@@ -318,18 +318,51 @@ fn parse_tools(args: &[String]) -> Result<Option<Vec<ToolKind>>, Box<dyn std::er
     }
 }
 
-/// Parses `--suite DIR`, erroring when the flag is present without a usable
-/// value — a forgotten directory must never silently degrade into the
-/// (expensive, differently-scoped) in-memory pipeline.
-fn suite_flag(args: &[String]) -> Result<Option<String>, Box<dyn std::error::Error>> {
-    match arg_value(args, "--suite") {
+/// Parses a `--flag PATH` option, erroring when the flag is present without
+/// a usable value (missing, or another flag in its place); `what` names the
+/// expected value. A forgotten path must never be silently ignored.
+fn path_flag(
+    args: &[String],
+    flag: &str,
+    what: &str,
+) -> Result<Option<String>, Box<dyn std::error::Error>> {
+    match arg_value(args, flag) {
         Some(value) if value.starts_with("--") => {
-            Err(format!("--suite requires a directory path, found flag `{value}`").into())
+            Err(format!("{flag} requires {what}, found flag `{value}`").into())
         }
         Some(value) => Ok(Some(value)),
-        None if flag_present(args, "--suite") => Err("--suite requires a directory path".into()),
+        None if flag_present(args, flag) => Err(format!("{flag} requires {what}").into()),
         None => Ok(None),
     }
+}
+
+/// Parses `--suite DIR`. A forgotten directory must never silently degrade
+/// into the (expensive, differently-scoped) in-memory pipeline.
+fn suite_flag(args: &[String]) -> Result<Option<String>, Box<dyn std::error::Error>> {
+    path_flag(args, "--suite", "a directory path")
+}
+
+/// The `--require-cached` verdict on a stored-suite run that routed
+/// `routed` pairs fresh: [`EXIT_POLICY`] unless every pair was a cache hit.
+fn cache_policy(args: &[String], routed: usize) -> i32 {
+    if flag_present(args, "--require-cached") && routed > 0 {
+        eprintln!("ERROR: --require-cached but {routed} pairs were routed fresh");
+        EXIT_POLICY
+    } else {
+        EXIT_OK
+    }
+}
+
+/// Writes `value` to `path` as pretty JSON and notes it on stderr.
+fn write_json(
+    path: &str,
+    value: &impl serde::Serialize,
+    what: &str,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let json = serde_json::to_string_pretty(value).expect("reports serialize");
+    std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+    eprintln!("wrote {what} to {path}");
+    Ok(())
 }
 
 /// `qubikos suite verify`.
@@ -388,23 +421,14 @@ pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
 pub fn analytics_command(args: &[String]) -> CommandOutcome {
     let dir =
         suite_flag(args)?.ok_or("analytics requires --suite DIR (the exported suite directory)")?;
-    let json_path = match arg_value(args, "--json") {
-        Some(value) if value.starts_with("--") => {
-            return Err(format!("--json requires an output path, found flag `{value}`").into())
-        }
-        Some(value) => Some(value),
-        None if flag_present(args, "--json") => return Err("--json requires an output path".into()),
-        None => None,
-    };
+    let json_path = path_flag(args, "--json", "an output path")?;
     let config = AnalyticsConfig::default().with_threads(threads_flag(args)?);
     let store = SuiteStore::open(&dir)?;
     let progress = StderrProgress::new(format!("analytics {}", store.device().name()), 10);
     let report = run_suite_analytics_with_sink(&store, &config, &progress)?;
     print!("{}", render_analytics(&report));
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&report).expect("analytics report serializes");
-        std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote analytics report to {path}");
+        write_json(&path, &report, "analytics report")?;
     }
     Ok(0)
 }
@@ -417,18 +441,7 @@ pub fn analytics_command(args: &[String]) -> CommandOutcome {
 pub fn eval_command(args: &[String]) -> CommandOutcome {
     let threads = threads_flag(args)?;
     let full = flag_present(args, "--full");
-    let timing_path = match arg_value(args, "--timing-json") {
-        Some(value) if value.starts_with("--") => {
-            return Err(
-                format!("--timing-json requires an output path, found flag `{value}`").into(),
-            )
-        }
-        Some(value) => Some(value),
-        None if flag_present(args, "--timing-json") => {
-            return Err("--timing-json requires an output path".into())
-        }
-        None => None,
-    };
+    let timing_path = path_flag(args, "--timing-json", "an output path")?;
 
     if let Some(dir) = suite_flag(args)? {
         // Flags that would silently contradict the stored manifest are
@@ -472,18 +485,9 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
                 store.device().name().to_string(),
                 timing.report().expect("evaluation run finished"),
             )];
-            let json = serde_json::to_string_pretty(&timings).expect("timing reports serialize");
-            std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote per-job timings to {path}");
+            write_json(&path, &timings, "per-job timings")?;
         }
-        if flag_present(args, "--require-cached") && outcome.routed > 0 {
-            eprintln!(
-                "ERROR: --require-cached but {} pairs were routed fresh",
-                outcome.routed
-            );
-            return Ok(EXIT_POLICY);
-        }
-        return Ok(0);
+        return Ok(cache_policy(args, outcome.routed));
     }
 
     // An in-memory run has no cache to assert against: a bare
@@ -544,9 +548,7 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
     }
     if let Some(path) = timing_path {
         // One timing report per device, keyed by device name.
-        let json = serde_json::to_string_pretty(&timings).expect("timing reports serialize");
-        std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote per-job timings to {path}");
+        write_json(&path, &timings, "per-job timings")?;
     }
     Ok(0)
 }
@@ -681,10 +683,10 @@ pub fn ablations_command(args: &[String]) -> CommandOutcome {
     if flag_present(args, "--grid") {
         return ablations_grid_command(args, threads);
     }
-    if flag_present(args, "--suite") || flag_present(args, "--list-compositions") {
-        return Err(
-            "--suite/--list-compositions apply only to the composition matrix; add --grid".into(),
-        );
+    // The legacy sweeps take none of the matrix's flags; accepting them
+    // would silently drop a requested export or cache check.
+    if let Some(flag) = GRID_ONLY_FLAGS.iter().find(|flag| flag_present(args, flag)) {
+        return Err(format!("{flag} applies only to the composition matrix; add --grid").into());
     }
     let config = AblationConfig::paper().with_threads(threads);
     // One sink across all sweeps: each engine run restarts the progress
@@ -694,6 +696,17 @@ pub fn ablations_command(args: &[String]) -> CommandOutcome {
     print!("{}", render_ablations(&report));
     Ok(0)
 }
+
+/// The `ablations` flags that only the composition matrix (`--grid`) reads.
+const GRID_ONLY_FLAGS: [&str; 7] = [
+    "--suite",
+    "--list-compositions",
+    "--json",
+    "--timing-json",
+    "--require-cached",
+    "--max-compositions",
+    "--full",
+];
 
 /// `qubikos ablations --grid`: enumerate the (pruned) composition
 /// cross-product, rank it against a stored known-optimal suite through the
@@ -729,26 +742,8 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
         "ablations --grid requires --suite DIR (the known-optimal corpus to rank \
          against; create one with `qubikos suite export`)",
     )?;
-    let json_path = match arg_value(args, "--json") {
-        Some(value) if value.starts_with("--") => {
-            return Err(format!("--json requires an output path, found flag `{value}`").into())
-        }
-        Some(value) => Some(value),
-        None if flag_present(args, "--json") => return Err("--json requires an output path".into()),
-        None => None,
-    };
-    let timing_path = match arg_value(args, "--timing-json") {
-        Some(value) if value.starts_with("--") => {
-            return Err(
-                format!("--timing-json requires an output path, found flag `{value}`").into(),
-            )
-        }
-        Some(value) => Some(value),
-        None if flag_present(args, "--timing-json") => {
-            return Err("--timing-json requires an output path".into())
-        }
-        None => None,
-    };
+    let json_path = path_flag(args, "--json", "an output path")?;
+    let timing_path = path_flag(args, "--timing-json", "an output path")?;
 
     let store = SuiteStore::open(&dir)?;
     let progress = StderrProgress::new(format!("ablation matrix {}", store.device().name()), 20);
@@ -764,9 +759,7 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
         outcome.routed, outcome.cache_hits
     );
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&outcome.report).expect("matrix report serializes");
-        std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote composition matrix to {path}");
+        write_json(&path, &outcome.report, "composition matrix")?;
     }
     if let Some(path) = timing_path {
         // Same shape as the eval export: (label, report) pairs, one entry
@@ -775,18 +768,9 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
             format!("ablation-matrix-{}", store.device().name()),
             timing.report().expect("matrix run finished"),
         )];
-        let json = serde_json::to_string_pretty(&timings).expect("timing reports serialize");
-        std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote per-job timings to {path}");
+        write_json(&path, &timings, "per-job timings")?;
     }
-    if flag_present(args, "--require-cached") && outcome.routed > 0 {
-        eprintln!(
-            "ERROR: --require-cached but {} pairs were routed fresh",
-            outcome.routed
-        );
-        return Ok(EXIT_POLICY);
-    }
-    Ok(EXIT_OK)
+    Ok(cache_policy(args, outcome.routed))
 }
 
 #[cfg(test)]
@@ -835,6 +819,21 @@ mod tests {
         assert!(eval_command(&args(&["--suite"])).is_err());
         assert!(optimality_command(&args(&["--suite"])).is_err());
         assert!(eval_command(&args(&["--suite", "--threads", "2"])).is_err());
+    }
+
+    #[test]
+    fn trailing_path_flags_are_errors() {
+        assert!(eval_command(&args(&["--timing-json"])).is_err());
+        assert!(eval_command(&args(&["--timing-json", "--threads", "2"])).is_err());
+        assert!(ablations_command(&args(&[
+            "--grid",
+            "--suite",
+            "x",
+            "--json",
+            "--threads",
+            "2"
+        ]))
+        .is_err());
     }
 
     #[test]
@@ -942,8 +941,20 @@ mod tests {
 
     #[test]
     fn grid_flags_require_the_grid_mode_and_a_suite() {
-        assert!(ablations_command(&args(&["--suite", "somewhere"])).is_err());
-        assert!(ablations_command(&args(&["--list-compositions"])).is_err());
+        for grid_only in [
+            &["--suite", "somewhere"][..],
+            &["--list-compositions"],
+            &["--json", "out.json"],
+            &["--timing-json", "timings.json"],
+            &["--require-cached"],
+            &["--max-compositions", "4"],
+            &["--full"],
+        ] {
+            assert!(
+                ablations_command(&args(grid_only)).is_err(),
+                "{grid_only:?}"
+            );
+        }
         assert!(ablations_command(&args(&["--grid"])).is_err());
         assert!(ablations_command(&args(&["--grid", "--suite"])).is_err());
         assert!(ablations_command(&args(&["--grid", "--max-compositions", "0"])).is_err());

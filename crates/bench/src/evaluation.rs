@@ -1,29 +1,31 @@
 //! The Figure-4 experiment: SWAP-ratio optimality gaps of heuristic tools.
 //!
-//! Execution goes through [`qubikos_engine`]: one job per (tool, circuit)
-//! pair, stolen dynamically by the worker threads, so a slow tool on a big
-//! instance (QMAP on Eagle-127 can take orders of magnitude longer than
-//! t|ket⟩ on the same circuit) never serializes the run the way the old
-//! static chunking did. Each worker builds every router **once** and reuses
-//! it across all of its jobs — routers derive their RNG from their config
-//! seed on every `route` call, so reuse is bit-identical to rebuilding while
-//! skipping the per-circuit allocation and setup cost.
+//! One job per (tool, circuit) pair runs on the [`qubikos_engine`]
+//! work-stealing executor, so a slow tool on a big instance (QMAP on
+//! Eagle-127 can take orders of magnitude longer than t|ket⟩ on the same
+//! circuit) never serializes the run. Each worker builds every router
+//! **once** and reuses it across its jobs: a router reseeds from its config
+//! on every `route` call, so reuse is bit-identical to rebuilding.
 //!
-//! Two entry points produce the same report:
+//! Both entry points run the crate's one cached shard map with the same
+//! jobs and the same fold:
 //!
-//! * [`run_tool_evaluation`] generates the suite in memory and routes every
-//!   (tool, circuit) pair — the original, self-contained pipeline;
-//! * [`run_suite_evaluation`] runs from a [`SuiteStore`] corpus on disk,
-//!   consulting the store's content-addressed result cache first: pairs the
-//!   cache already holds are *not routed at all*, so a repeated or resumed
-//!   run costs only the cache reads. Both report bit-identical numbers for
-//!   the same suite because routing is deterministic per (tool, circuit).
+//! * [`run_tool_evaluation`] generates the suite in memory and maps it as a
+//!   single shard with no cache;
+//! * [`run_suite_evaluation`] maps a [`SuiteStore`] corpus shard by shard
+//!   through the store's content-addressed result cache: pairs the cache
+//!   already holds are *not routed at all*, so a repeated or resumed run
+//!   costs only the cache reads.
+//!
+//! Routing is deterministic per (tool, circuit) and the fold sums integers,
+//! so both report bit-identical numbers for the same suite.
 
+use crate::shard_map::{map_shards, Corpus, ShardJobs};
 use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, JobKey, NullSink, ProgressSink, AUTO_THREADS};
-use qubikos_layout::{validate_routing, Router, ToolKind};
+use qubikos_engine::{Engine, JobContext, JobKey, NullSink, ProgressSink, AUTO_THREADS};
+use qubikos_layout::{validate_routing, ComposedRouter, Router, RouterSpec, ToolKind};
 use serde::{Deserialize, Serialize};
 
 /// The tool seed every standard evaluation hands to the routers. One
@@ -173,29 +175,13 @@ pub fn run_tool_evaluation_with_sink(
 ) -> Result<EvaluationReport, GenerateError> {
     let arch = config.device.build();
     let suite = generate_suite(&arch, &config.suite)?;
-
-    // Route every (tool, circuit) pair, point-major so the expensive large
-    // instances of different tools interleave across workers.
-    let jobs: Vec<(usize, usize)> = all_pairs(suite.len(), config.tools.len());
-    let swaps = route_jobs(
-        &arch,
-        &suite,
-        &config.tools,
-        config.tool_seed,
-        config.threads,
-        &jobs,
-        sink,
-    );
-
-    let point_swap_counts: Vec<usize> = suite.iter().map(|p| p.swap_count).collect();
-    Ok(assemble_report(
-        config.device,
-        &config.tools,
-        &config.suite.swap_counts,
-        &point_swap_counts,
-        &jobs,
-        &swaps,
-    ))
+    let jobs = RoutingJobs::tools(&arch, &config.tools, config.tool_seed, config.threads);
+    let mut fold = EvalFold::new(&config.tools, &config.suite.swap_counts);
+    map_shards(Corpus::Generated(&suite), &jobs, sink, |designed, swaps| {
+        fold.add(designed, swaps)
+    })
+    .expect("a generated corpus touches no store");
+    Ok(fold.finish(config.device))
 }
 
 /// Configuration of a suite-backed evaluation: everything *except* the suite
@@ -279,6 +265,12 @@ pub struct SuiteEvalOutcome {
 /// and the cache entries. Use `SuiteStore::verify_streaming` for a
 /// standalone integrity check.
 ///
+/// A shard whose manifest or instance files are *persistently* corrupt
+/// (reads are retried first) is quarantined and skipped rather than failing
+/// the run: the offending file moves to `quarantine/`, the skip is counted
+/// in [`SuiteEvalOutcome::shards_quarantined`], and the report covers the
+/// surviving shards.
+///
 /// # Errors
 ///
 /// Propagates [`StoreError`] from loading a shard or writing cache
@@ -312,22 +304,11 @@ pub fn run_suite_evaluation_with_sink(
     run_suite_evaluation_partial(store, config, None, sink)
 }
 
-/// The streaming core of the suite-backed evaluation: processes shards in
-/// order, folding each shard's results into the report accumulator before
-/// the next shard is touched, so memory stays bounded by one shard plus the
-/// fold state no matter how large the corpus is.
-///
-/// `stop_after_shards` truncates the run after that many shards (the
-/// interrupt hook for resume tests and CI); per-pair results are banked in
-/// the content-addressed cache as they are produced, so a rerun answers the
-/// already-processed shards entirely from cache — resume at shard
-/// granularity falls out of the cache semantics, no ledger needed.
-///
-/// A shard whose manifest or instance files are *persistently* corrupt
-/// (reads are retried first) is quarantined and skipped rather than failing
-/// the run: the offending file moves to `quarantine/`, the skip is counted
-/// in [`SuiteEvalOutcome::shards_quarantined`], and the report covers the
-/// surviving shards. Plain I/O errors still propagate.
+/// [`run_suite_evaluation_with_sink`] truncated after `stop_after_shards`
+/// shards: the interrupt hook for resume tests. Per-pair results are banked
+/// in the cache as they are produced, so a rerun answers the processed
+/// shards entirely from cache — resume at shard granularity falls out of
+/// the cache semantics, no ledger needed.
 ///
 /// # Errors
 ///
@@ -340,184 +321,149 @@ pub fn run_suite_evaluation_partial(
     stop_after_shards: Option<usize>,
     sink: &dyn ProgressSink,
 ) -> Result<SuiteEvalOutcome, StoreError> {
-    let device = store.device();
-    let arch = device.build();
-    let swap_counts = store.config().swap_counts.clone();
-    let shards = stop_after_shards
-        .unwrap_or(usize::MAX)
-        .min(store.shard_count());
-    let mut fold = EvalFold::new(&config.tools, &swap_counts);
-    let mut routed_total = 0;
-    let mut cache_hits = 0;
-    let mut shards_quarantined = 0;
-
-    for shard in 0..shards {
-        match eval_shard(store, config, &arch, shard, sink) {
-            Ok((results, routed, hits)) => {
-                for (tool_index, designed, swaps) in results {
-                    fold.add(tool_index, designed, swaps);
-                }
-                routed_total += routed;
-                cache_hits += hits;
-            }
-            Err(error) if error.is_corruption() => {
-                store.quarantine_shard_error(shard, &error);
-                shards_quarantined += 1;
-            }
-            Err(error) => return Err(error),
-        }
-    }
-
+    let arch = store.device().build();
+    let jobs = RoutingJobs::tools(&arch, &config.tools, config.tool_seed, config.threads);
+    let mut fold = EvalFold::new(&config.tools, &store.config().swap_counts);
+    let outcome = map_shards(
+        Corpus::Stored(store, stop_after_shards),
+        &jobs,
+        sink,
+        |designed, swaps| fold.add(designed, swaps),
+    )?;
     Ok(SuiteEvalOutcome {
-        report: fold.finish(device),
-        routed: routed_total,
-        cache_hits,
-        shards,
-        shards_quarantined,
-        complete: shards == store.shard_count(),
+        report: fold.finish(store.device()),
+        routed: outcome.computed,
+        cache_hits: outcome.cache_hits,
+        shards: outcome.shards,
+        shards_quarantined: outcome.shards_quarantined,
+        complete: outcome.complete,
     })
 }
 
-/// Evaluates one shard: cache lookups, engine routing of the misses, cache
-/// writes. Returns `(tool_index, designed SWAP count, inserted SWAPs)` per
-/// (tool, instance) pair plus the routed/cache-hit counts — everything the
-/// caller's fold needs, so a corrupt shard can be dropped wholesale before
-/// anything is folded.
-#[allow(clippy::type_complexity)]
-fn eval_shard(
-    store: &SuiteStore,
-    config: &SuiteEvalConfig,
-    arch: &Architecture,
-    shard: usize,
-    sink: &dyn ProgressSink,
-) -> Result<(Vec<(usize, usize, usize)>, usize, usize), StoreError> {
-    let records = store.shard_records(shard)?;
-    let jobs: Vec<(usize, usize)> = all_pairs(records.len(), config.tools.len());
-    let job_key = |&(tool_index, point_index): &(usize, usize)| {
-        JobKey::new(
-            config.tools[tool_index].name(),
-            &records[point_index].content_hash,
-        )
-    };
+/// Routes every point with each of a list of named router specs. A value is
+/// the inserted SWAP count, cached as a [`CachedRouting`] under the
+/// router's name. The tool evaluation, the composition matrix, the
+/// ablation sweeps and the case study all run on it.
+pub(crate) struct RoutingJobs<'a> {
+    pub(crate) arch: &'a Architecture,
+    /// `(name, spec)` per variant; the name tags the routed circuits and is
+    /// the cache namespace.
+    pub(crate) routers: Vec<(String, RouterSpec)>,
+    /// Seed every router is built with; cached entries record it.
+    pub(crate) seed: u64,
+    pub(crate) threads: usize,
+    /// Route from each circuit's known-optimal initial mapping instead of
+    /// placing it: the paper's standalone-router mode (§IV-C).
+    pub(crate) standalone: bool,
+}
 
-    // Resolve the cache first: only misses become engine jobs.
-    let mut swaps: Vec<Option<usize>> = jobs
-        .iter()
-        .map(|job| {
-            let cached: CachedRouting = store.read_cached(&job_key(job))?;
-            // An entry produced under a different tool seed (or,
-            // defensively, for different bytes) answers a different
-            // question: miss.
-            (cached.tool_seed == config.tool_seed
-                && cached.circuit_hash == records[job.1].content_hash)
-                .then_some(cached.swaps)
-        })
-        .collect();
-    let misses: Vec<(usize, usize)> = jobs
-        .iter()
-        .zip(&swaps)
-        .filter(|(_, cached)| cached.is_none())
-        .map(|(&job, _)| job)
-        .collect();
-
-    if !misses.is_empty() {
-        // The shard's circuits are only materialized — and only this
-        // shard re-verified (hash, parse, regeneration round trip) —
-        // when there is fresh routing to do. Each result is persisted
-        // from inside its job: a run killed at 90% of a large corpus has
-        // already banked 90% of its work (`write_cached` is
-        // rename-atomic, so a kill mid-write costs only that one entry).
-        let loaded = store.load_shard(shard)?;
-        let engine = Engine::new(config.threads).with_base_seed(config.tool_seed);
-        let routed: Vec<usize> = engine
-            .run_values(
-                &misses,
-                |_worker| {
-                    config
-                        .tools
-                        .iter()
-                        .map(|&tool| tool.build(config.tool_seed))
-                        .collect::<Vec<_>>()
-                },
-                |routers, _ctx, job: &(usize, usize)| -> Result<usize, StoreError> {
-                    let swaps = route_and_count(routers[job.0].as_ref(), &loaded[job.1], arch);
-                    store.write_cached(
-                        &job_key(job),
-                        &CachedRouting {
-                            tool: config.tools[job.0].name().to_string(),
-                            tool_seed: config.tool_seed,
-                            circuit_hash: records[job.1].content_hash.clone(),
-                            swaps,
-                        },
-                    )?;
-                    Ok(swaps)
-                },
-                sink,
-            )
-            .unwrap_or_else(|error| panic!("tool evaluation aborted: {error}"))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-
-        // Fill the gaps left by the cache misses.
-        let mut fresh = routed.iter();
-        for slot in swaps.iter_mut().filter(|slot| slot.is_none()) {
-            *slot = Some(*fresh.next().expect("one routed result per miss"));
+impl<'a> RoutingJobs<'a> {
+    /// The paper tools, each under its tool name (as [`ToolKind::build`]
+    /// names them).
+    fn tools(arch: &'a Architecture, tools: &[ToolKind], seed: u64, threads: usize) -> Self {
+        RoutingJobs {
+            arch,
+            routers: tools
+                .iter()
+                .map(|tool| (tool.name().to_string(), tool.spec()))
+                .collect(),
+            seed,
+            threads,
+            standalone: false,
         }
     }
 
-    let results = jobs
-        .iter()
-        .zip(&swaps)
-        .map(|(&(tool_index, point_index), slot)| {
-            (
-                tool_index,
-                records[point_index].swap_count,
-                slot.expect("every job resolved"),
-            )
+    /// Maps generated `points` with no cache and returns, per router, the
+    /// mean SWAP ratio (summed in point order, so it is
+    /// schedule-independent) and the number of circuits routed at exactly
+    /// their designed SWAP count.
+    pub(crate) fn mean_ratios(
+        &self,
+        points: &[ExperimentPoint],
+        sink: &dyn ProgressSink,
+    ) -> Vec<(f64, usize)> {
+        let mut ratios = vec![Vec::new(); self.routers.len()];
+        let mut optimal = vec![0; self.routers.len()];
+        map_shards(Corpus::Generated(points), self, sink, |designed, swaps| {
+            for (variant, &inserted) in swaps.iter().enumerate() {
+                ratios[variant].push(cell_gap(inserted as f64, designed));
+                optimal[variant] += usize::from(inserted == designed);
+            }
         })
-        .collect();
-    Ok((results, misses.len(), jobs.len() - misses.len()))
+        .expect("a generated corpus touches no store");
+        ratios
+            .iter()
+            .zip(optimal)
+            .map(|(ratios, optimal)| {
+                let mean = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
+                (mean, optimal)
+            })
+            .collect()
+    }
 }
 
-/// The point-major (tool, circuit) job list both pipelines share: all tools
-/// of point 0, then all tools of point 1, … so the expensive large instances
-/// of different tools interleave across workers. Shared with the ablation
-/// matrix, whose "tools" are composition indices.
-pub(crate) fn all_pairs(points: usize, tools: usize) -> Vec<(usize, usize)> {
-    (0..points)
-        .flat_map(|point_index| (0..tools).map(move |tool_index| (tool_index, point_index)))
-        .collect()
-}
+impl ShardJobs for RoutingJobs<'_> {
+    type Worker = Vec<ComposedRouter>;
+    type Value = usize;
+    type Entry = CachedRouting;
 
-/// Routes the given `(tool_index, point_index)` jobs on the engine and
-/// returns the inserted SWAP counts in job order. Each worker builds every
-/// router once; `route` reseeds from the config on every call, so reuse
-/// changes nothing but speed.
-fn route_jobs(
-    arch: &Architecture,
-    suite: &[ExperimentPoint],
-    tools: &[ToolKind],
-    tool_seed: u64,
-    threads: usize,
-    jobs: &[(usize, usize)],
-    sink: &dyn ProgressSink,
-) -> Vec<usize> {
-    let engine = Engine::new(threads).with_base_seed(tool_seed);
-    engine
-        .run_values(
-            jobs,
-            |_worker| {
-                tools
-                    .iter()
-                    .map(|&tool| tool.build(tool_seed))
-                    .collect::<Vec<_>>()
-            },
-            |routers, _ctx, &(tool_index, point_index)| {
-                route_and_count(routers[tool_index].as_ref(), &suite[point_index], arch)
-            },
-            sink,
-        )
-        .unwrap_or_else(|error| panic!("tool evaluation aborted: {error}"))
+    fn variants(&self) -> usize {
+        self.routers.len()
+    }
+
+    fn engine(&self) -> Engine {
+        Engine::new(self.threads).with_base_seed(self.seed)
+    }
+
+    fn key(&self, variant: usize, hash: &str) -> JobKey {
+        JobKey::new(&self.routers[variant].0, hash)
+    }
+
+    /// An entry produced under a different seed (or, defensively, for
+    /// different bytes) answers a different question: miss.
+    fn cached(&self, entry: CachedRouting, hash: &str) -> Option<usize> {
+        (entry.tool_seed == self.seed && entry.circuit_hash == hash).then_some(entry.swaps)
+    }
+
+    fn entry(&self, variant: usize, hash: &str, &swaps: &usize) -> Option<CachedRouting> {
+        Some(CachedRouting {
+            tool: self.routers[variant].0.clone(),
+            tool_seed: self.seed,
+            circuit_hash: hash.to_string(),
+            swaps,
+        })
+    }
+
+    fn worker(&self) -> Vec<ComposedRouter> {
+        self.routers
+            .iter()
+            .map(|(name, spec)| spec.build_named(self.seed, name.clone()))
+            .collect()
+    }
+
+    fn run(
+        &self,
+        routers: &mut Vec<ComposedRouter>,
+        _ctx: &JobContext,
+        variant: usize,
+        point: &ExperimentPoint,
+    ) -> usize {
+        let circuit = point.benchmark.circuit();
+        let router = &routers[variant];
+        let routed = if self.standalone {
+            router.route_with_initial_mapping(
+                circuit,
+                self.arch,
+                point.benchmark.reference_mapping(),
+            )
+        } else {
+            router.route(circuit, self.arch)
+        }
+        .expect("benchmark circuits always fit their own architecture");
+        validate_routing(circuit, self.arch, &routed)
+            .expect("tools under evaluation must produce valid routings");
+        routed.swap_count()
+    }
 }
 
 /// Incremental accumulator behind every evaluation report: per
@@ -542,14 +488,15 @@ impl<'a> EvalFold<'a> {
         }
     }
 
-    /// Adds one routed (tool, circuit) result. Results for designed counts
-    /// outside the configured grid are dropped, matching the historical
-    /// cell-filter semantics.
-    fn add(&mut self, tool_index: usize, designed_swaps: usize, swaps: usize) {
+    /// Adds one circuit's SWAP counts, one per tool. A circuit whose
+    /// designed count is outside the configured grid is dropped, matching
+    /// the historical cell-filter semantics.
+    fn add(&mut self, designed_swaps: usize, swaps: &[usize]) {
         if let Some(count_index) = self.swap_counts.iter().position(|&c| c == designed_swaps) {
-            let cell = &mut self.cells[tool_index][count_index];
-            cell.0 += swaps as u64;
-            cell.1 += 1;
+            for (tool_cells, &inserted) in self.cells.iter_mut().zip(swaps) {
+                tool_cells[count_index].0 += inserted as u64;
+                tool_cells[count_index].1 += 1;
+            }
         }
     }
 
@@ -576,39 +523,6 @@ impl<'a> EvalFold<'a> {
         }
         EvaluationReport { device, cells }
     }
-}
-
-/// Folds per-job SWAP counts into the per-(tool, SWAP count) cell grid.
-/// `swaps[i]` is the result of `jobs[i]`; the fold is associative (see
-/// [`EvalFold`]), so the report is schedule-independent.
-/// `point_swap_counts[p]` is point `p`'s designed SWAP count — the only
-/// per-circuit datum the fold needs.
-fn assemble_report(
-    device: DeviceKind,
-    tools: &[ToolKind],
-    swap_counts: &[usize],
-    point_swap_counts: &[usize],
-    jobs: &[(usize, usize)],
-    swaps: &[usize],
-) -> EvaluationReport {
-    let mut fold = EvalFold::new(tools, swap_counts);
-    for (&(tool_index, point_index), &s) in jobs.iter().zip(swaps) {
-        fold.add(tool_index, point_swap_counts[point_index], s);
-    }
-    fold.finish(device)
-}
-
-pub(crate) fn route_and_count(
-    router: &dyn Router,
-    point: &ExperimentPoint,
-    arch: &Architecture,
-) -> usize {
-    let routed = router
-        .route(point.benchmark.circuit(), arch)
-        .expect("benchmark circuits always fit their own architecture");
-    validate_routing(point.benchmark.circuit(), arch, &routed)
-        .expect("tools under evaluation must produce valid routings");
-    routed.swap_count()
 }
 
 /// Aggregates several device reports into the per-tool headline gaps the

@@ -14,16 +14,22 @@
 //! the paper prints.
 //!
 //! Every command is a subcommand of the unified `qubikos` binary ([`cli`]
-//! holds the implementations), and the evaluation/optimality pipelines can
-//! run from a
-//! persistent on-disk corpus ([`store::SuiteStore`]: a small `manifest.json`
-//! root index pointing at `shards/shard_*.json` shard manifests plus QASM
-//! files and a content-addressed `results/` cache keyed by
-//! [`qubikos_engine::JobKey`]) via `--suite DIR`, skipping every
-//! (tool, circuit) pair the cache already holds. Export and verification
-//! resume at shard granularity via a ledger next to the root index, the
-//! pipelines stream one shard at a time, and [`analytics`] folds cached
+//! holds the implementations). The pipelines can run from a persistent
+//! on-disk corpus ([`store::SuiteStore`]: a small `manifest.json` root index
+//! pointing at `shards/shard_*.json` shard manifests plus QASM files and a
+//! content-addressed `results/` cache keyed by [`qubikos_engine::JobKey`])
+//! via `--suite DIR`. Export and verification resume at shard granularity
+//! via a ledger next to the root index, and [`analytics`] folds cached
 //! results into corpus-wide summaries with an associative per-shard merge.
+//!
+//! Evaluation, optimality, the composition matrix, the legacy sweeps and
+//! the case study all run on one cached shard map: it walks a stored corpus
+//! shard by shard, answers every job the cache already holds, loads a
+//! shard's circuits only when a job missed, writes each fresh result from
+//! inside its job, and quarantines a corrupt shard. In-memory runs hand it
+//! their generated points as a single shard with no cache, so both report
+//! the same numbers. Each pipeline supplies only its jobs, cache key, entry
+//! check, per-worker state and fold.
 //!
 //! Every pipeline executes on the [`qubikos_engine`] work-stealing executor:
 //! results are identical for any thread count, a `--threads` flag is shared
@@ -42,13 +48,13 @@ pub mod evaluation;
 pub mod microbench;
 pub mod optimality;
 pub mod report;
+mod shard_map;
 pub mod store;
 pub mod vfs;
 
 pub use ablations::{
-    run_ablations, run_composition_matrix, run_composition_matrix_partial, AblationConfig,
-    AblationPoint, AblationReport, CompositionGrid, CompositionSummary, MatrixConfig,
-    MatrixOutcome, MatrixReport,
+    run_ablations, run_composition_matrix, AblationConfig, AblationPoint, AblationReport,
+    CompositionGrid, CompositionSummary, MatrixConfig, MatrixOutcome, MatrixReport,
 };
 pub use analytics::{
     gap_bucket, run_suite_analytics, run_suite_analytics_with_sink, AnalyticsConfig,
@@ -62,9 +68,8 @@ pub use evaluation::{
     DEFAULT_TOOL_SEED,
 };
 pub use optimality::{
-    run_optimality_study, run_suite_optimality, run_suite_optimality_partial,
-    run_suite_optimality_with_sink, ExactNodesAtK, OptimalityConfig, OptimalityReport,
-    SuiteOptimalityOutcome,
+    run_optimality_study, run_suite_optimality, run_suite_optimality_with_sink, ExactNodesAtK,
+    OptimalityConfig, OptimalityReport, SuiteOptimalityOutcome,
 };
 pub use store::{
     export_suite, CacheStatsSnapshot, ExportOptions, ExportOutcome, LoadedShard, QuarantineEntry,

@@ -13,19 +13,25 @@
 //!
 //! Both checks are embarrassingly parallel and their runtimes are wildly
 //! skewed (an exhaustive SWAP-3 search costs orders of magnitude more than a
-//! certificate check), so the study runs on the [`qubikos_engine`]
-//! work-stealing executor: one job per circuit, one exact solver per worker,
-//! and a report that is identical for any thread count.
+//! certificate check), so the study runs one job per circuit on the
+//! [`qubikos_engine`] work-stealing executor, with one exact solver per
+//! worker and a report that is identical for any thread count.
+//!
+//! Both entry points run the crate's one cached shard map with the same job
+//! and the same fold: [`run_optimality_study`] maps each device's generated
+//! suite as a single shard with no cache, and [`run_suite_optimality`] maps
+//! a stored corpus shard by shard through its `results/optimality/` cache.
 //!
 //! The report also aggregates the exact solver's per-`k` node counts and
 //! wall-clock so the study output shows where the search budget goes — the
 //! instrumentation behind raising `exact_swap_limit` from 2 to 3 when the
 //! solver core was rebuilt.
 
+use crate::shard_map::{map_shards, Corpus, ShardJobs};
 use crate::store::{StoreError, SuiteStore};
-use qubikos::{generate_suite, verify_certificate, GenerateError, SuiteConfig};
+use qubikos::{generate_suite, verify_certificate, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, JobDeadline, JobKey, NullSink, ProgressSink, AUTO_THREADS};
+use qubikos_engine::{Engine, JobContext, JobKey, NullSink, ProgressSink, AUTO_THREADS};
 use qubikos_exact::{ExactConfig, ExactSolver};
 use serde::{Deserialize, Serialize};
 
@@ -139,7 +145,7 @@ pub struct ExactNodesAtK {
 /// `exact_wall_micros` is excluded from equality: the report is otherwise
 /// bit-identical across thread counts (and asserted so in tests), but
 /// wall-clock never is.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OptimalityReport {
     /// Total circuits generated.
     pub circuits: usize,
@@ -255,37 +261,21 @@ pub fn run_optimality_study_with_sink(
     config: &OptimalityConfig,
     sink: &dyn ProgressSink,
 ) -> Result<OptimalityReport, GenerateError> {
-    // Generate all suites first (generation is cheap and sequential so the
-    // suites stay identical to the sequential study), then verify every
-    // circuit of every device as one flat worklist.
-    let suites: Vec<(Architecture, Vec<qubikos::ExperimentPoint>)> = config
-        .devices
-        .iter()
-        .map(|&device| {
-            let arch = device.build();
-            let suite = generate_suite(&arch, &config.suite)?;
-            Ok((arch, suite))
+    let mut fold = OptimalityFold::default();
+    for &device in &config.devices {
+        let arch = device.build();
+        let suite = generate_suite(&arch, &config.suite)?;
+        let jobs = VerifyJobs {
+            arch: &arch,
+            config,
+            base_seed: config.suite.base_seed,
+        };
+        map_shards(Corpus::Generated(&suite), &jobs, sink, |_, outcome| {
+            fold.add(&outcome[0])
         })
-        .collect::<Result<_, GenerateError>>()?;
-    let jobs: Vec<(&Architecture, &qubikos::ExperimentPoint)> = suites
-        .iter()
-        .flat_map(|(arch, suite)| suite.iter().map(move |point| (arch, point)))
-        .collect();
-
-    let mut engine = Engine::new(config.threads).with_base_seed(config.suite.base_seed);
-    if let Some(limit) = config.exact_deadline() {
-        engine = engine.with_job_deadline(limit);
+        .expect("a generated corpus touches no store");
     }
-    let outcomes = engine
-        .run_values(
-            &jobs,
-            |_worker| ExactSolver::new(config.exact),
-            |solver, ctx, &(arch, point)| verify_point(solver, config, arch, point, ctx.deadline),
-            sink,
-        )
-        .unwrap_or_else(|error| panic!("optimality study aborted: {error}"));
-
-    Ok(fold_outcomes(&outcomes))
+    Ok(fold.finish())
 }
 
 /// Incremental accumulator behind the study report. Every field is an
@@ -294,27 +284,12 @@ pub fn run_optimality_study_with_sink(
 /// same report as a single pass, in any grouping. The per-`k` breakdown is
 /// sorted only at [`finish`](Self::finish), matching the historical
 /// one-shot fold.
+#[derive(Default)]
 struct OptimalityFold {
     report: OptimalityReport,
 }
 
 impl OptimalityFold {
-    fn new() -> Self {
-        OptimalityFold {
-            report: OptimalityReport {
-                circuits: 0,
-                certified: 0,
-                exactly_confirmed: 0,
-                exact_budget_exceeded: 0,
-                deadline_exceeded: 0,
-                failures: 0,
-                exact_nodes: 0,
-                exact_nodes_by_k: Vec::new(),
-                exact_wall_micros: 0,
-            },
-        }
-    }
-
     fn add(&mut self, outcome: &PointOutcome) {
         let report = &mut self.report;
         report.circuits += 1;
@@ -367,15 +342,6 @@ impl OptimalityFold {
     }
 }
 
-/// Folds per-circuit outcomes (in job order) into the aggregate report.
-fn fold_outcomes(outcomes: &[PointOutcome]) -> OptimalityReport {
-    let mut fold = OptimalityFold::new();
-    for outcome in outcomes {
-        fold.add(outcome);
-    }
-    fold.finish()
-}
-
 /// One cached verification outcome: the `results/optimality/<hash>.json`
 /// payload of the suite store. The exact-solver parameters ride along so an
 /// entry produced under a different budget or SWAP limit — which could have
@@ -416,8 +382,7 @@ pub struct SuiteOptimalityOutcome {
     /// persistently corrupt; the offending file was moved to the store's
     /// `quarantine/` directory and the report covers the remaining shards.
     pub shards_quarantined: usize,
-    /// Whether the whole corpus was covered (false when the run was
-    /// truncated by `stop_after_shards` — the report then covers a prefix).
+    /// Whether the whole corpus was covered.
     pub complete: bool,
 }
 
@@ -426,7 +391,9 @@ pub struct SuiteOptimalityOutcome {
 /// come from the store's root index; `config.devices` and `config.suite`
 /// are not consulted. As with the suite evaluation, the run streams shard
 /// by shard: at most one shard of circuits is ever materialized, and only
-/// when at least one of its circuits misses the cache.
+/// when at least one of its circuits misses the cache. A persistently
+/// corrupt shard is quarantined, counted in
+/// [`SuiteOptimalityOutcome::shards_quarantined`] and skipped.
 ///
 /// # Errors
 ///
@@ -451,212 +418,139 @@ pub fn run_suite_optimality_with_sink(
     config: &OptimalityConfig,
     sink: &dyn ProgressSink,
 ) -> Result<SuiteOptimalityOutcome, StoreError> {
-    run_suite_optimality_partial(store, config, None, sink)
-}
-
-/// The streaming core of the suite-backed optimality run: processes shards
-/// in order, folding each shard's verdicts into the report accumulator
-/// before the next shard is touched, so memory stays bounded by one shard
-/// plus the fold state.
-///
-/// `stop_after_shards` truncates the run after that many shards; verdicts
-/// are banked in the content-addressed cache as they are produced, so a
-/// rerun answers the already-processed shards entirely from cache — resume
-/// at shard granularity falls out of the cache semantics.
-///
-/// A shard whose manifest or instance files are *persistently* corrupt
-/// (reads are retried first) is quarantined and skipped rather than failing
-/// the run: the offending file moves to `quarantine/`, the skip is counted
-/// in [`SuiteOptimalityOutcome::shards_quarantined`], and the report covers
-/// the surviving shards. Plain I/O errors still propagate.
-///
-/// # Errors
-///
-/// As [`run_suite_optimality`].
-pub fn run_suite_optimality_partial(
-    store: &SuiteStore,
-    config: &OptimalityConfig,
-    stop_after_shards: Option<usize>,
-    sink: &dyn ProgressSink,
-) -> Result<SuiteOptimalityOutcome, StoreError> {
     let arch = store.device().build();
-    let base_seed = store.config().base_seed;
-    let shards = stop_after_shards
-        .unwrap_or(usize::MAX)
-        .min(store.shard_count());
-    let mut fold = OptimalityFold::new();
-    let mut verified_total = 0;
-    let mut cache_hits = 0;
-    let mut shards_quarantined = 0;
-
-    for shard in 0..shards {
-        match optimality_shard(store, config, &arch, base_seed, shard, sink) {
-            Ok((outcomes, verified, hits)) => {
-                for outcome in &outcomes {
-                    fold.add(outcome);
-                }
-                verified_total += verified;
-                cache_hits += hits;
-            }
-            Err(error) if error.is_corruption() => {
-                store.quarantine_shard_error(shard, &error);
-                shards_quarantined += 1;
-            }
-            Err(error) => return Err(error),
-        }
-    }
-
+    let jobs = VerifyJobs {
+        arch: &arch,
+        config,
+        base_seed: store.config().base_seed,
+    };
+    let mut fold = OptimalityFold::default();
+    let outcome = map_shards(Corpus::Stored(store, None), &jobs, sink, |_, outcome| {
+        fold.add(&outcome[0])
+    })?;
     Ok(SuiteOptimalityOutcome {
         report: fold.finish(),
-        verified: verified_total,
-        cache_hits,
-        shards,
-        shards_quarantined,
-        complete: shards == store.shard_count(),
+        verified: outcome.computed,
+        cache_hits: outcome.cache_hits,
+        shards: outcome.shards,
+        shards_quarantined: outcome.shards_quarantined,
+        complete: outcome.complete,
     })
 }
 
-/// Verifies one shard: cache lookups, engine verification of the misses,
-/// cache writes. Returns the per-circuit outcomes plus the verified/
-/// cache-hit counts, so a corrupt shard can be dropped wholesale before
-/// anything is folded.
-fn optimality_shard(
-    store: &SuiteStore,
-    config: &OptimalityConfig,
-    arch: &Architecture,
+/// Verifies each circuit: certificate always, exhaustive exact solver when
+/// the designed SWAP count is within the configured limit. Verdicts are
+/// cached as [`CachedVerification`] entries.
+struct VerifyJobs<'a> {
+    arch: &'a Architecture,
+    config: &'a OptimalityConfig,
     base_seed: u64,
-    shard: usize,
-    sink: &dyn ProgressSink,
-) -> Result<(Vec<PointOutcome>, usize, usize), StoreError> {
-    let records = store.shard_records(shard)?;
-    let key = |point_index: usize| JobKey::new("optimality", &records[point_index].content_hash);
-
-    // Resolve the cache first: only misses are verified.
-    let mut outcomes: Vec<Option<PointOutcome>> = (0..records.len())
-        .map(|point_index| {
-            let cached: CachedVerification = store.read_cached(&key(point_index))?;
-            let compatible = cached.circuit_hash == records[point_index].content_hash
-                && cached.max_swaps == config.exact.max_swaps
-                && cached.node_budget == config.exact.node_budget
-                && cached.exact_swap_limit == config.exact_swap_limit;
-            if !compatible {
-                return None;
-            }
-            Some(PointOutcome {
-                verdict: CircuitVerdict::parse(&cached.verdict)?,
-                exact_queries: cached.queries,
-                exact_wall_micros: cached.wall_micros,
-            })
-        })
-        .collect();
-    let misses: Vec<usize> = outcomes
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.is_none())
-        .map(|(i, _)| i)
-        .collect();
-
-    if !misses.is_empty() {
-        // The shard's circuits are only materialized — and only this
-        // shard re-verified — when there are misses to work on. Each
-        // verdict is persisted from inside its job so an interrupted
-        // run resumes where it stopped (`write_cached` is
-        // rename-atomic; a kill mid-write costs only that one entry).
-        let points = store.load_shard(shard)?;
-        let mut engine = Engine::new(config.threads).with_base_seed(base_seed);
-        if let Some(limit) = config.exact_deadline() {
-            engine = engine.with_job_deadline(limit);
-        }
-        let fresh: Vec<PointOutcome> = engine
-            .run_values(
-                &misses,
-                |_worker| ExactSolver::new(config.exact),
-                |solver, ctx, &point_index| -> Result<PointOutcome, StoreError> {
-                    let outcome =
-                        verify_point(solver, config, arch, &points[point_index], ctx.deadline);
-                    // A deadline-exceeded verdict is a statement about
-                    // *this machine's* clock, not about the circuit —
-                    // caching it would make a faster rerun inherit the
-                    // timeout, so it is recomputed every run instead.
-                    if outcome.verdict != CircuitVerdict::DeadlineExceeded {
-                        store.write_cached(
-                            &key(point_index),
-                            &CachedVerification {
-                                circuit_hash: records[point_index].content_hash.clone(),
-                                max_swaps: config.exact.max_swaps,
-                                node_budget: config.exact.node_budget,
-                                exact_swap_limit: config.exact_swap_limit,
-                                verdict: outcome.verdict.name().to_string(),
-                                queries: outcome.exact_queries.clone(),
-                                wall_micros: outcome.exact_wall_micros,
-                            },
-                        )?;
-                    }
-                    Ok(outcome)
-                },
-                sink,
-            )
-            .unwrap_or_else(|error| panic!("optimality study aborted: {error}"))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-
-        for (&point_index, outcome) in misses.iter().zip(&fresh) {
-            outcomes[point_index] = Some(outcome.clone());
-        }
-    }
-
-    let resolved: Vec<PointOutcome> = outcomes
-        .into_iter()
-        .map(|slot| slot.expect("every circuit resolved"))
-        .collect();
-    let verified = misses.len();
-    let hits = records.len() - verified;
-    Ok((resolved, verified, hits))
 }
 
-/// Verifies one circuit: certificate always, exhaustive exact solver when
-/// the designed SWAP count is within the configured limit. `deadline` (from
-/// the engine's [`JobDeadline`], when configured) cuts the exhaustive
-/// search short so one pathological instance degrades to an unproven
-/// verdict instead of stalling the run.
-fn verify_point(
-    solver: &mut ExactSolver,
-    config: &OptimalityConfig,
-    arch: &Architecture,
-    point: &qubikos::ExperimentPoint,
-    deadline: Option<JobDeadline>,
-) -> PointOutcome {
-    let unsolved = |verdict| PointOutcome {
-        verdict,
-        exact_queries: Vec::new(),
-        exact_wall_micros: 0,
-    };
-    if verify_certificate(&point.benchmark, arch).is_err() {
-        return unsolved(CircuitVerdict::CertificateFailed);
+impl ShardJobs for VerifyJobs<'_> {
+    type Worker = ExactSolver;
+    type Value = PointOutcome;
+    type Entry = CachedVerification;
+
+    fn variants(&self) -> usize {
+        1
     }
-    if point.swap_count > config.exact_swap_limit {
-        return unsolved(CircuitVerdict::CertifiedOnly);
-    }
-    let result = solver.solve_with_deadline(
-        point.benchmark.circuit(),
-        arch,
-        deadline.map(|d| d.expires_at()),
-    );
-    let verdict = match result.optimal_swaps {
-        Some(optimal) if result.proven => {
-            if optimal == point.benchmark.optimal_swaps() {
-                CircuitVerdict::ExactlyConfirmed
-            } else {
-                CircuitVerdict::ExactMismatch
-            }
+
+    fn engine(&self) -> Engine {
+        let engine = Engine::new(self.config.threads).with_base_seed(self.base_seed);
+        match self.config.exact_deadline() {
+            Some(limit) => engine.with_job_deadline(limit),
+            None => engine,
         }
-        _ if result.deadline_exceeded => CircuitVerdict::DeadlineExceeded,
-        _ => CircuitVerdict::ExactBudgetExceeded,
-    };
-    PointOutcome {
-        verdict,
-        exact_queries: result.queries.iter().map(|q| (q.swaps, q.nodes)).collect(),
-        exact_wall_micros: result.wall_micros,
+    }
+
+    fn key(&self, _variant: usize, hash: &str) -> JobKey {
+        JobKey::new("optimality", hash)
+    }
+
+    /// An entry produced under a different exact-solver budget or SWAP
+    /// limit could have reached a different verdict: miss.
+    fn cached(&self, entry: CachedVerification, hash: &str) -> Option<PointOutcome> {
+        let compatible = entry.circuit_hash == hash
+            && entry.max_swaps == self.config.exact.max_swaps
+            && entry.node_budget == self.config.exact.node_budget
+            && entry.exact_swap_limit == self.config.exact_swap_limit;
+        if !compatible {
+            return None;
+        }
+        Some(PointOutcome {
+            verdict: CircuitVerdict::parse(&entry.verdict)?,
+            exact_queries: entry.queries,
+            exact_wall_micros: entry.wall_micros,
+        })
+    }
+
+    /// A deadline-exceeded verdict is a statement about *this machine's*
+    /// clock, not about the circuit — caching it would make a faster rerun
+    /// inherit the timeout, so it is recomputed every run instead.
+    fn entry(
+        &self,
+        _variant: usize,
+        hash: &str,
+        outcome: &PointOutcome,
+    ) -> Option<CachedVerification> {
+        (outcome.verdict != CircuitVerdict::DeadlineExceeded).then(|| CachedVerification {
+            circuit_hash: hash.to_string(),
+            max_swaps: self.config.exact.max_swaps,
+            node_budget: self.config.exact.node_budget,
+            exact_swap_limit: self.config.exact_swap_limit,
+            verdict: outcome.verdict.name().to_string(),
+            queries: outcome.exact_queries.clone(),
+            wall_micros: outcome.exact_wall_micros,
+        })
+    }
+
+    fn worker(&self) -> ExactSolver {
+        ExactSolver::new(self.config.exact)
+    }
+
+    /// The engine's job deadline, when configured, cuts the exhaustive
+    /// search short so one pathological instance degrades to an unproven
+    /// verdict instead of stalling the run.
+    fn run(
+        &self,
+        solver: &mut ExactSolver,
+        ctx: &JobContext,
+        _variant: usize,
+        point: &ExperimentPoint,
+    ) -> PointOutcome {
+        let unsolved = |verdict| PointOutcome {
+            verdict,
+            exact_queries: Vec::new(),
+            exact_wall_micros: 0,
+        };
+        if verify_certificate(&point.benchmark, self.arch).is_err() {
+            return unsolved(CircuitVerdict::CertificateFailed);
+        }
+        if point.swap_count > self.config.exact_swap_limit {
+            return unsolved(CircuitVerdict::CertifiedOnly);
+        }
+        let result = solver.solve_with_deadline(
+            point.benchmark.circuit(),
+            self.arch,
+            ctx.deadline.map(|d| d.expires_at()),
+        );
+        let verdict = match result.optimal_swaps {
+            Some(optimal) if result.proven => {
+                if optimal == point.benchmark.optimal_swaps() {
+                    CircuitVerdict::ExactlyConfirmed
+                } else {
+                    CircuitVerdict::ExactMismatch
+                }
+            }
+            _ if result.deadline_exceeded => CircuitVerdict::DeadlineExceeded,
+            _ => CircuitVerdict::ExactBudgetExceeded,
+        };
+        PointOutcome {
+            verdict,
+            exact_queries: result.queries.iter().map(|q| (q.swaps, q.nodes)).collect(),
+            exact_wall_micros: result.wall_micros,
+        }
     }
 }
 

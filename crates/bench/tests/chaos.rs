@@ -11,6 +11,7 @@
 
 use qubikos::SuiteConfig;
 use qubikos_arch::DeviceKind;
+use qubikos_bench::ablations::{run_composition_matrix, MatrixConfig};
 use qubikos_bench::analytics::{run_suite_analytics, AnalyticsConfig, AnalyticsReport};
 use qubikos_bench::evaluation::{run_suite_evaluation, SuiteEvalConfig, SuiteEvalOutcome};
 use qubikos_bench::optimality::{run_suite_optimality, OptimalityConfig, SuiteOptimalityOutcome};
@@ -276,61 +277,77 @@ fn seeded_fault_runs_converge_to_the_fault_free_corpus_and_reports() {
     }
 }
 
-/// A persistently corrupt shard degrades a pipeline pass — skipped,
-/// counted, quarantined — instead of failing it, and the next export heals
-/// the corpus: the end-to-end self-healing loop, without seeded randomness.
+/// A persistently corrupt shard degrades a pass of each cached pipeline —
+/// evaluation, optimality and the composition matrix — instead of failing
+/// it: the shard is skipped, counted and quarantined, and the next export
+/// heals the corpus. The end-to-end self-healing loop, without seeded
+/// randomness.
 #[test]
 fn corrupt_shard_degrades_then_heals_on_re_export() {
-    let dir = TempDir::new("degrade-heal");
-    let outcome = SuiteStore::export_with_options(
-        &dir.0,
-        DEVICE,
-        &tiny_suite(),
-        &export_options(),
-        1,
-        &NullSink,
-    )
-    .expect("export");
-    let store = outcome.store.expect("export completes");
-    let shard_file = store.index().shards[1].file.clone();
+    type Pipeline = fn(&SuiteStore) -> usize;
+    let pipelines: [(&str, Pipeline); 3] = [
+        ("eval", |store| {
+            run_suite_evaluation(store, &eval_config())
+                .expect("eval")
+                .shards_quarantined
+        }),
+        ("optimality", |store| {
+            run_suite_optimality(store, &optimality_config())
+                .expect("optimality")
+                .shards_quarantined
+        }),
+        ("matrix", |store| {
+            let config = MatrixConfig::quick()
+                .with_threads(1)
+                .with_max_compositions(2);
+            run_composition_matrix(store, &config, &NullSink)
+                .expect("matrix")
+                .shards_quarantined
+        }),
+    ];
+    for (name, run) in pipelines {
+        let dir = TempDir::new(&format!("degrade-heal-{name}"));
+        let export = || {
+            SuiteStore::export_with_options(
+                &dir.0,
+                DEVICE,
+                &tiny_suite(),
+                &export_options(),
+                1,
+                &NullSink,
+            )
+            .expect("export")
+        };
+        let store = export().store.expect("export completes");
+        let shard_file = store.index().shards[1].file.clone();
 
-    // Rot shard 1's manifest on disk: persistent corruption (every re-read
-    // sees the same wrong bytes), so the retry budget cannot heal it.
-    std::fs::write(dir.0.join(&shard_file), "{ not a shard manifest").expect("corrupt shard");
+        // Rot shard 1's manifest on disk: persistent corruption (every
+        // re-read sees the same wrong bytes), so the retry budget cannot
+        // heal it.
+        std::fs::write(dir.0.join(&shard_file), "{ not a shard manifest").expect("corrupt");
 
-    let eval = run_suite_evaluation(&store, &eval_config()).expect("degraded eval");
-    assert_eq!(eval.shards_quarantined, 1, "shard 1 must be quarantined");
-    assert!(
-        !dir.0.join(&shard_file).exists(),
-        "the corrupt manifest must have been moved aside"
-    );
-    let quarantine = store.quarantine_report();
-    assert!(
-        quarantine.entries.iter().any(|e| e.file == shard_file),
-        "quarantine.json must record the shard manifest, got {:?}",
-        quarantine.entries
-    );
+        assert_eq!(run(&store), 1, "{name}: shard 1 must be quarantined");
+        assert!(
+            !dir.0.join(&shard_file).exists(),
+            "{name}: the corrupt manifest must have been moved aside"
+        );
+        let quarantine = store.quarantine_report();
+        assert!(
+            quarantine.entries.iter().any(|e| e.file == shard_file),
+            "{name}: quarantine.json must record the shard manifest, got {:?}",
+            quarantine.entries
+        );
 
-    // Re-export regenerates the quarantined shard; the rerun is whole again.
-    let healed = SuiteStore::export_with_options(
-        &dir.0,
-        DEVICE,
-        &tiny_suite(),
-        &export_options(),
-        1,
-        &NullSink,
-    )
-    .expect("healing export");
-    assert_eq!(
-        healed.shards_written, 1,
-        "exactly the bad shard regenerates"
-    );
-    assert_eq!(healed.shards_resumed, 1, "the good shard resumes");
-    let store = healed.store.expect("healing export completes");
-    let eval = run_suite_evaluation(&store, &eval_config()).expect("healed eval");
-    assert_eq!(eval.shards_quarantined, 0);
-    let verify = store.verify_streaming(1, None, &NullSink).expect("verify");
-    assert!(verify.failures.is_empty());
+        // Re-export regenerates the quarantined shard; the rerun is whole
+        // again.
+        let healed = export();
+        assert_eq!(healed.shards_written, 1, "{name}: only the bad shard");
+        assert_eq!(healed.shards_resumed, 1, "{name}: the good shard resumes");
+        let store = healed.store.expect("healing export completes");
+        assert_eq!(run(&store), 0, "{name}: healed corpus");
+        let verify = store.verify_streaming(1, None, &NullSink).expect("verify");
+        assert!(verify.failures.is_empty());
+    }
 }
 
 /// The three ways a resume ledger rots — truncated mid-write, replaced by
