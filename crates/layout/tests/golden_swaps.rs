@@ -293,27 +293,74 @@ fn golden_swap_counts_on_osprey433_queko() {
 }
 
 /// ML-QLS placement pins: the prog→phys vector
-/// `MultilevelRouter::default().place` picks for one QUBIKOS instance per
-/// heavy-hex device (the shapes of the benchmark's `route` instances),
-/// stored as a [`mapping_fingerprint`].
+/// `MultilevelRouter::default().place` picks for QUBIKOS instances shaped
+/// like the benchmark's `route` instances, stored as
+/// [`mapping_fingerprint`]s: seeds 1–4 on eagle-127 (5 SWAPs, 60 gates),
+/// osprey-433 (2 SWAPs, 60 gates) and grid-4x4 (4 SWAPs, 120 gates). The
+/// heavy-hex instances leave most qubits without an interaction, so these
+/// pins cover placement's interaction-free paths as well.
 #[test]
 fn multilevel_placements_are_pinned() {
     use qubikos::{generate, GeneratorConfig};
+    let fixtures = [
+        (devices::eagle127(), 5, 60),
+        (devices::osprey433(), 2, 60),
+        (devices::grid(4, 4), 4, 120),
+    ];
+    let mut got = Vec::new();
+    for (arch, swaps, gates) in &fixtures {
+        for seed in 1..=4 {
+            let bench = generate(arch, &GeneratorConfig::new(*swaps, *gates).with_seed(seed))
+                .expect("generates");
+            let placement = MultilevelRouter::default().place(bench.circuit(), arch);
+            assert!(placement.is_consistent());
+            got.push(mapping_fingerprint(&placement));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            0x2cb1_bb6e_4471_1f3a,
+            0x7ce4_d050_db82_1cba,
+            0xdb6a_1747_cbd0_1dba,
+            0x917d_4d98_51ed_5e3a,
+            0x3551_ec0d_8903_f296,
+            0x90cc_0e0c_4752_ff5a,
+            0xec09_8667_b7db_63b2,
+            0x9c4d_d24d_735e_c882,
+            0xc92a_f31c_d25f_9125,
+            0xbca1_ea99_823e_1b85,
+            0xf299_95f7_a546_6b65,
+            0x1b8a_2484_4176_3d05,
+        ],
+        "ML-QLS placement changed (eagle-127, osprey-433, grid-4x4 × seeds 1-4)"
+    );
+}
+
+/// LightSABRE pins on one QUBIKOS instance shaped like the benchmark's
+/// `route` instances per heavy-hex device: the full 16-trial route's
+/// [`stream_fingerprint`] on eagle-127 (5 SWAPs, 60 gates) and osprey-433
+/// (2 SWAPs, 60 gates). The winning trial, and so the stream, must not
+/// depend on how many threads run the trials.
+#[test]
+fn lightsabre_streams_are_pinned() {
+    use qubikos::{generate, GeneratorConfig};
     let fixtures = [(devices::eagle127(), 5), (devices::osprey433(), 2)];
+    let router = ToolKind::LightSabre.build(TOOL_SEED);
     let got: Vec<u64> = fixtures
         .iter()
         .map(|(arch, swaps)| {
             let bench =
                 generate(arch, &GeneratorConfig::new(*swaps, 60).with_seed(3)).expect("generates");
-            let placement = MultilevelRouter::default().place(bench.circuit(), arch);
-            assert!(placement.is_consistent());
-            mapping_fingerprint(&placement)
+            let routed = router.route(bench.circuit(), arch).expect("fits");
+            validate_routing(bench.circuit(), arch, &routed).expect("valid routing");
+            stream_fingerprint(&routed)
         })
         .collect();
     assert_eq!(
         got,
-        [0xdb6a_1747_cbd0_1dba, 0xec09_8667_b7db_63b2],
-        "ML-QLS placement changed (eagle-127, osprey-433)"
+        [0x8291_a7b7_88c2_9349, 0xb086_f9af_6263_d065],
+        "a LightSABRE routed stream changed (eagle-127, osprey-433)"
     );
 }
 
