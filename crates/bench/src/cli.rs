@@ -176,6 +176,10 @@ USAGE:
       --require-cached exits 1 unless it was. --list-compositions prints
       the pruned enumeration and exits; --full swaps in the overnight grid.
 
+--threads N sets how many jobs the engine runs at once (default: all
+cores). A route that runs alone may spread its LightSABRE trials over idle
+cores; outputs are byte-identical at any --threads.
+
 DEV:   grid | aspen4 | sycamore | rochester | eagle | osprey
 TOOLS: lightsabre | tket | ml-qls | qmap (comma-separated)
 

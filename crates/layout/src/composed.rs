@@ -22,6 +22,21 @@
 //! `g16x3s64.la20w0.5.dec0.001r5.randtie.bfs.uw`; the ablation matrix uses
 //! it as the cache namespace, so per-composition results are keyed by
 //! composition identity.
+//!
+//! # Lone-route trial fan-out
+//!
+//! A greedy spec's trials are independent random restarts, each with its
+//! own seeded RNG. When a [`Router::route`] call is the only route in
+//! flight in the process ([`routes_in_flight`] counts every `route` and
+//! [`ComposedRouter::route_with_initial_mapping`] call), it runs its trials
+//! on `min(cores, trials)` scoped threads, the caller included; otherwise
+//! it runs them all on the calling thread. Routes already running side by
+//! side — the engine's workers in `eval`, `optimality` and the ablations —
+//! therefore never oversubscribe the host. Workers claim trial indices in
+//! order and keep the minimum by `(SWAP count, trial index)`, which is the
+//! trial the sequential loop keeps, so the routed circuit is the same at
+//! any worker count. There is no option for it: one code path serves every
+//! worker count, and the sequential loop is its zero-helper case.
 
 use crate::astar::route_layers;
 use crate::kernel::{
@@ -40,6 +55,73 @@ use qubikos_graph::CouplerWeights;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread;
+
+/// Route calls in flight in this process: every [`Router::route`] and
+/// [`ComposedRouter::route_with_initial_mapping`] call counts from entry to
+/// return, through an [`InFlight`] guard.
+static ROUTES_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Trial helper threads spawned by routes started on this thread — the
+    /// regression counter behind the no-helper-when-not-alone guarantee.
+    static TRIAL_HELPERS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Number of route calls in flight in this process (see
+/// [`ComposedRouter`]'s lone-route fan-out). Tests use it to check that
+/// every call, including one that fails, leaves the count as it found it.
+pub fn routes_in_flight() -> usize {
+    ROUTES_IN_FLIGHT.load(Ordering::SeqCst)
+}
+
+/// Number of trial helper threads spawned by routes started on the calling
+/// thread since it started. Routing is synchronous, so the delta across a
+/// `route` call counts exactly its helpers; tests use this to pin that a
+/// route started while another is in flight spawns none.
+pub fn trial_helpers_spawned_on_this_thread() -> usize {
+    TRIAL_HELPERS.with(Cell::get)
+}
+
+/// Holds one count of [`ROUTES_IN_FLIGHT`] until dropped, so an early
+/// return or an error gives it back too.
+struct InFlight;
+
+impl InFlight {
+    fn enter() -> Self {
+        ROUTES_IN_FLIGHT.fetch_add(1, Ordering::SeqCst);
+        InFlight
+    }
+
+    /// Whether this is the only route in flight in the process.
+    fn alone(&self) -> bool {
+        routes_in_flight() == 1
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        ROUTES_IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The incumbent bound of trial `trial`'s final pass when the best so far
+/// is `count` SWAPs from trial `winner`: the pass must finish below
+/// `count`, or at `count` when `winner` is a later trial, which loses the
+/// tie.
+fn trial_bound(count: usize, winner: usize, trial: usize) -> usize {
+    count + usize::from(winner > trial)
+}
+
+/// The host's core count, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
 
 /// The lookahead axis of a composition: how far past the blocked front the
 /// scorer looks, and how the extra gates are weighted.
@@ -261,9 +343,10 @@ pub struct RouterSpec {
 impl RouterSpec {
     /// The LightSABRE composition: 16-trial, 3-pass greedy search with the
     /// published lookahead and decay, seeded-random ties, greedy-BFS
-    /// restarts, uniform weights. The paper's §IV-C case study routes it
-    /// from the optimal mapping with
-    /// [`ComposedRouter::route_with_initial_mapping`].
+    /// restarts, uniform weights. A route that runs alone spreads its
+    /// trials over idle cores (see the module docs) and returns the same
+    /// circuit. The paper's §IV-C case study routes it from the optimal
+    /// mapping with [`ComposedRouter::route_with_initial_mapping`].
     pub fn lightsabre() -> Self {
         RouterSpec {
             search: SearchSpec::Greedy {
@@ -426,8 +509,19 @@ impl ComposedRouter {
         arch: &Architecture,
         initial: &Mapping,
     ) -> Result<RoutedCircuit, RouteError> {
+        let _in_flight = InFlight::enter();
         check_fit(circuit, arch)?;
-        Ok(match self.spec.search {
+        Ok(self.route_from(circuit, arch, initial))
+    }
+
+    /// [`Self::route_with_initial_mapping`] on a circuit that fits.
+    fn route_from(
+        &self,
+        circuit: &Circuit,
+        arch: &Architecture,
+        initial: &Mapping,
+    ) -> RoutedCircuit {
+        match self.spec.search {
             SearchSpec::Greedy {
                 stall_threshold, ..
             } => {
@@ -450,7 +544,7 @@ impl ComposedRouter {
                     route_layers(circuit, arch, initial, max_expansions);
                 self.routed(physical, initial.clone(), final_mapping)
             }
-        })
+        }
     }
 
     /// Calls `f` with the spec's greedy policy bundle, unbounded.
@@ -542,6 +636,17 @@ impl ComposedRouter {
         }
     }
 
+    /// The trial loop, on `workers` threads: the caller plus
+    /// `workers - 1` scoped helpers (none when `workers <= 1`).
+    ///
+    /// Workers claim trial indices in order from one counter and keep the
+    /// best result as the minimum by `(SWAP count, trial index)` — the
+    /// trial the sequential loop picks, at any worker count. A trial's
+    /// final pass is bounded by the best so far (see
+    /// [`GreedyPolicies::incumbent`]): at its count when the best comes
+    /// from an earlier trial, at its count + 1 when from a later one, which
+    /// the trial still beats on a tie. Each trial owns its RNG, so no
+    /// trial's stream depends on another's.
     fn route_greedy(
         &self,
         circuit: &Circuit,
@@ -549,7 +654,9 @@ impl ComposedRouter {
         trials: usize,
         mapping_passes: usize,
         stall_threshold: usize,
+        workers: usize,
     ) -> RoutedCircuit {
+        let trials = trials.max(1);
         let passes = mapping_passes.max(1);
         // The reversed DAG exists only when a refinement pass will read it:
         // 2 DAG builds for a multi-pass spec, 1 for every single-pass one.
@@ -558,10 +665,15 @@ impl ComposedRouter {
         } else {
             RoutingProblem::forward_only(circuit)
         };
-        let mut scratch = GreedyScratch::default();
-        self.with_policies(arch, stall_threshold, |policies| {
-            let mut best: Option<RoutedCircuit> = None;
-            for trial in 0..trials.max(1) {
+        let next_trial = AtomicUsize::new(0);
+        let best: Mutex<Option<(usize, usize, RoutedCircuit)>> = Mutex::new(None);
+        let worker = || {
+            let mut scratch = GreedyScratch::default();
+            self.with_policies(arch, stall_threshold, |policies| loop {
+                let trial = next_trial.fetch_add(1, Ordering::Relaxed);
+                if trial >= trials {
+                    break;
+                }
                 let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(trial as u64));
                 let mut mapping = self.place(trial, circuit, arch, &mut rng);
                 // Forward/backward refinement passes only move the mapping,
@@ -583,12 +695,13 @@ impl ComposedRouter {
                     )
                     .expect("an unbounded pass runs to the end");
                 }
-                // Trials after the first abandon their final pass once it
-                // provably cannot beat the best trial (see
-                // `GreedyPolicies::incumbent`); each trial owns its RNG, so
-                // later trials are unaffected.
+                let incumbent = best
+                    .lock()
+                    .expect("no trial panicked")
+                    .as_ref()
+                    .map(|&(count, winner, _)| trial_bound(count, winner, trial));
                 let bounded = GreedyPolicies {
-                    incumbent: best.as_ref().map(RoutedCircuit::swap_count),
+                    incumbent,
                     ..*policies
                 };
                 let Some(candidate) =
@@ -596,33 +709,60 @@ impl ComposedRouter {
                 else {
                     continue;
                 };
+                let key = (candidate.swap_count(), trial);
+                let mut best = best.lock().expect("no trial panicked");
                 if best
                     .as_ref()
-                    .map_or(true, |b| candidate.swap_count() < b.swap_count())
+                    .map_or(true, |&(count, winner, _)| key < (count, winner))
                 {
-                    best = Some(candidate);
+                    *best = Some((key.0, key.1, candidate));
                 }
+            })
+        };
+        let helpers = workers.min(trials).saturating_sub(1);
+        TRIAL_HELPERS.with(|c| c.set(c.get() + helpers));
+        thread::scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(worker);
             }
-            best.expect("at least one trial ran")
-        })
+            worker();
+        });
+        let (_, _, routed) = best
+            .into_inner()
+            .expect("no trial panicked")
+            .expect("at least one trial ran");
+        routed
     }
 }
 
 impl Router for ComposedRouter {
     fn route(&self, circuit: &Circuit, arch: &Architecture) -> Result<RoutedCircuit, RouteError> {
+        let in_flight = InFlight::enter();
         check_fit(circuit, arch)?;
-        match self.spec.search {
+        Ok(match self.spec.search {
             SearchSpec::Greedy {
                 trials,
                 mapping_passes,
                 stall_threshold,
-            } => Ok(self.route_greedy(circuit, arch, trials, mapping_passes, stall_threshold)),
+            } => {
+                // Only a lone route fans its trials out, so routes already
+                // running side by side (engine workers) never oversubscribe.
+                let workers = if in_flight.alone() { cores() } else { 1 };
+                self.route_greedy(
+                    circuit,
+                    arch,
+                    trials,
+                    mapping_passes,
+                    stall_threshold,
+                    workers,
+                )
+            }
             SearchSpec::AStar { .. } => {
                 let initial =
                     self.place(0, circuit, arch, &mut ChaCha8Rng::seed_from_u64(self.seed));
-                self.route_with_initial_mapping(circuit, arch, &initial)
+                self.route_from(circuit, arch, &initial)
             }
-        }
+        })
     }
 
     fn name(&self) -> &str {
@@ -705,69 +845,54 @@ mod tests {
         }
     }
 
-    /// The composed trial loop with every final pass unbounded
-    /// (`incumbent: None`): the reference the bounded loop must match.
-    fn unbounded_trial_loop(
+    /// Trial `trial` of a 3-pass LightSABRE `router`, run alone with its
+    /// final pass bounded by `incumbent`.
+    fn run_trial(
         router: &ComposedRouter,
         circuit: &Circuit,
         arch: &Architecture,
-    ) -> RoutedCircuit {
-        let SearchSpec::Greedy {
-            trials,
-            mapping_passes,
-            stall_threshold,
-        } = router.spec.search
-        else {
-            panic!("a greedy spec");
-        };
+        trial: usize,
+        incumbent: Option<usize>,
+    ) -> Option<RoutedCircuit> {
         let problem = RoutingProblem::bidirectional(circuit);
         let mut scratch = GreedyScratch::default();
-        router.with_policies(arch, stall_threshold, |policies| {
-            let mut best: Option<RoutedCircuit> = None;
-            for trial in 0..trials.max(1) {
-                let mut rng = ChaCha8Rng::seed_from_u64(router.seed.wrapping_add(trial as u64));
-                let mut mapping = router.place(trial, circuit, arch, &mut rng);
-                for p in 0..mapping_passes.max(1) - 1 {
-                    let view = if p % 2 == 0 {
-                        problem.forward()
-                    } else {
-                        problem.reversed()
-                    };
-                    mapping = run_greedy_pass(
-                        view,
-                        arch,
-                        policies,
-                        mapping,
-                        &mut rng,
-                        &mut scratch,
-                        None,
-                    )
-                    .expect("unbounded");
-                }
-                let candidate = router
-                    .final_pass(&problem, arch, policies, mapping, &mut rng, &mut scratch)
-                    .expect("unbounded");
-                if best
-                    .as_ref()
-                    .map_or(true, |b| candidate.swap_count() < b.swap_count())
-                {
-                    best = Some(candidate);
-                }
+        router.with_policies(arch, 64, |policies| {
+            let mut rng = ChaCha8Rng::seed_from_u64(router.seed.wrapping_add(trial as u64));
+            let mut mapping = router.place(trial, circuit, arch, &mut rng);
+            for view in [problem.forward(), problem.reversed()] {
+                mapping =
+                    run_greedy_pass(view, arch, policies, mapping, &mut rng, &mut scratch, None)
+                        .expect("unbounded");
             }
-            best.expect("at least one trial ran")
+            let bounded = GreedyPolicies {
+                incumbent,
+                ..*policies
+            };
+            router.final_pass(&problem, arch, &bounded, mapping, &mut rng, &mut scratch)
         })
     }
 
     /// The composed LightSABRE abandons final passes that cannot beat the
-    /// best trial; the unbounded trial loop runs every pass to the end. The
-    /// two must still pick the same trial and emit the same circuit.
+    /// best trial and, when it routes alone, runs its trials on several
+    /// threads. The reference runs every trial to the end on one thread and
+    /// keeps the first with the fewest SWAPs. At every worker count the two
+    /// must pick the same trial and emit the same circuit.
+    ///
+    /// The set includes routes where two trials tie on the best count. On
+    /// those the earliest tied trial, bounded by the last one's best as a
+    /// worker that finished the later trial first would bound it, must
+    /// still finish with the reference circuit: the tie goes to the lower
+    /// trial index, and [`trial_bound`] lets it through.
     #[test]
     fn composed_lightsabre_matches_unbounded_trial_loop() {
         let cases = [
             (devices::grid(3, 3), 7, 30),
             (devices::aspen4(), 12, 60),
             (devices::eagle127(), 20, 40),
+            // Few gates on few qubits: many trials reach the best count.
+            (devices::grid(3, 3), 5, 12),
         ];
+        let (mut ties, mut tie_bound_needed) = (0, 0);
         for (arch, qubits, gates) in cases {
             let circuits = [
                 random_circuit(qubits, gates, 5),
@@ -777,24 +902,87 @@ mod tests {
                 for trials in [1, 4, 16] {
                     for seed in [0u64, 9, 23] {
                         let router = lightsabre_with(trials).build_named(seed, "lightsabre");
-                        let reference = unbounded_trial_loop(&router, circuit, &arch);
-                        let composed = router.route(circuit, &arch).expect("fits");
+                        let runs: Vec<RoutedCircuit> = (0..trials)
+                            .map(|trial| run_trial(&router, circuit, &arch, trial, None))
+                            .map(|run| run.expect("unbounded"))
+                            .collect();
+                        let best = runs.iter().map(RoutedCircuit::swap_count).min();
+                        let tied: Vec<usize> = (0..trials)
+                            .filter(|&t| Some(runs[t].swap_count()) == best)
+                            .collect();
+                        let (first, last) = (tied[0], tied[tied.len() - 1]);
+                        let reference = &runs[first];
                         let case =
                             format!("{} qubits, {trials} trials, seed {seed}", arch.num_qubits());
-                        assert_eq!(
-                            reference.physical_circuit, composed.physical_circuit,
-                            "{case}"
-                        );
-                        assert_eq!(
-                            reference.initial_mapping, composed.initial_mapping,
-                            "{case}"
-                        );
-                        assert_eq!(reference.final_mapping, composed.final_mapping, "{case}");
-                        assert_eq!(reference.tool, composed.tool);
+                        if first != last {
+                            ties += 1;
+                            let count = reference.swap_count();
+                            let bound = trial_bound(count, last, first);
+                            let replay = run_trial(&router, circuit, &arch, first, Some(bound));
+                            assert_eq!(replay.as_ref(), Some(reference), "{case}");
+                            tie_bound_needed += usize::from(
+                                run_trial(&router, circuit, &arch, first, Some(count)).is_none(),
+                            );
+                        }
+                        let routed = [router.route(circuit, &arch).expect("fits")]
+                            .into_iter()
+                            .chain([1, 2, 3, 16].map(|workers| {
+                                router.route_greedy(circuit, &arch, trials, 3, 64, workers)
+                            }));
+                        for (run, composed) in routed.enumerate() {
+                            assert_eq!(reference, &composed, "{case}, run {run}");
+                        }
                     }
                 }
             }
         }
+        assert!(ties > 0, "no route had two trials tie on the best count");
+        assert!(
+            tie_bound_needed > 0,
+            "no tie where bounding at the count alone abandons the winner"
+        );
+    }
+
+    /// Four threads route the same LightSABRE instances at once and get
+    /// exactly the one-worker streams; a route started while another is in
+    /// flight spawns no trial helper.
+    #[test]
+    fn concurrent_routes_match_sequential_streams() {
+        let instances = [
+            (devices::grid(4, 4), random_circuit(12, 60, 7)),
+            (devices::aspen4(), random_circuit_with_swaps(14, 60, 3)),
+            (devices::rochester53(), random_circuit(20, 60, 3)),
+        ];
+        let router = RouterSpec::lightsabre().build_named(11, "lightsabre");
+        let sequential: Vec<RoutedCircuit> = instances
+            .iter()
+            .map(|(arch, circuit)| router.route_greedy(circuit, arch, 16, 3, 64, 1))
+            .collect();
+        let start = std::sync::Barrier::new(4);
+        thread::scope(|scope| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        instances
+                            .iter()
+                            .map(|(arch, circuit)| router.route(circuit, arch).expect("fits"))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for caller in callers {
+                assert_eq!(caller.join().expect("no panic"), sequential);
+            }
+        });
+        // Another route in flight (held here, so the check cannot race):
+        // this one stays on the calling thread.
+        let _other = InFlight::enter();
+        let before = trial_helpers_spawned_on_this_thread();
+        for ((arch, circuit), expected) in instances.iter().zip(&sequential) {
+            assert_eq!(&router.route(circuit, arch).expect("fits"), expected);
+        }
+        assert_eq!(trial_helpers_spawned_on_this_thread(), before);
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! through four tools — LightSABRE (§IV-B/C), ML-QLS, QMAP and t|ket⟩ — so
 //! the router inner loop is the hot path of the whole reproduction.
 //! LightSABRE runs 16 trials × 3 passes here (the paper's Qiskit runs used
-//! up to 1000 trials). Before this kernel existed each router
-//! privately re-implemented front-layer tracking, rebuilt the dependency
-//! DAG per pass per trial, and rescanned every front/extended gate for
-//! every candidate SWAP. The kernel splits that machinery into three
-//! reusable pieces:
+//! up to 1000 trials); a route that runs alone spreads the trials over idle
+//! cores, one [`GreedyScratch`] per worker, while the [`RoutingProblem`] is
+//! shared read-only (see [`crate::composed`]). Before this kernel existed
+//! each router privately re-implemented front-layer tracking, rebuilt the
+//! dependency DAG per pass per trial, and rescanned every front/extended
+//! gate for every candidate SWAP. The kernel splits that machinery into
+//! three reusable pieces:
 //!
 //! * [`RoutingProblem`] — everything derivable from the circuit alone,
 //!   built **once per route call**: the forward (and, for bidirectional

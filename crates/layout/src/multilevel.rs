@@ -13,6 +13,16 @@
 //!    their cluster's location and runs pairwise-exchange refinement sweeps
 //!    that reduce the weighted distance of interaction edges.
 //!
+//! A QUBIKOS circuit spans the whole device, but a short one leaves most
+//! program qubits without any two-qubit gate (a 60-gate instance on
+//! osprey-433 leaves at least 313 of 433). Such an interaction-free node
+//! never gets matched, so it carries over to every level, and two of
+//! them cost 0 wherever they sit. Placement and refinement skip the work
+//! that cannot move them: a node whose cluster's location is still free
+//! takes it without a scan, and refinement never scores a pair of two
+//! interaction-free nodes. Both give exactly the placement of the full
+//! scans.
+//!
 //! The routing itself — a single SABRE-style pass from the refined
 //! placement, with no random-restart trials — is the
 //! [`RouterSpec::ml_qls`](crate::RouterSpec::ml_qls) composition;
@@ -22,7 +32,7 @@ use crate::kernel::PlacementStrategy;
 use crate::mapping::Mapping;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
-use qubikos_graph::{bfs_order, Graph, NodeId};
+use qubikos_graph::{Graph, NodeId};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -194,7 +204,13 @@ impl MultilevelRouter {
     /// Each node, in BFS order, takes the unused physical qubit minimising
     /// `(Σ w × distance to each placed neighbour + distance to the anchor,
     /// n − degree)`. When `coarse_assignment` is given, the anchor of node
-    /// `u` is `coarse_assignment[fine_to_coarse[u]]`.
+    /// `u` is `coarse_assignment[fine_to_coarse[u]]`. The BFS runs from the
+    /// heaviest unvisited node, component by component, and all components
+    /// share one `seen` set and one queue.
+    ///
+    /// An interaction-free node's key is its distance to the anchor alone,
+    /// so when the anchor is free it is the unique minimum (distance 0) and
+    /// the node takes it without a scan.
     ///
     /// The sums are accumulated row-major (one distance row per placed
     /// neighbour, added into a per-qubit total) and the selection is one
@@ -224,6 +240,8 @@ impl MultilevelRouter {
             }
             g
         };
+        // One BFS per component, sharing `seen`: `order` doubles as the
+        // queue, its unvisited tail starting at `head`.
         let mut seen = vec![false; n];
         let mut starts: Vec<NodeId> = (0..n).collect();
         starts.sort_by_key(|&u| {
@@ -233,10 +251,17 @@ impl MultilevelRouter {
             if seen[s] {
                 continue;
             }
-            for v in bfs_order(&plain, s) {
-                if !seen[v] {
-                    seen[v] = true;
-                    order.push(v);
+            seen[s] = true;
+            let mut head = order.len();
+            order.push(s);
+            while head < order.len() {
+                let u = order[head];
+                head += 1;
+                for &v in plain.neighbors(u) {
+                    if !seen[v] {
+                        seen[v] = true;
+                        order.push(v);
+                    }
                 }
             }
         }
@@ -248,6 +273,18 @@ impl MultilevelRouter {
         let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
         let mut totals = vec![0u64; n_phys];
         for &u in &order {
+            // An interaction-free node scores only its distance to the
+            // anchor, so a free anchor (distance 0) is the unique minimum.
+            if level.weights[u].is_empty() {
+                if let Some(ca) = coarse_assignment {
+                    let anchor = ca[fine_to_coarse[u]];
+                    if !used[anchor] {
+                        assignment[u] = anchor;
+                        used[anchor] = true;
+                        continue;
+                    }
+                }
+            }
             totals.fill(0);
             for &(v, w) in &level.weights[u] {
                 if assignment[v] != usize::MAX {
@@ -279,7 +316,9 @@ impl MultilevelRouter {
     }
 
     /// Pairwise-exchange refinement: repeatedly swap two nodes' physical
-    /// locations when it reduces the weighted interaction distance.
+    /// locations when it reduces the weighted interaction distance. Pairs
+    /// of two interaction-free nodes are skipped; every other pair is
+    /// visited in `(u, v)` order as before.
     fn refine(&self, level: &Level, arch: &Architecture, assignment: &mut [NodeId]) {
         let n = level.node_count();
         let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
@@ -288,19 +327,35 @@ impl MultilevelRouter {
                 .map(|&(v, w)| w * arch.distance(pos, assignment[v]) as u64)
                 .sum()
         };
+        // Exchanges u and v if that lowers their summed cost. Exchanging
+        // them double-counts their mutual edge the same way on both sides,
+        // so the comparison is fair.
+        let exchange = |u: usize, v: usize, assignment: &mut [NodeId]| -> bool {
+            let before =
+                cost_of(u, assignment[u], assignment) + cost_of(v, assignment[v], assignment);
+            let after =
+                cost_of(u, assignment[v], assignment) + cost_of(v, assignment[u], assignment);
+            let better = after < before;
+            if better {
+                assignment.swap(u, v);
+            }
+            better
+        };
+        // Two interaction-free nodes cost 0 wherever they sit, so they never
+        // swap: an interaction-free `u` only meets the interacting nodes
+        // after it, and every other pair keeps its turn.
+        let interacting: Vec<NodeId> = (0..n).filter(|&u| !level.weights[u].is_empty()).collect();
         for _ in 0..self.config.refinement_sweeps {
             let mut improved = false;
             for u in 0..n {
-                for v in (u + 1)..n {
-                    let before = cost_of(u, assignment[u], assignment)
-                        + cost_of(v, assignment[v], assignment);
-                    let after = cost_of(u, assignment[v], assignment)
-                        + cost_of(v, assignment[u], assignment);
-                    // Exchanging u and v double-counts their mutual edge the
-                    // same way on both sides, so the comparison is fair.
-                    if after < before {
-                        assignment.swap(u, v);
-                        improved = true;
+                if level.weights[u].is_empty() {
+                    let later = interacting.partition_point(|&v| v < u);
+                    for &v in &interacting[later..] {
+                        improved |= exchange(u, v, assignment);
+                    }
+                } else {
+                    for v in (u + 1)..n {
+                        improved |= exchange(u, v, assignment);
                     }
                 }
             }
