@@ -30,9 +30,10 @@
 //! flight in the process ([`routes_in_flight`] counts every `route` and
 //! [`ComposedRouter::route_with_initial_mapping`] call), it runs its trials
 //! on `min(cores, trials)` scoped threads, the caller included; otherwise
-//! it runs them all on the calling thread. Routes already running side by
-//! side — the engine's workers in `eval`, `optimality` and the ablations —
-//! therefore never oversubscribe the host. Workers claim trial indices in
+//! it runs them all on the calling thread. A route that starts while
+//! another is in flight — as on the engine's workers in `eval`,
+//! `optimality` and the ablations — therefore starts no thread, and only
+//! a lone route borrows idle cores. Workers claim trial indices in
 //! order and keep the minimum by `(SWAP count, trial index)`, which is the
 //! trial the sequential loop keeps, so the routed circuit is the same at
 //! any worker count. There is no option for it: one code path serves every
@@ -95,11 +96,6 @@ impl InFlight {
     fn enter() -> Self {
         ROUTES_IN_FLIGHT.fetch_add(1, Ordering::SeqCst);
         InFlight
-    }
-
-    /// Whether this is the only route in flight in the process.
-    fn alone(&self) -> bool {
-        routes_in_flight() == 1
     }
 }
 
@@ -737,7 +733,7 @@ impl ComposedRouter {
 
 impl Router for ComposedRouter {
     fn route(&self, circuit: &Circuit, arch: &Architecture) -> Result<RoutedCircuit, RouteError> {
-        let in_flight = InFlight::enter();
+        let _in_flight = InFlight::enter();
         check_fit(circuit, arch)?;
         Ok(match self.spec.search {
             SearchSpec::Greedy {
@@ -745,9 +741,9 @@ impl Router for ComposedRouter {
                 mapping_passes,
                 stall_threshold,
             } => {
-                // Only a lone route fans its trials out, so routes already
-                // running side by side (engine workers) never oversubscribe.
-                let workers = if in_flight.alone() { cores() } else { 1 };
+                // Only a lone route fans its trials out: a route started
+                // beside another (engine workers) starts no thread.
+                let workers = if routes_in_flight() == 1 { cores() } else { 1 };
                 self.route_greedy(
                     circuit,
                     arch,
