@@ -2,10 +2,9 @@
 //!
 //! Every experiment entry point (`eval`, `optimality`, `case-study`,
 //! `ablations`, `analytics`, `suite export`, `suite verify`) is one function
-//! taking the raw argument list, with one flag vocabulary (parsed with the
-//! [`crate::microbench`] helpers). Commands return a process exit code with
-//! one meaning per failure class, so scripts and CI can react without
-//! parsing stderr:
+//! taking the raw argument list, with one flag vocabulary. Commands return
+//! a process exit code with one meaning per failure class, so scripts and
+//! CI can react without parsing stderr:
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -24,7 +23,6 @@ use crate::evaluation::{
     aggregate_by_tool, run_suite_evaluation_with_sink, run_tool_evaluation_with_sink,
     EvaluationConfig, SuiteEvalConfig,
 };
-use crate::microbench::{arg_value, flag_present};
 use crate::optimality::{
     run_optimality_study_with_sink, run_suite_optimality_with_sink, OptimalityConfig,
 };
@@ -34,7 +32,7 @@ use crate::report::{
 };
 use crate::store::{ExportOptions, SuiteStore};
 use qubikos_arch::DeviceKind;
-use qubikos_engine::{ProgressSink, StderrProgress, TeeSink, TimingSink, AUTO_THREADS};
+use qubikos_engine::{StderrProgress, AUTO_THREADS};
 use qubikos_layout::{ToolKind, ToolParseError};
 
 /// Exit code: the run completed and every check passed.
@@ -142,15 +140,14 @@ USAGE:
       `eval --suite` run banked — no circuits are loaded, memory stays flat,
       and the report is bit-identical at any thread count.
   qubikos eval [--arch DEV] [--tools LIST] [--full] [--threads N]
-               [--timing-json PATH] [--suite DIR] [--require-cached]
+               [--suite DIR] [--require-cached]
       Figure-4 tool evaluation. With --suite, runs from the stored corpus
       and the content-addressed result cache (already-evaluated
       (tool, circuit) pairs are not routed again); --require-cached exits
       nonzero unless every pair was a cache hit. --arch/--full apply only
       to in-memory runs (with --suite the manifest fixes both),
-      --tools restricts the run to a comma-separated subset (an
-      unrecognized name errors with a did-you-mean suggestion), and
-      --timing-json records the jobs that actually ran.
+      and --tools restricts the run to a comma-separated subset (an
+      unrecognized name errors with a did-you-mean suggestion).
   qubikos optimality [--full | --smoke] [--threads N] [--suite DIR]
                      [--exact-deadline-ms N]
       §IV-A optimality study. With --suite, verifies the stored corpus,
@@ -166,7 +163,7 @@ USAGE:
       The legacy hand-picked SABRE parameter sweeps.
   qubikos ablations --grid --suite DIR [--full] [--json PATH]
                     [--list-compositions] [--max-compositions N]
-                    [--require-cached] [--timing-json PATH] [--threads N]
+                    [--require-cached] [--threads N]
       Router-construction-kit ablation matrix: enumerates the composition
       cross-product of the policy axes (search, lookahead, decay,
       tie-breaking, placement, coupler weights), prunes redundant points,
@@ -250,6 +247,19 @@ pub fn suite_export_command(args: &[String]) -> CommandOutcome {
             Ok(0)
         }
     }
+}
+
+/// Returns the value following `flag` in `args`, if present.
+fn arg_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// Whether the bare flag `flag` appears in `args`.
+fn flag_present(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
 }
 
 /// Parses a `--flag N` numeric option, erroring when the flag is present
@@ -445,7 +455,6 @@ pub fn analytics_command(args: &[String]) -> CommandOutcome {
 pub fn eval_command(args: &[String]) -> CommandOutcome {
     let threads = threads_flag(args)?;
     let full = flag_present(args, "--full");
-    let timing_path = path_flag(args, "--timing-json", "an output path")?;
 
     if let Some(dir) = suite_flag(args)? {
         // Flags that would silently contradict the stored manifest are
@@ -471,26 +480,12 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
         }
         let progress =
             StderrProgress::new(format!("evaluate {} (suite)", store.device().name()), 20);
-        let timing = TimingSink::new();
-        let mut sinks: Vec<&dyn ProgressSink> = vec![&progress];
-        if timing_path.is_some() {
-            sinks.push(&timing);
-        }
-        let outcome = run_suite_evaluation_with_sink(&store, &config, &TeeSink::new(sinks))?;
+        let outcome = run_suite_evaluation_with_sink(&store, &config, &progress)?;
         println!("{}", render_evaluation(&outcome.report));
         eprintln!(
             "suite evaluation: {} (tool, circuit) pairs routed, {} served from cache",
             outcome.routed, outcome.cache_hits
         );
-        if let Some(path) = timing_path {
-            // Same shape as the in-memory export: (device, report) pairs —
-            // here a single device whose jobs are the cache misses.
-            let timings = vec![(
-                store.device().name().to_string(),
-                timing.report().expect("evaluation run finished"),
-            )];
-            write_json(&path, &timings, "per-job timings")?;
-        }
         return Ok(cache_policy(args, outcome.routed));
     }
 
@@ -511,7 +506,6 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
 
     let tools = parse_tools(args)?;
     let mut reports = Vec::new();
-    let mut timings = Vec::new();
     for device in devices {
         let mut config = if full {
             EvaluationConfig::paper(device)
@@ -528,31 +522,13 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
             config.suite.total_circuits(),
             config.suite.two_qubit_gates
         );
-        // Progress always streams to stderr; a fresh per-device timing sink
-        // rides along only when exporting, so job ids in the export never
-        // collide across devices and runs without --timing-json pay nothing.
         let progress = StderrProgress::new(format!("evaluate {}", device.name()), 20);
-        let timing = TimingSink::new();
-        let mut sinks: Vec<&dyn ProgressSink> = vec![&progress];
-        if timing_path.is_some() {
-            sinks.push(&timing);
-        }
-        let report = run_tool_evaluation_with_sink(&config, &TeeSink::new(sinks))?;
-        if timing_path.is_some() {
-            timings.push((
-                device.name().to_string(),
-                timing.report().expect("evaluation run finished"),
-            ));
-        }
+        let report = run_tool_evaluation_with_sink(&config, &progress)?;
         println!("{}", render_evaluation(&report));
         reports.push(report);
     }
     if reports.len() > 1 {
         println!("{}", render_aggregate(&aggregate_by_tool(&reports)));
-    }
-    if let Some(path) = timing_path {
-        // One timing report per device, keyed by device name.
-        write_json(&path, &timings, "per-job timings")?;
     }
     Ok(0)
 }
@@ -702,11 +678,10 @@ pub fn ablations_command(args: &[String]) -> CommandOutcome {
 }
 
 /// The `ablations` flags that only the composition matrix (`--grid`) reads.
-const GRID_ONLY_FLAGS: [&str; 7] = [
+const GRID_ONLY_FLAGS: [&str; 6] = [
     "--suite",
     "--list-compositions",
     "--json",
-    "--timing-json",
     "--require-cached",
     "--max-compositions",
     "--full",
@@ -747,16 +722,10 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
          against; create one with `qubikos suite export`)",
     )?;
     let json_path = path_flag(args, "--json", "an output path")?;
-    let timing_path = path_flag(args, "--timing-json", "an output path")?;
 
     let store = SuiteStore::open(&dir)?;
     let progress = StderrProgress::new(format!("ablation matrix {}", store.device().name()), 20);
-    let timing = TimingSink::new();
-    let mut sinks: Vec<&dyn ProgressSink> = vec![&progress];
-    if timing_path.is_some() {
-        sinks.push(&timing);
-    }
-    let outcome = run_composition_matrix(&store, &config, &TeeSink::new(sinks))?;
+    let outcome = run_composition_matrix(&store, &config, &progress)?;
     print!("{}", render_composition_matrix(&outcome.report));
     eprintln!(
         "ablation matrix: {} (composition, circuit) pairs routed, {} served from cache",
@@ -764,15 +733,6 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
     );
     if let Some(path) = json_path {
         write_json(&path, &outcome.report, "composition matrix")?;
-    }
-    if let Some(path) = timing_path {
-        // Same shape as the eval export: (label, report) pairs, one entry
-        // whose jobs are this run's cache misses.
-        let timings = vec![(
-            format!("ablation-matrix-{}", store.device().name()),
-            timing.report().expect("matrix run finished"),
-        )];
-        write_json(&path, &timings, "per-job timings")?;
     }
     Ok(cache_policy(args, outcome.routed))
 }
@@ -783,6 +743,16 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn arg_value_and_flag_present() {
+        let a = args(&["--arch", "aspen4", "--full"]);
+        assert_eq!(arg_value(&a, "--arch"), Some("aspen4".to_string()));
+        assert_eq!(arg_value(&a, "--out"), None);
+        assert_eq!(arg_value(&a, "--full"), None);
+        assert!(flag_present(&a, "--full"));
+        assert!(!flag_present(&a, "--smoke"));
     }
 
     #[test]
@@ -827,8 +797,9 @@ mod tests {
 
     #[test]
     fn trailing_path_flags_are_errors() {
-        assert!(eval_command(&args(&["--timing-json"])).is_err());
-        assert!(eval_command(&args(&["--timing-json", "--threads", "2"])).is_err());
+        assert!(analytics_command(&args(&["--suite", "x", "--json"])).is_err());
+        assert!(analytics_command(&args(&["--suite", "x", "--json", "--threads", "2"])).is_err());
+        assert!(ablations_command(&args(&["--grid", "--suite", "x", "--json"])).is_err());
         assert!(ablations_command(&args(&[
             "--grid",
             "--suite",
@@ -949,7 +920,6 @@ mod tests {
             &["--suite", "somewhere"][..],
             &["--list-compositions"],
             &["--json", "out.json"],
-            &["--timing-json", "timings.json"],
             &["--require-cached"],
             &["--max-compositions", "4"],
             &["--full"],

@@ -6,12 +6,12 @@
 //! | Figure 4 (a)–(d): SWAP-ratio optimality gaps of four tools on four devices | [`evaluation::run_tool_evaluation`], `qubikos eval` |
 //! | Abstract headline gaps (per-tool averages across devices) | [`evaluation::aggregate_by_tool`], printed by `qubikos eval` without `--arch` |
 //! | §IV-C LightSABRE case study (lookahead decay) | [`case_study::run_case_study`], `qubikos case-study` |
-//! | Design ablations (trials, extended-set size, padding) | [`ablations::run_ablations`], `qubikos ablations`, criterion benches |
+//! | Design ablations (trials, extended-set size, padding) | [`ablations::run_ablations`], `qubikos ablations` |
 //! | Router-construction-kit ablation matrix (composition cross-product ranked against known optima) | [`ablations::run_composition_matrix`], `qubikos ablations --grid` |
 //!
 //! The library functions return plain data structures so that both the CLI
-//! and the criterion benches can reuse them; [`report`] renders the tables
-//! the paper prints.
+//! and the benchmark under `perfbench/` can reuse them; [`report`] renders
+//! the tables the paper prints.
 //!
 //! Every command is a subcommand of the unified `qubikos` binary ([`cli`]
 //! holds the implementations). The pipelines can run from a persistent

@@ -1,72 +1,9 @@
-//! Shared machinery for the harness binaries: flag parsing helpers used by
-//! every command, and the micro-benchmark sampling methodology.
-//!
-//! `router_bench` and `exact_bench` expose the same `--json PATH` /
-//! `--samples N` interface and the same sampling methodology; both live
-//! here so the two bins — and their nightly JSON artifacts — never diverge.
-//! The generic `--flag value` helpers are also what the unified `qubikos`
-//! CLI and the per-command bins parse with, so a flag means the same thing
-//! everywhere.
-
-use std::time::Instant;
-
-/// Returns the value following `flag` in `args`, if present.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Whether the bare flag `flag` appears in `args`.
-pub fn flag_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Sorted wall-clock samples of one benchmarked operation.
-pub struct TimingSamples {
-    sorted_ns: Vec<u64>,
-}
-
-impl TimingSamples {
-    /// Runs `run` `samples` times and records each wall-clock duration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is zero.
-    pub fn collect(samples: usize, mut run: impl FnMut()) -> Self {
-        assert!(samples > 0, "at least one sample required");
-        let mut sorted_ns: Vec<u64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                run();
-                start.elapsed().as_nanos() as u64
-            })
-            .collect();
-        sorted_ns.sort_unstable();
-        TimingSamples { sorted_ns }
-    }
-
-    /// The median sample (upper median for even counts).
-    pub fn median_ns(&self) -> u64 {
-        self.sorted_ns[self.sorted_ns.len() / 2]
-    }
-
-    /// The fastest sample.
-    pub fn min_ns(&self) -> u64 {
-        self.sorted_ns[0]
-    }
-
-    /// The slowest sample.
-    pub fn max_ns(&self) -> u64 {
-        self.sorted_ns[self.sorted_ns.len() - 1]
-    }
-}
+//! Process-level measurement shared with the benchmark under `perfbench/`.
 
 /// The process's peak resident set size in kilobytes, read from
 /// `/proc/self/status` (`VmHWM`). Returns 0 on platforms without procfs —
-/// consumers (the nightly `store_bench` artifact) treat 0 as "unavailable",
-/// never as "no memory used".
+/// consumers (the benchmark's `peak_rss_mb` metric) treat 0 as
+/// "unavailable", never as "no memory used".
 pub fn peak_rss_kb() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
@@ -82,84 +19,9 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Parses `--json PATH` from `args`, panicking on a missing or flag-shaped
-/// path.
-///
-/// # Panics
-///
-/// Panics when `--json` is present without a following path, or when the
-/// "path" is itself a flag.
-pub fn json_path_flag(args: &[String]) -> Option<String> {
-    args.iter().position(|a| a == "--json").map(|i| {
-        let value = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--json requires an output path"));
-        assert!(
-            !value.starts_with("--"),
-            "--json requires an output path, found flag `{value}`"
-        );
-        value.clone()
-    })
-}
-
-/// Parses `--samples N` from `args`, falling back to `default` and clamping
-/// to at least 3 so a median is always a real middle element.
-///
-/// # Panics
-///
-/// Panics when `--samples` is present without a parseable positive integer.
-pub fn samples_flag(args: &[String], default: usize) -> usize {
-    args.iter()
-        .position(|a| a == "--samples")
-        .map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("--samples requires a count"))
-                .parse()
-                .expect("--samples takes a positive integer")
-        })
-        .unwrap_or(default)
-        .max(3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn arg_value_and_flag_present() {
-        let a = args(&["--arch", "aspen4", "--full"]);
-        assert_eq!(arg_value(&a, "--arch"), Some("aspen4".to_string()));
-        assert_eq!(arg_value(&a, "--out"), None);
-        assert_eq!(arg_value(&a, "--full"), None);
-        assert!(flag_present(&a, "--full"));
-        assert!(!flag_present(&a, "--smoke"));
-    }
-
-    #[test]
-    fn json_path_is_optional() {
-        assert_eq!(json_path_flag(&args(&["--samples", "5"])), None);
-        assert_eq!(
-            json_path_flag(&args(&["--json", "out.json"])),
-            Some("out.json".to_string())
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "found flag")]
-    fn json_path_rejects_flag_values() {
-        json_path_flag(&args(&["--json", "--samples"]));
-    }
-
-    #[test]
-    fn samples_defaults_and_clamps() {
-        assert_eq!(samples_flag(&args(&[]), 15), 15);
-        assert_eq!(samples_flag(&args(&["--samples", "25"]), 15), 25);
-        assert_eq!(samples_flag(&args(&["--samples", "1"]), 15), 3);
-    }
 
     #[test]
     fn peak_rss_is_positive_on_linux() {
@@ -170,14 +32,5 @@ mod tests {
         } else {
             assert_eq!(peak_rss_kb(), 0);
         }
-    }
-
-    #[test]
-    fn timing_samples_order_statistics() {
-        let mut tick = 0u64;
-        let samples = TimingSamples::collect(5, || tick += 1);
-        assert_eq!(tick, 5);
-        assert!(samples.min_ns() <= samples.median_ns());
-        assert!(samples.median_ns() <= samples.max_ns());
     }
 }

@@ -117,11 +117,11 @@ fn read_file(root: &std::path::Path, rel: &str) -> String {
         .unwrap_or_else(|e| panic!("read {rel} under {}: {e}", root.display()))
 }
 
-/// The acceptance criterion for the fault-injection tentpole: for every
-/// seed, driving export + eval + optimality + analytics under the seeded
-/// fault plan — re-running on failure, exactly as an operator (or the CI
-/// retry step) would — converges to a corpus whose manifest and shard
-/// manifests are byte-identical to the fault-free run, whose reports are
+/// The fault-injection convergence contract: for every seed, driving
+/// export + eval + optimality + analytics under the seeded fault plan —
+/// re-running on failure, exactly as an operator (or the CI retry step)
+/// would — converges to a corpus whose manifest and shard manifests are
+/// byte-identical to the fault-free run, whose reports are
 /// bit-identical, and whose quarantine report accounts for every file the
 /// store moved aside along the way.
 #[test]

@@ -221,71 +221,91 @@ fn interrupted_verify_resumes_from_the_ledger() {
     );
 }
 
-/// The tentpole's memory claim: evaluating a sharded corpus never holds more
-/// than one shard of circuits resident, a partial run's cache entries are a
-/// full resume (the follow-up run routes only the remaining shards), and the
-/// shard layout has no effect on the report's bytes.
+/// The streaming pipeline's memory and resume claims at every shard layout
+/// (one shard, two, one per instance): a fresh export verifies clean, a cold
+/// evaluation routes everything, a partial run's cache entries are a full
+/// resume (the follow-up run routes only the remaining shards), analytics
+/// covers every instance, no more than one shard of circuits is ever
+/// resident, and the shard layout has no effect on the report's bytes.
 #[test]
 fn streaming_evaluation_is_flat_memory_and_resumes_via_cache() {
-    let sharded = TempDir::new("eval-sharded");
-    let monolith = TempDir::new("eval-monolith");
     let config = fixture_config();
     let eval = SuiteEvalConfig::default().with_threads(2);
+    let total = config.total_circuits();
+    let pairs = total * eval.tools.len();
+    let mut expected = None;
 
-    let store = SuiteStore::export_with_options(
-        &sharded.0,
-        DeviceKind::Grid3x3,
-        &config,
-        &ExportOptions::default().with_shard_size(1),
-        2,
-        &NullSink,
-    )
-    .expect("export")
-    .store
-    .expect("completes");
+    for shard_size in [total, 2, 1] {
+        let dir = TempDir::new(&format!("eval-shards-{shard_size}"));
+        let store = SuiteStore::export_with_options(
+            &dir.0,
+            DeviceKind::Grid3x3,
+            &config,
+            &ExportOptions::default().with_shard_size(shard_size),
+            2,
+            &NullSink,
+        )
+        .expect("export")
+        .store
+        .expect("completes");
+        let shards = store.shard_count();
+        assert_eq!(shards, total.div_ceil(shard_size));
+        let verify = store
+            .verify_streaming(2, None, &NullSink)
+            .expect("verify runs");
+        assert!(verify.failures.is_empty(), "fresh export verifies clean");
 
-    // Interrupted evaluation: 2 of 4 shards, everything routed fresh.
-    let partial =
-        run_suite_evaluation_partial(&store, &eval, Some(2), &NullSink).expect("partial eval");
-    assert!(!partial.complete);
-    assert_eq!(partial.shards, 2);
-    assert_eq!(partial.routed, 8, "2 shards x 1 circuit x 4 tools");
-    assert_eq!(partial.cache_hits, 0);
+        // Cold, interrupted evaluation: the first half of the shards (at
+        // least one), everything routed fresh.
+        store.reset_residency_peak();
+        let stop = (shards / 2).max(1);
+        let partial = run_suite_evaluation_partial(&store, &eval, Some(stop), &NullSink)
+            .expect("partial eval");
+        assert_eq!(partial.complete, stop == shards);
+        assert_eq!(partial.shards, stop);
+        assert_eq!(
+            partial.cache_hits, 0,
+            "cold store evaluates everything fresh"
+        );
+        assert_eq!(
+            partial.routed,
+            (stop * shard_size).min(total) * eval.tools.len()
+        );
 
-    // The full re-run is a resume: the first 2 shards are pure cache hits
-    // (their circuits are never even loaded), only the rest routes.
-    store.reset_residency_peak();
-    let full = run_suite_evaluation(&store, &eval).expect("full eval");
-    assert!(full.complete);
-    assert_eq!(full.shards, 4);
-    assert_eq!(full.cache_hits, 8, "partial run's shards come from cache");
-    assert_eq!(full.routed, 8);
-    assert!(
-        store.residency_peak() <= 1,
-        "streaming eval kept {} shards resident",
-        store.residency_peak()
-    );
+        // The full re-run is a resume: the partial run's shards are pure
+        // cache hits (their circuits are never even loaded), only the rest
+        // routes.
+        let full = run_suite_evaluation(&store, &eval).expect("full eval");
+        assert!(full.complete);
+        assert_eq!(full.shards, shards);
+        assert_eq!(
+            full.cache_hits, partial.routed,
+            "partial run's shards come from cache"
+        );
+        assert_eq!(full.routed, pairs - partial.routed);
 
-    // Shard layout is invisible in the results: a single-shard corpus of the
-    // same config reports identical bytes.
-    let reference = SuiteStore::export_with_options(
-        &monolith.0,
-        DeviceKind::Grid3x3,
-        &config,
-        &ExportOptions::default(),
-        2,
-        &NullSink,
-    )
-    .expect("export")
-    .store
-    .expect("completes");
-    assert_eq!(reference.shard_count(), 1);
-    let expected = run_suite_evaluation(&reference, &eval).expect("reference eval");
-    assert_eq!(
-        serde_json::to_string(&full.report).expect("serialize"),
-        serde_json::to_string(&expected.report).expect("serialize"),
-        "shard layout must not change the report"
-    );
+        let analytics = run_suite_analytics(&store, &AnalyticsConfig::default().with_threads(2))
+            .expect("analytics runs");
+        assert_eq!(
+            analytics.summary.fully_covered as usize,
+            store.total_instances(),
+            "the eval passes banked a cache entry for every (tool, circuit) pair"
+        );
+        assert!(
+            store.residency_peak() <= 1,
+            "shard size {shard_size}: streaming eval and analytics kept {} shards resident",
+            store.residency_peak()
+        );
+
+        // Shard layout is invisible in the results: every layout reports the
+        // single-shard corpus's bytes.
+        let report = serde_json::to_string(&full.report).expect("serialize");
+        assert_eq!(
+            &report,
+            expected.get_or_insert_with(|| report.clone()),
+            "shard size {shard_size} must not change the report"
+        );
+    }
 }
 
 /// The analytics fold reads only the result cache, covers exactly what the

@@ -41,7 +41,7 @@ fn tiny_suite() -> SuiteConfig {
     }
 }
 
-/// ISSUE 5's acceptance criterion: `suite export` → `eval --suite`
+/// The store's round-trip contract: `suite export` → `eval --suite`
 /// reproduces the in-memory pipeline's report bit-identically, and a second
 /// `eval` on the same suite completes with **zero** routed circuits (all
 /// cache hits).

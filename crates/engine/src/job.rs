@@ -4,7 +4,7 @@
 //! equal to its index in the submitted worklist. The id is *stable*: it does
 //! not depend on which worker runs the job or in which order jobs finish, so
 //! everything derived from it — the per-job RNG seed, the position of the
-//! job's result in the merged output, the rows of a timing artifact — is
+//! job's result in the merged output, the record a progress sink sees — is
 //! identical across any thread count.
 
 use serde::{Deserialize, Serialize};
@@ -182,10 +182,9 @@ pub struct JobOutput<T> {
     pub value: T,
 }
 
-/// Timing record of one completed job, as streamed to progress sinks and
-/// exported in nightly timing artifacts. Serializes to flat JSON (the
-/// duration is stored in integer microseconds, not a `Duration`, so the
-/// artifact is toolchain-agnostic).
+/// Timing record of one completed job, as streamed to progress sinks.
+/// Serializes to flat JSON (the duration is stored in integer microseconds,
+/// not a `Duration`, so a record is toolchain-agnostic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Index of the job in the worklist.

@@ -16,7 +16,7 @@
 //! * a panicking job aborts the run with the *job's identity and payload*
 //!   ([`EngineError::JobPanicked`]) instead of poisoning a mutex;
 //! * per-job wall-clock timings stream to pluggable [`ProgressSink`]s
-//!   (stderr progress for CLIs, JSON timing artifacts for nightly CI).
+//!   (stderr progress for CLIs, per-layer metrics for the benchmark).
 //!
 //! ## Using the engine
 //!
@@ -55,7 +55,5 @@ pub mod threads;
 
 pub use executor::{Engine, EngineError};
 pub use job::{JobContext, JobDeadline, JobId, JobKey, JobOutput, JobRecord};
-pub use progress::{
-    NullSink, ProgressSink, RunSummary, StderrProgress, TeeSink, TimingReport, TimingSink,
-};
-pub use threads::{available_threads, resolve_threads, threads_from_args, AUTO_THREADS};
+pub use progress::{NullSink, ProgressSink, RunSummary, StderrProgress};
+pub use threads::{available_threads, resolve_threads, AUTO_THREADS};

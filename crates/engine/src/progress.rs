@@ -2,15 +2,14 @@
 //!
 //! The executor reports every completed job to a [`ProgressSink`] while the
 //! run is still going, so long experiments can stream progress to stderr and
-//! nightly CI can collect per-job wall-clock timings without the pipelines
+//! a benchmark can collect per-job wall-clock timings without the pipelines
 //! knowing anything about either. Sinks observe jobs in **completion order**
-//! (schedule-dependent); anything that must be deterministic sorts by job id,
-//! as [`TimingSink::sorted_records`] does.
+//! (schedule-dependent); anything that must be deterministic sorts by job
+//! id.
 
 use crate::job::JobRecord;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Summary of a finished run, handed to [`ProgressSink::run_finished`].
@@ -122,109 +121,6 @@ impl ProgressSink for StderrProgress {
     }
 }
 
-/// Collects every [`JobRecord`] plus the run summary of the **most recent**
-/// engine run, for export as a JSON timing artifact (nightly CI uploads one
-/// per engine smoke run). `run_started` clears the previous run's records,
-/// so reusing one sink across several runs yields the last run's report
-/// instead of an id-colliding merge; attach a fresh sink per run to keep
-/// every report.
-#[derive(Debug, Default)]
-pub struct TimingSink {
-    records: Mutex<Vec<JobRecord>>,
-    summary: Mutex<Option<RunSummary>>,
-}
-
-/// The JSON document [`TimingSink::report`] produces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TimingReport {
-    /// Run-level totals.
-    pub summary: RunSummary,
-    /// One record per job, sorted by job id.
-    pub jobs: Vec<JobRecord>,
-}
-
-impl TimingSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The collected records sorted by job id (deterministic across thread
-    /// counts, unlike the completion order they arrived in).
-    pub fn sorted_records(&self) -> Vec<JobRecord> {
-        let mut records = self.records.lock().expect("timing sink poisoned").clone();
-        records.sort_unstable_by_key(|r| r.job);
-        records
-    }
-
-    /// Builds the exportable report; `None` until a run has finished.
-    pub fn report(&self) -> Option<TimingReport> {
-        let summary = (*self.summary.lock().expect("timing sink poisoned"))?;
-        Some(TimingReport {
-            summary,
-            jobs: self.sorted_records(),
-        })
-    }
-}
-
-impl ProgressSink for TimingSink {
-    fn run_started(&self, _total_jobs: usize, _threads: usize) {
-        self.records.lock().expect("timing sink poisoned").clear();
-        *self.summary.lock().expect("timing sink poisoned") = None;
-    }
-
-    fn job_finished(&self, record: &JobRecord) {
-        self.records
-            .lock()
-            .expect("timing sink poisoned")
-            .push(*record);
-    }
-
-    fn run_finished(&self, summary: &RunSummary) {
-        *self.summary.lock().expect("timing sink poisoned") = Some(*summary);
-    }
-}
-
-/// Fans every callback out to several sinks, so a CLI can stream progress to
-/// stderr *and* collect timings for export from the same run.
-#[derive(Default)]
-pub struct TeeSink<'a> {
-    sinks: Vec<&'a dyn ProgressSink>,
-}
-
-impl<'a> TeeSink<'a> {
-    /// Creates a tee over the given sinks (called in order).
-    pub fn new(sinks: Vec<&'a dyn ProgressSink>) -> Self {
-        TeeSink { sinks }
-    }
-}
-
-impl ProgressSink for TeeSink<'_> {
-    fn run_started(&self, total_jobs: usize, threads: usize) {
-        for sink in &self.sinks {
-            sink.run_started(total_jobs, threads);
-        }
-    }
-
-    fn job_finished(&self, record: &JobRecord) {
-        for sink in &self.sinks {
-            sink.job_finished(record);
-        }
-    }
-
-    fn job_deadline_exceeded(&self, record: &JobRecord, limit: Duration) {
-        for sink in &self.sinks {
-            sink.job_deadline_exceeded(record, limit);
-        }
-    }
-
-    fn run_finished(&self, summary: &RunSummary) {
-        for sink in &self.sinks {
-            sink.run_finished(summary);
-        }
-    }
-}
-
 /// Converts a [`Duration`] to the microsecond resolution used in records,
 /// saturating instead of overflowing for pathological (>584k-year) runs.
 pub(crate) fn as_micros(duration: Duration) -> u64 {
@@ -234,82 +130,6 @@ pub(crate) fn as_micros(duration: Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timing_sink_sorts_by_job_id() {
-        let sink = TimingSink::new();
-        for job in [2usize, 0, 1] {
-            sink.job_finished(&JobRecord {
-                job,
-                seed: job as u64,
-                worker: 0,
-                micros: 10,
-            });
-        }
-        assert!(sink.report().is_none(), "no summary before run_finished");
-        sink.run_finished(&RunSummary {
-            jobs: 3,
-            threads: 2,
-            wall_micros: 30,
-            busy_micros: 30,
-        });
-        let report = sink.report().expect("summary recorded");
-        let ids: Vec<usize> = report.jobs.iter().map(|r| r.job).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
-        let json = serde_json::to_string(&report).expect("serialize");
-        let back: TimingReport = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn timing_sink_captures_only_the_latest_run() {
-        let sink = TimingSink::new();
-        for run in 0..3u64 {
-            sink.run_started(2, 1);
-            for job in 0..2 {
-                sink.job_finished(&JobRecord {
-                    job,
-                    seed: run,
-                    worker: 0,
-                    micros: run * 100,
-                });
-            }
-            sink.run_finished(&RunSummary {
-                jobs: 2,
-                threads: 1,
-                wall_micros: run * 200,
-                busy_micros: run * 200,
-            });
-        }
-        let report = sink.report().expect("finished");
-        // No id collisions from earlier runs; summary matches the records.
-        assert_eq!(report.jobs.len(), 2);
-        assert!(report.jobs.iter().all(|r| r.seed == 2));
-        assert_eq!(report.summary.wall_micros, 400);
-    }
-
-    #[test]
-    fn tee_sink_forwards_to_every_sink() {
-        let a = TimingSink::new();
-        let b = TimingSink::new();
-        let tee = TeeSink::new(vec![&a, &b]);
-        tee.run_started(1, 1);
-        tee.job_finished(&JobRecord {
-            job: 0,
-            seed: 4,
-            worker: 0,
-            micros: 2,
-        });
-        tee.run_finished(&RunSummary {
-            jobs: 1,
-            threads: 1,
-            wall_micros: 2,
-            busy_micros: 2,
-        });
-        assert_eq!(a.sorted_records(), b.sorted_records());
-        assert_eq!(a.report().expect("finished").summary.jobs, 1);
-        assert_eq!(b.report().expect("finished").summary.jobs, 1);
-    }
 
     #[test]
     fn stderr_progress_counts_without_panicking() {

@@ -31,57 +31,14 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Parses the shared `--threads N` CLI flag out of pre-collected arguments.
-///
-/// Returns `None` when the flag is absent (callers then fall back to
-/// [`AUTO_THREADS`]). A present flag with a missing or non-numeric value is
-/// a usage error and panics with a usage message, matching how the bench
-/// binaries treat malformed flags.
-pub fn threads_from_args(args: &[String]) -> Option<usize> {
-    let position = args.iter().position(|a| a == "--threads")?;
-    let value = args
-        .get(position + 1)
-        .unwrap_or_else(|| panic!("--threads requires a value (a positive integer or 0 for auto)"));
-    let threads = value
-        .parse::<usize>()
-        .unwrap_or_else(|_| panic!("--threads value `{value}` is not a non-negative integer"));
-    Some(threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn auto_resolves_to_available_parallelism() {
         assert_eq!(resolve_threads(AUTO_THREADS), available_threads());
         assert!(resolve_threads(AUTO_THREADS) >= 1);
         assert_eq!(resolve_threads(3), 3);
-    }
-
-    #[test]
-    fn parses_threads_flag() {
-        assert_eq!(threads_from_args(&args(&["--full"])), None);
-        assert_eq!(threads_from_args(&args(&["--threads", "8"])), Some(8));
-        assert_eq!(
-            threads_from_args(&args(&["--full", "--threads", "0"])),
-            Some(0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "--threads requires a value")]
-    fn missing_threads_value_panics() {
-        threads_from_args(&args(&["--threads"]));
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a non-negative integer")]
-    fn malformed_threads_value_panics() {
-        threads_from_args(&args(&["--threads", "many"]));
     }
 }

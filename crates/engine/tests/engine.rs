@@ -3,8 +3,9 @@
 //! panic propagation.
 
 use proptest::prelude::*;
-use qubikos_engine::{Engine, EngineError, JobId, NullSink, TimingSink};
+use qubikos_engine::{Engine, EngineError, JobId, JobRecord, NullSink, ProgressSink, RunSummary};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Runs the same job function over `jobs` at a given thread count and
@@ -170,20 +171,43 @@ fn worker_state_is_built_once_per_worker_and_reused() {
     assert_eq!(outputs.len(), 64);
 }
 
-/// The timing sink observes every job exactly once and its sorted export is
-/// in job order even though completion order is schedule-dependent.
+/// Records every job and the run summary a sink is handed.
+#[derive(Default)]
+struct RecordingSink {
+    records: Mutex<Vec<JobRecord>>,
+    summary: Mutex<Option<RunSummary>>,
+}
+
+impl ProgressSink for RecordingSink {
+    fn job_finished(&self, record: &JobRecord) {
+        self.records.lock().expect("sink poisoned").push(*record);
+    }
+
+    fn run_finished(&self, summary: &RunSummary) {
+        *self.summary.lock().expect("sink poisoned") = Some(*summary);
+    }
+}
+
+/// A sink observes every job exactly once, with the seed derived from its
+/// id, even though completion order is schedule-dependent.
 #[test]
 fn timing_sink_sees_every_job() {
     let jobs: Vec<u64> = (0..40).collect();
-    let sink = TimingSink::new();
+    let sink = RecordingSink::default();
     Engine::new(4)
         .with_base_seed(11)
         .run(&jobs, |_| (), |_, _, &job| job, &sink)
         .expect("no panics");
-    let report = sink.report().expect("run finished");
-    assert_eq!(report.summary.jobs, 40);
-    assert_eq!(report.jobs.len(), 40);
-    for (index, record) in report.jobs.iter().enumerate() {
+    let summary = sink
+        .summary
+        .lock()
+        .expect("sink poisoned")
+        .expect("run finished");
+    assert_eq!(summary.jobs, 40);
+    let mut records = sink.records.into_inner().expect("sink poisoned");
+    records.sort_unstable_by_key(|r| r.job);
+    assert_eq!(records.len(), 40);
+    for (index, record) in records.iter().enumerate() {
         assert_eq!(record.job, index);
         assert_eq!(record.seed, JobId(index).derive_seed(11));
     }

@@ -16,8 +16,7 @@
 //! Zobrist-hashed transposition table, canonicalized SWAP sequences, and a
 //! packing lower bound (see [`solver`] for the architecture and the
 //! soundness arguments); the naive pre-refactor DFS is preserved in
-//! [`solver::reference`] as the differential-testing and benchmarking
-//! baseline.
+//! [`solver::reference`] as the differential-testing baseline.
 //!
 //! # Example
 //!

@@ -32,7 +32,7 @@
 //! SWAPs left" is a statement independent of the query that discovered it.
 //!
 //! The pre-refactor clone-per-branch DFS survives as
-//! [`reference`](mod@reference) for differential tests and benchmarks.
+//! [`reference`](mod@reference) for the differential tests.
 //!
 //! # Canonicalization soundness
 //!

@@ -1,13 +1,10 @@
 //! The pre-refactor clone-per-branch DFS, kept verbatim as a baseline.
 //!
-//! This module exists for two consumers only:
-//!
-//! * the **differential tests**, which check that the optimized core in
-//!   [`super`] (in-place do/undo state, transposition table, SWAP
-//!   canonicalization, packing bound) reports identical
-//!   `optimal_swaps`/`proven` answers on randomized instances;
-//! * the **benchmarks** (`benches/exact_solver.rs`, the `exact_bench` bin),
-//!   which quantify the node-count and wall-clock reduction against it.
+//! This module exists for one consumer only: the **differential tests**
+//! (`tests/differential.rs`), which check that the optimized core in
+//! [`super`] (in-place do/undo state, transposition table, SWAP
+//! canonicalization, packing bound) reports identical
+//! `optimal_swaps`/`proven` answers on randomized and generated instances.
 //!
 //! Do not use it in pipelines: it clones four `Vec`s per search node and
 //! rescans the whole DAG for ready gates, which is exactly what the rewrite

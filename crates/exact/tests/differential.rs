@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use qubikos_arch::devices;
 use qubikos_circuit::{Circuit, Gate};
 use qubikos_exact::solver::reference::ReferenceSolver;
-use qubikos_exact::{ExactConfig, ExactSolver};
+use qubikos_exact::{ExactConfig, ExactResult, ExactSolver};
 
 /// Strategy: a random all-two-qubit circuit (single-qubit gates never affect
 /// SWAP optimality, so they would only dilute the search).
@@ -36,7 +36,13 @@ fn config(max_swaps: usize) -> ExactConfig {
     }
 }
 
-fn assert_solvers_agree(circuit: &Circuit, arch: &qubikos_arch::Architecture, max_swaps: usize) {
+/// Solves `circuit` with both solvers, asserts they agree, and returns the
+/// optimized solver's result.
+fn assert_solvers_agree(
+    circuit: &Circuit,
+    arch: &qubikos_arch::Architecture,
+    max_swaps: usize,
+) -> ExactResult {
     let optimized = ExactSolver::new(config(max_swaps)).solve(circuit, arch);
     let reference = ReferenceSolver::new(config(max_swaps)).solve(circuit, arch);
     assert_eq!(
@@ -47,6 +53,7 @@ fn assert_solvers_agree(circuit: &Circuit, arch: &qubikos_arch::Architecture, ma
         optimized.proven, reference.proven,
         "proven diverged on {circuit:?}"
     );
+    optimized
 }
 
 proptest! {
@@ -72,7 +79,9 @@ proptest! {
 /// A fixed sweep of deterministic seeds over real QUBIKOS instances — the
 /// exact population the §IV-A study feeds the solver — so the differential
 /// check also covers the generator's structured (backbone + padding) shape,
-/// not just uniform-random circuits.
+/// not just uniform-random circuits. Three 16-gate instances (seed 9,
+/// designed SWAPs 1–3) must also be proven optimal at exactly their
+/// designed count.
 #[test]
 fn optimized_and_reference_agree_on_qubikos_instances() {
     use qubikos::{generate, GeneratorConfig};
@@ -83,5 +92,16 @@ fn optimized_and_reference_agree_on_qubikos_instances() {
                 .expect("generates");
             assert_solvers_agree(bench.circuit(), &arch, 3);
         }
+    }
+    for designed in 1..=3usize {
+        let bench =
+            generate(&arch, &GeneratorConfig::new(designed, 16).with_seed(9)).expect("generates");
+        let result = assert_solvers_agree(bench.circuit(), &arch, 3);
+        assert_eq!(
+            result.optimal_swaps,
+            Some(designed),
+            "designed count is optimal"
+        );
+        assert!(result.proven, "both solvers prove the optimum");
     }
 }
