@@ -693,10 +693,34 @@ mod tests {
         assert_eq!(reference, parallel);
     }
 
+    /// FNV-1a over the grid's composition ids joined by newlines: the
+    /// cache namespaces the matrix writes under.
+    fn ids_fingerprint(specs: &[RouterSpec]) -> u64 {
+        let ids: Vec<String> = specs.iter().map(RouterSpec::id).collect();
+        ids.join("\n")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
     #[test]
     fn quick_grid_enumerates_a_pruned_cross_product() {
         let grid = CompositionGrid::quick();
         let specs = grid.enumerate();
+        assert_eq!(specs.len(), 66);
+        assert_eq!(
+            ids_fingerprint(&specs),
+            0x010d_982a_af9c_af34,
+            "quick grid ids changed"
+        );
+        let paper = CompositionGrid::paper().enumerate();
+        assert_eq!(paper.len(), 435);
+        assert_eq!(
+            ids_fingerprint(&paper),
+            0x1f08_18a2_4f93_4a11,
+            "paper grid ids changed"
+        );
         assert!(
             specs.len() >= 24,
             "quick grid must enumerate at least 24 distinct compositions, got {}",

@@ -408,3 +408,88 @@ fn standalone_streams_are_pinned() {
         "a standalone routed stream changed (grid-4x4, aspen-4, eagle-127 × lightsabre, qmap)"
     );
 }
+
+/// Router-construction-kit pins: one [`stream_fingerprint`] per policy-axis
+/// choice that none of the paper tools makes, on the grid-4x4 fixture
+/// circuit at [`TOOL_SEED`]. In order: LightSABRE with distance-refined
+/// ties; LightSABRE with identity and with multilevel placement (4 trials
+/// × 2 passes, so both also run their random-restart trials); LightSABRE
+/// with fidelity weights; LightSABRE with a lookahead depth decay; t|ket⟩
+/// with an additive decay; t|ket⟩ with distance-refined ties and the SABRE
+/// lookahead.
+#[test]
+fn ablation_axis_streams_are_pinned() {
+    use qubikos_layout::{
+        DecaySpec, LookaheadSpec, PlacementSpec, Router, RouterSpec, SearchSpec, TieBreakerSpec,
+        WeightsSpec,
+    };
+    let arch = devices::grid(4, 4);
+    let circuit = random_circuit(12, 60, 7);
+    let restarts = SearchSpec::Greedy {
+        trials: 4,
+        mapping_passes: 2,
+        stall_threshold: 64,
+    };
+    let sabre = RouterSpec::lightsabre();
+    let tket = RouterSpec::tket();
+    let specs = [
+        RouterSpec {
+            tie_breaker: TieBreakerSpec::DistanceRefined,
+            ..sabre
+        },
+        RouterSpec {
+            search: restarts,
+            placement: PlacementSpec::Identity,
+            ..sabre
+        },
+        RouterSpec {
+            search: restarts,
+            placement: PlacementSpec::Multilevel,
+            ..sabre
+        },
+        RouterSpec {
+            weights: WeightsSpec::Fidelity { seed: 3 },
+            ..sabre
+        },
+        RouterSpec {
+            lookahead: LookaheadSpec {
+                depth_decay: Some(0.8),
+                ..LookaheadSpec::sabre_default()
+            },
+            ..sabre
+        },
+        RouterSpec {
+            decay: DecaySpec::Additive {
+                increment: 0.01,
+                reset_interval: 3,
+            },
+            ..tket
+        },
+        RouterSpec {
+            tie_breaker: TieBreakerSpec::DistanceRefined,
+            lookahead: LookaheadSpec::sabre_default(),
+            ..tket
+        },
+    ];
+    let got: Vec<u64> = specs
+        .iter()
+        .map(|spec| {
+            let routed = spec.build(TOOL_SEED).route(&circuit, &arch).expect("fits");
+            validate_routing(&circuit, &arch, &routed).expect("valid routing");
+            stream_fingerprint(&routed)
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            0xcb40_64b1_275d_3076,
+            0x1363_13c0_e30a_b9d2,
+            0xd471_6252_f0bc_1e0f,
+            0x5adb_bc83_3105_44b6,
+            0x2dea_7334_4e6f_d677,
+            0xcf41_b702_cc6b_b9bf,
+            0x2df5_dce0_a71a_7198,
+        ],
+        "an ablation-axis routed stream changed (grid-4x4)"
+    );
+}
