@@ -193,6 +193,18 @@ EXIT CODES:
 ///
 /// Store/generation errors.
 pub fn suite_export_command(args: &[String]) -> CommandOutcome {
+    reject_unknown_flags(
+        "suite export",
+        args,
+        &["--full"],
+        &[
+            "--arch",
+            "--out",
+            "--threads",
+            "--shard-size",
+            "--max-shards",
+        ],
+    )?;
     let device = parse_arch(args)?.unwrap_or(DeviceKind::Aspen4);
     let out = arg_value(args, "--out").unwrap_or_else(|| "qubikos_suite".to_string());
     let threads = threads_flag(args)?;
@@ -260,6 +272,34 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// Whether the bare flag `flag` appears in `args`.
 fn flag_present(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// Errors on the first argument of `command` that its usage line does not
+/// list: `bare` are the flags that stand alone, `valued` the flags that
+/// take a value, which is skipped unless it is itself a flag (the flag's
+/// own parser then reports the missing value). A removed or misspelt flag
+/// must never be a silent no-op.
+fn reject_unknown_flags(
+    command: &str,
+    args: &[String],
+    bare: &[&str],
+    valued: &[&str],
+) -> Result<(), Box<dyn std::error::Error>> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            if rest
+                .as_slice()
+                .first()
+                .is_some_and(|v| !v.starts_with("--"))
+            {
+                rest.next();
+            }
+        } else if !bare.contains(&arg.as_str()) {
+            return Err(format!("{command}: unknown flag `{arg}` (see `qubikos help`)").into());
+        }
+    }
+    Ok(())
 }
 
 /// Parses a `--flag N` numeric option, erroring when the flag is present
@@ -390,6 +430,12 @@ fn write_json(
 /// Store errors (unreadable root index, IO); integrity violations are
 /// reported on stderr and exit code 1, not `Err`.
 pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
+    reject_unknown_flags(
+        "suite verify",
+        args,
+        &[],
+        &["--suite", "--threads", "--max-shards"],
+    )?;
     let dir = suite_flag(args)?
         .ok_or("suite verify requires --suite DIR (the exported suite directory)")?;
     let threads = threads_flag(args)?;
@@ -433,6 +479,7 @@ pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
 ///
 /// Store errors (unreadable root index or shard manifests).
 pub fn analytics_command(args: &[String]) -> CommandOutcome {
+    reject_unknown_flags("analytics", args, &[], &["--suite", "--threads", "--json"])?;
     let dir =
         suite_flag(args)?.ok_or("analytics requires --suite DIR (the exported suite directory)")?;
     let json_path = path_flag(args, "--json", "an output path")?;
@@ -453,6 +500,12 @@ pub fn analytics_command(args: &[String]) -> CommandOutcome {
 ///
 /// Generation or store errors.
 pub fn eval_command(args: &[String]) -> CommandOutcome {
+    reject_unknown_flags(
+        "eval",
+        args,
+        &["--full", "--require-cached"],
+        &["--arch", "--tools", "--threads", "--suite"],
+    )?;
     let threads = threads_flag(args)?;
     let full = flag_present(args, "--full");
 
@@ -539,6 +592,12 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
 ///
 /// Generation or store errors.
 pub fn optimality_command(args: &[String]) -> CommandOutcome {
+    reject_unknown_flags(
+        "optimality",
+        args,
+        &["--full", "--smoke"],
+        &["--threads", "--suite", "--exact-deadline-ms"],
+    )?;
     let full = flag_present(args, "--full");
     let smoke = flag_present(args, "--smoke");
     let mut config = if full {
@@ -611,6 +670,7 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
 ///
 /// A `--decay` that is not a finite number above 0, or generation errors.
 pub fn case_study_command(args: &[String]) -> CommandOutcome {
+    reject_unknown_flags("case-study", args, &["--full"], &["--decay", "--threads"])?;
     let decay = match arg_value(args, "--decay") {
         None if flag_present(args, "--decay") => return Err("--decay requires a number".into()),
         None => 0.7,
@@ -668,6 +728,7 @@ pub fn ablations_command(args: &[String]) -> CommandOutcome {
     if let Some(flag) = GRID_ONLY_FLAGS.iter().find(|flag| flag_present(args, flag)) {
         return Err(format!("{flag} applies only to the composition matrix; add --grid").into());
     }
+    reject_unknown_flags("ablations", args, &[], &["--threads"])?;
     let config = AblationConfig::paper().with_threads(threads);
     // One sink across all sweeps: each engine run restarts the progress
     // counter, so the multi-minute paper sweep streams per-run progress.
@@ -691,6 +752,17 @@ const GRID_ONLY_FLAGS: [&str; 6] = [
 /// cross-product, rank it against a stored known-optimal suite through the
 /// per-composition result cache, and render/export the ranking.
 fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
+    reject_unknown_flags(
+        "ablations --grid",
+        args,
+        &[
+            "--grid",
+            "--full",
+            "--list-compositions",
+            "--require-cached",
+        ],
+        &["--suite", "--json", "--max-compositions", "--threads"],
+    )?;
     let mut config = MatrixConfig::quick().with_threads(threads);
     if flag_present(args, "--full") {
         config.grid = crate::ablations::CompositionGrid::paper();
@@ -955,6 +1027,39 @@ mod tests {
         ]))
         .expect("truncated dry run");
         assert_eq!(code, EXIT_OK);
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_not_silent_no_ops() {
+        // A removed flag: it must not run and write nothing.
+        let err = eval_command(&args(&["--arch", "grid3x3", "--timing-json", "t.json"]))
+            .expect_err("a removed flag must not be ignored");
+        assert!(
+            err.to_string().contains("unknown flag `--timing-json`"),
+            "{err}"
+        );
+        // A typo of `--threads`, whose value must not be taken for a flag.
+        let err = eval_command(&args(&["--thread", "2"])).expect_err("typo");
+        assert!(err.to_string().contains("unknown flag `--thread`"), "{err}");
+        let commands: [fn(&[String]) -> CommandOutcome; 7] = [
+            suite_export_command,
+            suite_verify_command,
+            analytics_command,
+            eval_command,
+            optimality_command,
+            case_study_command,
+            ablations_command,
+        ];
+        for command in commands {
+            assert!(command(&args(&["--thread", "2"])).is_err());
+            assert!(command(&args(&["stray"])).is_err());
+        }
+        assert!(
+            ablations_command(&args(&["--grid", "--list-compositions", "--thread", "2"])).is_err()
+        );
+        // The legacy sweeps keep their more specific message.
+        let err = ablations_command(&args(&["--json", "x.json"])).expect_err("grid-only");
+        assert!(err.to_string().contains("add --grid"), "{err}");
     }
 
     #[test]

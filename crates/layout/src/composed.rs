@@ -2,11 +2,12 @@
 //!
 //! A [`RouterSpec`] is a small, serializable value describing one point in
 //! the routing design space — a search engine ([`SearchSpec`]) plus one
-//! choice per policy axis of [`crate::kernel::policy`]: lookahead
-//! ([`LookaheadSpec`]), decay ([`DecaySpec`]), tie-breaking
-//! ([`TieBreakerSpec`]), placement ([`PlacementSpec`]) and coupler
-//! weighting ([`WeightsSpec`]). [`RouterSpec::build`] turns a spec plus an
-//! RNG seed into a [`ComposedRouter`] implementing [`Router`].
+//! choice per policy axis: lookahead ([`LookaheadSpec`]), decay
+//! ([`DecaySpec`]), tie-breaking ([`TieBreakerSpec`]) and placement
+//! ([`PlacementSpec`]), the axis types of [`crate::kernel::policy`] that
+//! also run the choice they name, and coupler weighting ([`WeightsSpec`]).
+//! [`RouterSpec::build`] turns a spec plus an RNG seed into a
+//! [`ComposedRouter`] implementing [`Router`].
 //!
 //! [`ComposedRouter`] is the only [`Router`]. The four paper tools are named
 //! compositions — [`RouterSpec::lightsabre`], [`RouterSpec::tket`],
@@ -41,13 +42,10 @@
 
 use crate::astar::route_layers;
 use crate::kernel::{
-    check_fit, run_greedy_pass, AdditiveDecay, DecaySchedule, DistanceRefinedTies,
-    GreedyBfsRestarts, GreedyPolicies, GreedyScratch, IdentityPlacement, NoDecay,
-    PlacementStrategy, QubitIndexTies, RoutingProblem, SeededRandomTies, TieBreaker,
-    WindowLookahead,
+    check_fit, run_greedy_pass, DecaySpec, GreedyPolicies, GreedyScratch, LookaheadSpec,
+    PlacementSpec, RoutingProblem, TieBreakerSpec,
 };
 use crate::mapping::Mapping;
-use crate::multilevel::MultilevelRouter;
 use crate::result::RoutedCircuit;
 use crate::router::{RouteError, Router};
 use qubikos_arch::Architecture;
@@ -117,135 +115,6 @@ fn trial_bound(count: usize, winner: usize, trial: usize) -> usize {
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
-/// The lookahead axis of a composition: how far past the blocked front the
-/// scorer looks, and how the extra gates are weighted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LookaheadSpec {
-    /// Extended-set size (0 = front-only scoring).
-    pub window: usize,
-    /// Weight of the extended-set term.
-    pub extended_set_weight: f64,
-    /// Optional per-depth decay across the extended set.
-    pub depth_decay: Option<f64>,
-}
-
-impl LookaheadSpec {
-    /// LightSABRE's published lookahead (20 gates at weight 0.5, uniform).
-    pub fn sabre_default() -> Self {
-        LookaheadSpec {
-            window: 20,
-            extended_set_weight: 0.5,
-            depth_decay: None,
-        }
-    }
-
-    /// Front-only scoring — no lookahead.
-    pub fn front_only() -> Self {
-        LookaheadSpec {
-            window: 0,
-            extended_set_weight: 0.0,
-            depth_decay: None,
-        }
-    }
-
-    /// The kernel policy this spec describes.
-    pub fn policy(&self) -> WindowLookahead {
-        WindowLookahead {
-            window: self.window,
-            extended_set_weight: self.extended_set_weight,
-            depth_decay: self.depth_decay,
-        }
-    }
-
-    fn id_part(&self) -> String {
-        if self.window == 0 {
-            return "front".to_string();
-        }
-        let mut s = format!("la{}w{}", self.window, self.extended_set_weight);
-        if let Some(d) = self.depth_decay {
-            s.push_str(&format!("d{d}"));
-        }
-        s
-    }
-}
-
-/// The decay axis: whether recently-swapped qubits are penalised.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DecaySpec {
-    /// No decay; scores are never inflated.
-    None,
-    /// SABRE-style additive decay.
-    Additive {
-        /// Additive per-SWAP bump.
-        increment: f64,
-        /// Decisions between resets.
-        reset_interval: usize,
-    },
-}
-
-impl DecaySpec {
-    /// SABRE's published decay (increment 0.001, reset every 5 decisions).
-    pub fn sabre_default() -> Self {
-        DecaySpec::Additive {
-            increment: 0.001,
-            reset_interval: 5,
-        }
-    }
-
-    fn id_part(&self) -> String {
-        match self {
-            DecaySpec::None => "nodecay".to_string(),
-            DecaySpec::Additive {
-                increment,
-                reset_interval,
-            } => format!("dec{increment}r{reset_interval}"),
-        }
-    }
-}
-
-/// The tie-breaking axis: how one SWAP is picked from the exact-tie band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TieBreakerSpec {
-    /// Uniform draw from the tie set with the trial's seeded RNG (SABRE).
-    SeededRandom,
-    /// First tie in coupler order (t|ket⟩'s first-minimum selection).
-    QubitIndex,
-    /// Deterministic refinement by resulting front distance, then coupler
-    /// order.
-    DistanceRefined,
-}
-
-impl TieBreakerSpec {
-    fn id_part(&self) -> &'static str {
-        match self {
-            TieBreakerSpec::SeededRandom => "randtie",
-            TieBreakerSpec::QubitIndex => "idxtie",
-            TieBreakerSpec::DistanceRefined => "disttie",
-        }
-    }
-}
-
-/// The placement axis: where each trial's initial mapping comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementSpec {
-    /// Structure-aware greedy-BFS placement with random restarts.
-    GreedyBfs,
-    /// ML-QLS-style multilevel coarsen–place–refine placement.
-    Multilevel,
-    /// The trivial identity placement (program qubit `q` on physical `q`).
-    Identity,
-}
-
-impl PlacementSpec {
-    fn id_part(&self) -> &'static str {
-        match self {
-            PlacementSpec::GreedyBfs => "bfs",
-            PlacementSpec::Multilevel => "mlp",
-            PlacementSpec::Identity => "ident",
-        }
-    }
 }
 
 /// The coupler-weighting axis: how much a SWAP on each edge costs.
@@ -377,8 +246,8 @@ impl RouterSpec {
     }
 
     /// The ML-QLS composition: multilevel placement followed by a single
-    /// SABRE-policy routing pass ([`MultilevelRouter`] places, with its
-    /// default tuning).
+    /// SABRE-policy routing pass ([`PlacementSpec::Multilevel`] places, with
+    /// the default tuning).
     pub fn ml_qls() -> Self {
         RouterSpec {
             search: SearchSpec::Greedy {
@@ -522,17 +391,15 @@ impl ComposedRouter {
                 stall_threshold, ..
             } => {
                 let problem = RoutingProblem::forward_only(circuit);
-                let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-                self.with_policies(arch, stall_threshold, |policies| {
-                    self.final_pass(
-                        &problem,
-                        arch,
-                        policies,
-                        initial.clone(),
-                        &mut rng,
-                        &mut GreedyScratch::default(),
-                    )
-                })
+                let weights = self.spec.weights.build(arch);
+                self.final_pass(
+                    &problem,
+                    arch,
+                    &self.policies(&weights, stall_threshold),
+                    initial.clone(),
+                    &mut ChaCha8Rng::seed_from_u64(self.seed),
+                    &mut GreedyScratch::default(),
+                )
                 .expect("an unbounded pass runs to the end")
             }
             SearchSpec::AStar { max_expansions } => {
@@ -543,58 +410,19 @@ impl ComposedRouter {
         }
     }
 
-    /// Calls `f` with the spec's greedy policy bundle, unbounded.
-    fn with_policies<R>(
+    /// The spec's greedy policy bundle under `weights`, unbounded.
+    fn policies<'w>(
         &self,
-        arch: &Architecture,
+        weights: &'w CouplerWeights,
         stall_threshold: usize,
-        f: impl FnOnce(&GreedyPolicies<'_>) -> R,
-    ) -> R {
-        let lookahead = self.spec.lookahead.policy();
-        let additive;
-        let decay: &dyn DecaySchedule = match self.spec.decay {
-            DecaySpec::None => &NoDecay,
-            DecaySpec::Additive {
-                increment,
-                reset_interval,
-            } => {
-                additive = AdditiveDecay {
-                    increment,
-                    reset_interval,
-                };
-                &additive
-            }
-        };
-        let tie_breaker: &dyn TieBreaker = match self.spec.tie_breaker {
-            TieBreakerSpec::SeededRandom => &SeededRandomTies,
-            TieBreakerSpec::QubitIndex => &QubitIndexTies,
-            TieBreakerSpec::DistanceRefined => &DistanceRefinedTies,
-        };
-        let weights = self.spec.weights.build(arch);
-        f(&GreedyPolicies {
-            lookahead: &lookahead,
-            decay,
-            tie_breaker,
-            weights: &weights,
+    ) -> GreedyPolicies<'w> {
+        GreedyPolicies {
+            lookahead: self.spec.lookahead,
+            decay: self.spec.decay,
+            tie_breaker: self.spec.tie_breaker,
+            weights,
             stall_threshold,
             incumbent: None,
-        })
-    }
-
-    /// Trial `trial`'s initial mapping under the placement axis.
-    fn place(
-        &self,
-        trial: usize,
-        circuit: &Circuit,
-        arch: &Architecture,
-        rng: &mut ChaCha8Rng,
-    ) -> Mapping {
-        match self.spec.placement {
-            PlacementSpec::GreedyBfs => GreedyBfsRestarts.place(trial, circuit, arch, rng),
-            PlacementSpec::Identity => IdentityPlacement.place(trial, circuit, arch, rng),
-            PlacementSpec::Multilevel => {
-                PlacementStrategy::place(&MultilevelRouter::default(), trial, circuit, arch, rng)
-            }
         }
     }
 
@@ -661,17 +489,19 @@ impl ComposedRouter {
         } else {
             RoutingProblem::forward_only(circuit)
         };
+        let weights = self.spec.weights.build(arch);
+        let policies = self.policies(&weights, stall_threshold);
         let next_trial = AtomicUsize::new(0);
         let best: Mutex<Option<(usize, usize, RoutedCircuit)>> = Mutex::new(None);
         let worker = || {
             let mut scratch = GreedyScratch::default();
-            self.with_policies(arch, stall_threshold, |policies| loop {
+            loop {
                 let trial = next_trial.fetch_add(1, Ordering::Relaxed);
                 if trial >= trials {
                     break;
                 }
                 let mut rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(trial as u64));
-                let mut mapping = self.place(trial, circuit, arch, &mut rng);
+                let mut mapping = self.spec.placement.place(trial, circuit, arch, &mut rng);
                 // Forward/backward refinement passes only move the mapping,
                 // so they skip physical-circuit emission.
                 for p in 0..passes - 1 {
@@ -683,7 +513,7 @@ impl ComposedRouter {
                     mapping = run_greedy_pass(
                         view,
                         arch,
-                        policies,
+                        &policies,
                         mapping,
                         &mut rng,
                         &mut scratch,
@@ -698,7 +528,7 @@ impl ComposedRouter {
                     .map(|&(count, winner, _)| trial_bound(count, winner, trial));
                 let bounded = GreedyPolicies {
                     incumbent,
-                    ..*policies
+                    ..policies
                 };
                 let Some(candidate) =
                     self.final_pass(&problem, arch, &bounded, mapping, &mut rng, &mut scratch)
@@ -713,7 +543,7 @@ impl ComposedRouter {
                 {
                     *best = Some((key.0, key.1, candidate));
                 }
-            })
+            }
         };
         let helpers = workers.min(trials).saturating_sub(1);
         TRIAL_HELPERS.with(|c| c.set(c.get() + helpers));
@@ -754,8 +584,12 @@ impl Router for ComposedRouter {
                 )
             }
             SearchSpec::AStar { .. } => {
-                let initial =
-                    self.place(0, circuit, arch, &mut ChaCha8Rng::seed_from_u64(self.seed));
+                let initial = self.spec.placement.place(
+                    0,
+                    circuit,
+                    arch,
+                    &mut ChaCha8Rng::seed_from_u64(self.seed),
+                );
                 self.route_from(circuit, arch, &initial)
             }
         })
@@ -852,20 +686,19 @@ mod tests {
     ) -> Option<RoutedCircuit> {
         let problem = RoutingProblem::bidirectional(circuit);
         let mut scratch = GreedyScratch::default();
-        router.with_policies(arch, 64, |policies| {
-            let mut rng = ChaCha8Rng::seed_from_u64(router.seed.wrapping_add(trial as u64));
-            let mut mapping = router.place(trial, circuit, arch, &mut rng);
-            for view in [problem.forward(), problem.reversed()] {
-                mapping =
-                    run_greedy_pass(view, arch, policies, mapping, &mut rng, &mut scratch, None)
-                        .expect("unbounded");
-            }
-            let bounded = GreedyPolicies {
-                incumbent,
-                ..*policies
-            };
-            router.final_pass(&problem, arch, &bounded, mapping, &mut rng, &mut scratch)
-        })
+        let weights = router.spec.weights.build(arch);
+        let policies = router.policies(&weights, 64);
+        let mut rng = ChaCha8Rng::seed_from_u64(router.seed.wrapping_add(trial as u64));
+        let mut mapping = router.spec.placement.place(trial, circuit, arch, &mut rng);
+        for view in [problem.forward(), problem.reversed()] {
+            mapping = run_greedy_pass(view, arch, &policies, mapping, &mut rng, &mut scratch, None)
+                .expect("unbounded");
+        }
+        let bounded = GreedyPolicies {
+            incumbent,
+            ..policies
+        };
+        router.final_pass(&problem, arch, &bounded, mapping, &mut rng, &mut scratch)
     }
 
     /// The composed LightSABRE abandons final passes that cannot beat the

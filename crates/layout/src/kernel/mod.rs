@@ -30,6 +30,10 @@
 //!   themselves from the front's incident couplers rather than scanning
 //!   the whole device.
 //!
+//! On top of them, [`policy`] holds one type per routing-policy axis —
+//! [`LookaheadSpec`], [`DecaySpec`], [`TieBreakerSpec`], [`PlacementSpec`]
+//! — and the one greedy pass, [`run_greedy_pass`], that matches on them.
+//!
 //! Which composition reproduces what: every tool is a
 //! [`RouterSpec`](crate::RouterSpec) run by the one
 //! [`ComposedRouter`](crate::ComposedRouter).
@@ -49,11 +53,10 @@ pub mod scratch;
 
 pub use front::FrontTracker;
 pub use policy::{
-    run_greedy_pass, AdditiveDecay, DecaySchedule, DistanceRefinedTies, GreedyBfsRestarts,
-    GreedyPolicies, GreedyScratch, IdentityPlacement, LookaheadPolicy, NoDecay, PlacementStrategy,
-    QubitIndexTies, SeededRandomTies, TieBreaker, WindowLookahead,
+    run_greedy_pass, DecaySpec, GreedyPolicies, GreedyScratch, LookaheadSpec, PlacementSpec,
+    TieBreakerSpec,
 };
-pub use score::{ScoreParams, SwapScorer};
+pub use score::SwapScorer;
 pub use scratch::{ShadowCounts, StampSet};
 
 use crate::mapping::Mapping;

@@ -1,16 +1,19 @@
 //! Composable routing policies: the per-router choices of the greedy
-//! SWAP-insertion loop, promoted to trait parameters.
+//! SWAP-insertion loop, one type per axis.
 //!
 //! The four routers of the paper differ from each other in a handful of
 //! policy decisions buried inside otherwise identical loops: how far ahead
-//! they look ([`LookaheadPolicy`]), whether recently-swapped qubits are
-//! penalised ([`DecaySchedule`]), how score ties are broken
-//! ([`TieBreaker`]), and where the initial mapping comes from
-//! ([`PlacementStrategy`]). This module defines those axes as traits plus
-//! one generic pass, [`run_greedy_pass`], that runs the shared loop with
-//! any combination — the same building-block composition A-SABR applies to
-//! DTN routing. A router is then a *named composition* (see
-//! [`crate::composed`]) rather than a monolith.
+//! they look ([`LookaheadSpec`]), whether recently-swapped qubits are
+//! penalised ([`DecaySpec`]), how score ties are broken
+//! ([`TieBreakerSpec`]), and where the initial mapping comes from
+//! ([`PlacementSpec`]). Each axis is one serializable type that both names
+//! a choice — its `id_part` is a segment of the composition id
+//! [`RouterSpec::id`](crate::RouterSpec::id) — and runs it: the set of
+//! choices is closed, so one `match` per axis replaces a trait per axis.
+//! One generic pass, [`run_greedy_pass`], runs the shared loop with any
+//! combination ([`GreedyPolicies`]) — the same building-block composition
+//! A-SABR applies to DTN routing. A router is then a *named composition*
+//! (see [`crate::composed`]) rather than a monolith.
 //!
 //! Heterogeneous SWAP costs ride the same pipeline: a [`CouplerWeights`]
 //! multiplies each candidate's score in the selection scan (see
@@ -19,268 +22,221 @@
 //! which is why the pre-refactor routers' SWAP streams are reproduced
 //! bit-for-bit.
 
-use crate::kernel::{force_adjacent, FrontTracker, ProblemView, ScoreParams, SwapScorer};
+use crate::kernel::{force_adjacent, FrontTracker, ProblemView, SwapScorer};
 use crate::mapping::Mapping;
+use crate::multilevel::MultilevelRouter;
 use crate::placement::greedy_bfs_placement;
 use qubikos_arch::Architecture;
 use qubikos_circuit::{Circuit, Gate};
 use qubikos_graph::{CouplerWeights, NodeId};
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
+use serde::{Deserialize, Serialize};
 
-/// How far beyond the blocked front a router looks when scoring a SWAP.
-pub trait LookaheadPolicy {
-    /// Number of extended-set gates collected per decision (0 = front-only).
-    fn window(&self) -> usize;
-    /// The scorer parameters (extended-set weight, optional per-depth
-    /// decay) this policy scores with.
-    fn score_params(&self) -> ScoreParams;
-}
-
-/// The standard windowed lookahead: an extended set of up to `window`
+/// The lookahead axis: how far past the blocked front the scorer looks, and
+/// how the extra gates are weighted. An extended set of up to `window`
 /// gates, weighted by `extended_set_weight`, with gate `i` optionally
 /// decayed by `depth_decay^i` (the paper's §IV-C proposal).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowLookahead {
-    /// Extended-set size (0 disables lookahead entirely).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LookaheadSpec {
+    /// Extended-set size (0 = front-only scoring).
     pub window: usize,
-    /// Weight of the extended-set term in the cost.
+    /// Weight of the extended-set term.
     pub extended_set_weight: f64,
     /// Optional per-depth decay across the extended set.
     pub depth_decay: Option<f64>,
 }
 
-impl WindowLookahead {
-    /// LightSABRE's published defaults: 20 gates at weight 0.5, uniform.
+impl LookaheadSpec {
+    /// LightSABRE's published lookahead (20 gates at weight 0.5, uniform).
     pub fn sabre_default() -> Self {
-        WindowLookahead {
+        LookaheadSpec {
             window: 20,
             extended_set_weight: 0.5,
             depth_decay: None,
         }
     }
 
-    /// No lookahead at all — the t|ket⟩-style front-only objective.
+    /// Front-only scoring — no lookahead (t|ket⟩-style).
     pub fn front_only() -> Self {
-        WindowLookahead {
+        LookaheadSpec {
             window: 0,
             extended_set_weight: 0.0,
             depth_decay: None,
         }
     }
-}
 
-impl LookaheadPolicy for WindowLookahead {
-    fn window(&self) -> usize {
-        self.window
-    }
-
-    fn score_params(&self) -> ScoreParams {
-        ScoreParams {
-            extended_set_weight: self.extended_set_weight,
-            lookahead_decay: self.depth_decay,
+    pub(crate) fn id_part(&self) -> String {
+        if self.window == 0 {
+            return "front".to_string();
         }
+        let mut s = format!("la{}w{}", self.window, self.extended_set_weight);
+        if let Some(d) = self.depth_decay {
+            s.push_str(&format!("d{d}"));
+        }
+        s
     }
 }
 
-/// Whether (and how) recently-swapped qubits are penalised to discourage
-/// thrashing the same pair.
-pub trait DecaySchedule {
-    /// Additive bump applied to both endpoints of each applied SWAP.
-    fn increment(&self) -> f64;
-    /// Number of routing decisions after which all factors reset to 1.
-    fn reset_interval(&self) -> usize;
+/// The decay axis: whether recently-swapped qubits are penalised to
+/// discourage thrashing the same pair.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum DecaySpec {
+    /// No decay; scores are never inflated.
+    None,
+    /// SABRE-style additive decay: each applied SWAP bumps its endpoints'
+    /// factors by `increment`, and everything resets after
+    /// `reset_interval` decisions.
+    Additive {
+        /// Additive per-SWAP bump.
+        increment: f64,
+        /// Decisions between resets.
+        reset_interval: usize,
+    },
 }
 
-/// SABRE's additive decay: each applied SWAP bumps its endpoints' factors
-/// by `increment`, and everything resets after `reset_interval` decisions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdditiveDecay {
-    /// Additive per-SWAP bump.
-    pub increment: f64,
-    /// Decisions between resets.
-    pub reset_interval: usize,
-}
-
-impl AdditiveDecay {
-    /// SABRE's published defaults (increment 0.001, reset every 5).
+impl DecaySpec {
+    /// SABRE's published decay (increment 0.001, reset every 5 decisions).
     pub fn sabre_default() -> Self {
-        AdditiveDecay {
+        DecaySpec::Additive {
             increment: 0.001,
             reset_interval: 5,
         }
     }
-}
 
-impl DecaySchedule for AdditiveDecay {
-    fn increment(&self) -> f64 {
-        self.increment
+    /// The `(increment, reset_interval)` the greedy pass applies.
+    /// [`DecaySpec::None`] is `(0.0, usize::MAX)`: adding `0.0` to `1.0` and
+    /// `max(1.0, 1.0)` are both exact, so every factor stays exactly `1.0`
+    /// and scores are untouched bitwise — this is how the t|ket⟩
+    /// composition shares SABRE's loop.
+    pub(crate) fn schedule(&self) -> (f64, usize) {
+        match *self {
+            DecaySpec::None => (0.0, usize::MAX),
+            DecaySpec::Additive {
+                increment,
+                reset_interval,
+            } => (increment, reset_interval),
+        }
     }
 
-    fn reset_interval(&self) -> usize {
-        self.reset_interval
-    }
-}
-
-/// No decay: every factor stays exactly `1.0` forever (adding `0.0` to
-/// `1.0` and `max(1.0, 1.0)` are both exact), so scores are untouched
-/// bitwise — this is how the t|ket⟩ composition shares SABRE's loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NoDecay;
-
-impl DecaySchedule for NoDecay {
-    fn increment(&self) -> f64 {
-        0.0
-    }
-
-    fn reset_interval(&self) -> usize {
-        usize::MAX
-    }
-}
-
-/// How a router picks one SWAP out of the set of score-tied best
-/// candidates. The tie set is always collected in candidate (= coupler)
-/// order with SABRE's `1e-12` epsilon band, so breakers see a stable,
-/// deterministic slice.
-pub trait TieBreaker {
-    /// Picks the winning SWAP from a non-empty tie set.
-    fn break_tie(
-        &self,
-        ties: &[(NodeId, NodeId)],
-        scorer: &mut SwapScorer,
-        arch: &Architecture,
-        rng: &mut ChaCha8Rng,
-    ) -> (NodeId, NodeId);
-}
-
-/// SABRE's tie-break: a uniform draw from the tie set using the trial's
-/// seeded RNG. Draws from the RNG on every decision (even for a singleton
-/// tie set), exactly like the pre-refactor router, so RNG streams line up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SeededRandomTies;
-
-impl TieBreaker for SeededRandomTies {
-    fn break_tie(
-        &self,
-        ties: &[(NodeId, NodeId)],
-        _scorer: &mut SwapScorer,
-        _arch: &Architecture,
-        rng: &mut ChaCha8Rng,
-    ) -> (NodeId, NodeId) {
-        *ties.choose(rng).expect("non-empty tie set")
-    }
-}
-
-/// First tie in candidate order — the lowest-indexed coupler, since
-/// candidates are generated in coupler order.
-/// Under a front-only objective this reproduces t|ket⟩'s
-/// first-integer-minimum selection exactly: the front-total sum is a small
-/// integer divided by the (candidate-independent) front length, so exact
-/// score ties coincide with integer ties and the epsilon band never merges
-/// distinct totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QubitIndexTies;
-
-impl TieBreaker for QubitIndexTies {
-    fn break_tie(
-        &self,
-        ties: &[(NodeId, NodeId)],
-        _scorer: &mut SwapScorer,
-        _arch: &Architecture,
-        _rng: &mut ChaCha8Rng,
-    ) -> (NodeId, NodeId) {
-        ties[0]
-    }
-}
-
-/// Deterministic distance-refined tie-break: among tied candidates, prefer
-/// the one whose applied SWAP leaves the smallest summed front distance
-/// (the tie set ties on the *weighted* score, so front totals can still
-/// differ under decay or lookahead), then the lowest coupler index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DistanceRefinedTies;
-
-impl TieBreaker for DistanceRefinedTies {
-    fn break_tie(
-        &self,
-        ties: &[(NodeId, NodeId)],
-        scorer: &mut SwapScorer,
-        arch: &Architecture,
-        _rng: &mut ChaCha8Rng,
-    ) -> (NodeId, NodeId) {
-        ties.iter()
-            .copied()
-            .min_by_key(|&swap| (scorer.front_total(swap, arch), swap))
-            .expect("non-empty tie set")
-    }
-}
-
-/// Where a trial's initial program→physical mapping comes from.
-pub trait PlacementStrategy {
-    /// The initial mapping for `trial`. Strategies follow the SABRE
-    /// random-restart scheme: trial 0 is the strategy's deterministic
-    /// placement, later trials draw a random mapping from `rng` (one draw
-    /// sequence shared with routing, exactly like the pre-refactor SABRE).
-    fn place(
-        &self,
-        trial: usize,
-        circuit: &Circuit,
-        arch: &Architecture,
-        rng: &mut ChaCha8Rng,
-    ) -> Mapping;
-}
-
-/// Structure-aware greedy-BFS placement with random restarts — the SABRE
-/// and t|ket⟩ default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GreedyBfsRestarts;
-
-impl PlacementStrategy for GreedyBfsRestarts {
-    fn place(
-        &self,
-        trial: usize,
-        circuit: &Circuit,
-        arch: &Architecture,
-        rng: &mut ChaCha8Rng,
-    ) -> Mapping {
-        if trial == 0 {
-            greedy_bfs_placement(circuit, arch)
-        } else {
-            Mapping::random(circuit.num_qubits(), arch.num_qubits(), rng)
+    pub(crate) fn id_part(&self) -> String {
+        match self {
+            DecaySpec::None => "nodecay".to_string(),
+            DecaySpec::Additive {
+                increment,
+                reset_interval,
+            } => format!("dec{increment}r{reset_interval}"),
         }
     }
 }
 
-/// The trivial placement: program qubit `q` starts on physical qubit `q`
-/// (random restarts on later trials). A baseline that isolates routing
-/// quality from placement quality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IdentityPlacement;
+/// The tie-breaking axis: how one SWAP is picked from the set of score-tied
+/// best candidates. The tie set is always collected in candidate (=
+/// coupler) order with SABRE's `1e-12` epsilon band, so every breaker sees
+/// a stable, deterministic slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TieBreakerSpec {
+    /// SABRE's tie-break: a uniform draw from the tie set with the trial's
+    /// seeded RNG. Draws on every decision, even for a singleton tie set,
+    /// so RNG streams line up with the pre-refactor router.
+    SeededRandom,
+    /// First tie in candidate order — the lowest-indexed coupler, since
+    /// candidates are generated in coupler order. Under a front-only
+    /// objective this reproduces t|ket⟩'s first-integer-minimum selection
+    /// exactly: the front-total sum is a small integer divided by the
+    /// (candidate-independent) front length, so exact score ties coincide
+    /// with integer ties and the epsilon band never merges distinct totals.
+    QubitIndex,
+    /// Deterministic refinement: among tied candidates, prefer the one
+    /// whose applied SWAP leaves the smallest summed front distance (the
+    /// tie set ties on the *weighted* score, so front totals can still
+    /// differ under decay or lookahead), then the lowest coupler index.
+    DistanceRefined,
+}
 
-impl PlacementStrategy for IdentityPlacement {
-    fn place(
+impl TieBreakerSpec {
+    /// Picks the winning SWAP from a non-empty tie set.
+    pub(crate) fn break_tie(
+        &self,
+        ties: &[(NodeId, NodeId)],
+        scorer: &mut SwapScorer,
+        arch: &Architecture,
+        rng: &mut ChaCha8Rng,
+    ) -> (NodeId, NodeId) {
+        match self {
+            TieBreakerSpec::SeededRandom => *ties.choose(rng).expect("non-empty tie set"),
+            TieBreakerSpec::QubitIndex => ties[0],
+            TieBreakerSpec::DistanceRefined => ties
+                .iter()
+                .copied()
+                .min_by_key(|&swap| (scorer.front_total(swap, arch), swap))
+                .expect("non-empty tie set"),
+        }
+    }
+
+    pub(crate) fn id_part(&self) -> &'static str {
+        match self {
+            TieBreakerSpec::SeededRandom => "randtie",
+            TieBreakerSpec::QubitIndex => "idxtie",
+            TieBreakerSpec::DistanceRefined => "disttie",
+        }
+    }
+}
+
+/// The placement axis: where each trial's initial program→physical mapping
+/// comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PlacementSpec {
+    /// Structure-aware greedy-BFS placement — the SABRE and t|ket⟩ default.
+    GreedyBfs,
+    /// ML-QLS-style multilevel coarsen–place–refine placement
+    /// ([`MultilevelRouter`] with its default tuning).
+    Multilevel,
+    /// The trivial identity placement (program qubit `q` on physical `q`):
+    /// a baseline that isolates routing quality from placement quality.
+    Identity,
+}
+
+impl PlacementSpec {
+    /// The initial mapping for `trial`, following the SABRE random-restart
+    /// scheme: trial 0 is this axis's deterministic placement, later trials
+    /// draw a random mapping from `rng` (one draw sequence shared with
+    /// routing, exactly like the pre-refactor SABRE).
+    pub(crate) fn place(
         &self,
         trial: usize,
         circuit: &Circuit,
         arch: &Architecture,
         rng: &mut ChaCha8Rng,
     ) -> Mapping {
-        if trial == 0 {
-            Mapping::identity(circuit.num_qubits(), arch.num_qubits())
-        } else {
-            Mapping::random(circuit.num_qubits(), arch.num_qubits(), rng)
+        if trial > 0 {
+            return Mapping::random(circuit.num_qubits(), arch.num_qubits(), rng);
+        }
+        match self {
+            PlacementSpec::GreedyBfs => greedy_bfs_placement(circuit, arch),
+            PlacementSpec::Multilevel => MultilevelRouter::default().place(circuit, arch),
+            PlacementSpec::Identity => Mapping::identity(circuit.num_qubits(), arch.num_qubits()),
+        }
+    }
+
+    pub(crate) fn id_part(&self) -> &'static str {
+        match self {
+            PlacementSpec::GreedyBfs => "bfs",
+            PlacementSpec::Multilevel => "mlp",
+            PlacementSpec::Identity => "ident",
         }
     }
 }
 
 /// The complete policy bundle one [`run_greedy_pass`] call routes with.
+#[derive(Debug, Clone, Copy)]
 pub struct GreedyPolicies<'a> {
     /// Lookahead axis.
-    pub lookahead: &'a dyn LookaheadPolicy,
+    pub lookahead: LookaheadSpec,
     /// Decay axis.
-    pub decay: &'a dyn DecaySchedule,
+    pub decay: DecaySpec,
     /// Tie-break axis.
-    pub tie_breaker: &'a dyn TieBreaker,
+    pub tie_breaker: TieBreakerSpec,
     /// Per-coupler SWAP-cost weights (uniform = the classic cost model).
     pub weights: &'a CouplerWeights,
     /// Number of consecutive SWAPs without executing any gate after which
@@ -347,10 +303,8 @@ pub fn run_greedy_pass(
     mut out: Option<&mut Circuit>,
 ) -> Option<Mapping> {
     let dag = view.dag();
-    let params = policies.lookahead.score_params();
-    let window = policies.lookahead.window();
-    let decay_increment = policies.decay.increment();
-    let decay_reset_interval = policies.decay.reset_interval();
+    let lookahead = &policies.lookahead;
+    let (decay_increment, decay_reset_interval) = policies.decay.schedule();
     scratch.tracker.reset(dag);
     scratch.decay.clear();
     scratch.decay.resize(arch.num_qubits(), 1.0);
@@ -399,14 +353,14 @@ pub fn run_greedy_pass(
         }
 
         if !scorer_ready {
-            scratch.tracker.compute_extended_set(dag, window);
+            scratch.tracker.compute_extended_set(dag, lookahead.window);
             scratch.scorer.prepare(
                 scratch.tracker.front(),
                 scratch.tracker.extended(),
                 dag,
                 &mapping,
                 arch,
-                &params,
+                lookahead,
             );
             scorer_ready = true;
         }
@@ -428,7 +382,7 @@ pub fn run_greedy_pass(
         scratch.ties.clear();
         for &(pa, pb) in &scratch.candidates {
             let score = swap_multiplier(policies.weights, &scratch.decay, (pa, pb))
-                * scratch.scorer.swap_cost((pa, pb), arch, &params);
+                * scratch.scorer.swap_cost((pa, pb), arch, lookahead);
             if score < best_score - 1e-12 {
                 best_score = score;
                 scratch.ties.clear();
@@ -501,18 +455,18 @@ mod tests {
     use super::*;
     use crate::kernel::RoutingProblem;
     use qubikos_arch::devices;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
-    fn policies<'a>(
-        lookahead: &'a WindowLookahead,
-        decay: &'a dyn DecaySchedule,
-        tie: &'a dyn TieBreaker,
-        weights: &'a CouplerWeights,
-    ) -> GreedyPolicies<'a> {
+    fn policies(
+        lookahead: LookaheadSpec,
+        decay: DecaySpec,
+        tie_breaker: TieBreakerSpec,
+        weights: &CouplerWeights,
+    ) -> GreedyPolicies<'_> {
         GreedyPolicies {
             lookahead,
             decay,
-            tie_breaker: tie,
+            tie_breaker,
             weights,
             stall_threshold: 64,
             incumbent: None,
@@ -540,7 +494,7 @@ mod tests {
         let problem = RoutingProblem::forward_only(&circuit);
         let mut scratch = GreedyScratch::default();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let initial = GreedyBfsRestarts.place(0, &circuit, &arch, &mut rng);
+        let initial = PlacementSpec::GreedyBfs.place(0, &circuit, &arch, &mut rng);
         let mut out = Circuit::new(arch.num_qubits());
         let final_mapping = run_greedy_pass(
             problem.forward(),
@@ -585,12 +539,15 @@ mod tests {
         scratch: &mut GreedyScratch,
         incumbent: Option<usize>,
     ) -> Option<(Circuit, Mapping)> {
-        let lookahead = WindowLookahead::sabre_default();
-        let decay = AdditiveDecay::sabre_default();
         let weights = CouplerWeights::uniform();
         let p = GreedyPolicies {
             incumbent,
-            ..policies(&lookahead, &decay, &SeededRandomTies, &weights)
+            ..policies(
+                LookaheadSpec::sabre_default(),
+                DecaySpec::sabre_default(),
+                TieBreakerSpec::SeededRandom,
+                &weights,
+            )
         };
         let problem = RoutingProblem::forward_only(circuit);
         let mut out = Circuit::new(arch.num_qubits());
@@ -689,10 +646,9 @@ mod tests {
 
     #[test]
     fn deterministic_tie_breakers_ignore_the_rng() {
-        let lookahead = WindowLookahead::front_only();
         let weights = CouplerWeights::uniform();
-        for tie in [&QubitIndexTies as &dyn TieBreaker, &DistanceRefinedTies] {
-            let p = policies(&lookahead, &NoDecay, tie, &weights);
+        for tie in [TieBreakerSpec::QubitIndex, TieBreakerSpec::DistanceRefined] {
+            let p = policies(LookaheadSpec::front_only(), DecaySpec::None, tie, &weights);
             let (a, _) = route_once(&p, 1);
             let (b, _) = route_once(&p, 999);
             assert_eq!(a, b, "deterministic breaker must not consume the RNG");
@@ -701,22 +657,40 @@ mod tests {
 
     #[test]
     fn seeded_random_ties_follow_the_seed() {
-        let lookahead = WindowLookahead::sabre_default();
         let weights = CouplerWeights::uniform();
-        let decay = AdditiveDecay::sabre_default();
-        let p = policies(&lookahead, &decay, &SeededRandomTies, &weights);
+        let p = policies(
+            LookaheadSpec::sabre_default(),
+            DecaySpec::sabre_default(),
+            TieBreakerSpec::SeededRandom,
+            &weights,
+        );
         let (a, _) = route_once(&p, 7);
         let (b, _) = route_once(&p, 7);
         assert_eq!(a, b, "same seed, same stream");
     }
 
     #[test]
+    fn seeded_random_ties_draw_even_for_a_single_tie() {
+        let arch = devices::grid(3, 3);
+        let mut scorer = SwapScorer::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut untouched = rng.clone();
+        let tie = TieBreakerSpec::SeededRandom.break_tie(&[(0, 1)], &mut scorer, &arch, &mut rng);
+        assert_eq!(tie, (0, 1));
+        assert_ne!(
+            rng.next_u64(),
+            untouched.next_u64(),
+            "a singleton tie set still draws"
+        );
+    }
+
+    #[test]
     fn no_decay_keeps_factors_exactly_one() {
-        assert_eq!(NoDecay.increment(), 0.0);
-        assert_eq!(NoDecay.reset_interval(), usize::MAX);
+        let (increment, reset_interval) = DecaySpec::None.schedule();
+        assert_eq!((increment, reset_interval), (0.0, usize::MAX));
         // Adding the increment must be an exact no-op on the neutral factor.
         let factor: f64 = 1.0;
-        assert_eq!(factor + NoDecay.increment(), 1.0);
+        assert_eq!(factor + increment, 1.0);
     }
 
     #[test]
@@ -730,12 +704,17 @@ mod tests {
     #[test]
     fn fidelity_weights_change_routing_but_stay_valid() {
         let arch = devices::grid(3, 3);
-        let lookahead = WindowLookahead::sabre_default();
-        let decay = AdditiveDecay::sabre_default();
         let uniform = CouplerWeights::uniform();
         let weighted = CouplerWeights::fidelity_derived(arch.coupling_graph(), 3);
-        let pu = policies(&lookahead, &decay, &SeededRandomTies, &uniform);
-        let pw = policies(&lookahead, &decay, &SeededRandomTies, &weighted);
+        let sabre = |weights| {
+            policies(
+                LookaheadSpec::sabre_default(),
+                DecaySpec::sabre_default(),
+                TieBreakerSpec::SeededRandom,
+                weights,
+            )
+        };
+        let (pu, pw) = (sabre(&uniform), sabre(&weighted));
         let (a, _) = route_once(&pu, 0);
         let (b, _) = route_once(&pw, 0);
         // Both routings must be complete (same two-qubit gate count modulo
@@ -750,11 +729,11 @@ mod tests {
         let arch = devices::grid(3, 3);
         let circuit = test_circuit();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let m = IdentityPlacement.place(0, &circuit, &arch, &mut rng);
+        let m = PlacementSpec::Identity.place(0, &circuit, &arch, &mut rng);
         for q in 0..circuit.num_qubits() {
             assert_eq!(m.physical(q), q);
         }
-        let r = IdentityPlacement.place(1, &circuit, &arch, &mut rng);
+        let r = PlacementSpec::Identity.place(1, &circuit, &arch, &mut rng);
         assert!(r.is_consistent());
     }
 }

@@ -19,36 +19,16 @@
 //! Exactness: hop distances are small integers, so the running sums and
 //! deltas are exact in `f64` and a delta-evaluated score is bit-identical
 //! to a full rescan under uniform extended-set weighting (the Qiskit
-//! default). With a `lookahead_decay` the weights are non-integral and the
+//! default). With a lookahead `depth_decay` the weights are non-integral and the
 //! accumulation order can differ from a rescan in the last ulp; routing
 //! decisions may then differ only on exact score ties.
 
 use crate::kernel::scratch::StampSet;
 use crate::mapping::Mapping;
+use crate::LookaheadSpec;
 use qubikos_arch::Architecture;
 use qubikos_circuit::{DagNodeId, DependencyDag};
 use qubikos_graph::NodeId;
-
-/// Weighting of the extended-set (lookahead) term, as a
-/// [`LookaheadSpec`](crate::LookaheadSpec) describes it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreParams {
-    /// Weight of the extended-set term (0.0 disables lookahead).
-    pub extended_set_weight: f64,
-    /// Optional geometric decay across the extended set: gate `i` weighs
-    /// `decay^i`. `None` is uniform weighting.
-    pub lookahead_decay: Option<f64>,
-}
-
-impl ScoreParams {
-    /// Parameters for a front-only scorer (t|ket⟩-style: no lookahead).
-    pub fn front_only() -> Self {
-        ScoreParams {
-            extended_set_weight: 0.0,
-            lookahead_decay: None,
-        }
-    }
-}
 
 /// One scored gate: its current physical endpoints, distance, and weight.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +81,7 @@ impl SwapScorer {
         dag: &DependencyDag,
         mapping: &Mapping,
         arch: &Architecture,
-        params: &ScoreParams,
+        lookahead: &LookaheadSpec,
     ) {
         for &p in &self.touched_phys {
             self.touch[p].clear();
@@ -120,7 +100,7 @@ impl SwapScorer {
             self.push_entry(node, dag, mapping, arch, 1.0, true);
         }
         for (i, &node) in extended.iter().enumerate() {
-            let weight = match params.lookahead_decay {
+            let weight = match lookahead.depth_decay {
                 Some(d) => d.powi(i as i32),
                 None => 1.0,
             };
@@ -246,16 +226,16 @@ impl SwapScorer {
         &mut self,
         swap: (NodeId, NodeId),
         arch: &Architecture,
-        params: &ScoreParams,
+        lookahead: &LookaheadSpec,
     ) -> f64 {
         let (d_front, d_ext) = self.deltas(swap, arch);
         let basic = (self.front_sum + d_front as f64) / self.front_len as f64;
-        let lookahead = if self.ext_weight_sum == 0.0 {
+        let lookahead_term = if self.ext_weight_sum == 0.0 {
             0.0
         } else {
-            params.extended_set_weight * (self.ext_sum + d_ext) / self.ext_weight_sum
+            lookahead.extended_set_weight * (self.ext_sum + d_ext) / self.ext_weight_sum
         };
-        basic + lookahead
+        basic + lookahead_term
     }
 
     /// The front deficit: Σ over front gates of (dist − 1), the hops the
@@ -383,11 +363,8 @@ mod tests {
         let front_len = rng.gen_range(1..=12);
         let (front, rest) = nodes.split_at(front_len);
         let extended = &rest[..rng.gen_range(0..=20)];
-        let params = ScoreParams {
-            extended_set_weight: 0.5,
-            lookahead_decay: None,
-        };
-        scorer.prepare(front, extended, &dag, &mapping, arch, &params);
+        let lookahead = LookaheadSpec::sabre_default();
+        scorer.prepare(front, extended, &dag, &mapping, arch, &lookahead);
         let mut candidates = Vec::new();
         for step in 0..24 {
             scorer.candidates_into(arch, &mut candidates);
@@ -457,7 +434,7 @@ mod tests {
             &dag,
             &mapping,
             &arch,
-            &ScoreParams::front_only(),
+            &LookaheadSpec::front_only(),
         );
         let mut candidates = Vec::new();
         scorer.candidates_into(&arch, &mut candidates);
@@ -483,7 +460,7 @@ mod tests {
         dag: &DependencyDag,
         mapping: &Mapping,
         arch: &Architecture,
-        params: &ScoreParams,
+        lookahead: &LookaheadSpec,
     ) -> f64 {
         let resolve = |p: NodeId| {
             if p == swap.0 {
@@ -499,7 +476,7 @@ mod tests {
             arch.distance(resolve(mapping.physical(a)), resolve(mapping.physical(b))) as f64
         };
         let basic: f64 = front.iter().map(|&n| gate_distance(n)).sum::<f64>() / front.len() as f64;
-        let lookahead = if extended.is_empty() {
+        let lookahead_term = if extended.is_empty() {
             0.0
         } else {
             let (sum, weights) =
@@ -507,15 +484,15 @@ mod tests {
                     .iter()
                     .enumerate()
                     .fold((0.0f64, 0.0f64), |(sum, weights), (i, &n)| {
-                        let w = match params.lookahead_decay {
+                        let w = match lookahead.depth_decay {
                             Some(d) => d.powi(i as i32),
                             None => 1.0,
                         };
                         (sum + w * gate_distance(n), weights + w)
                     });
-            params.extended_set_weight * sum / weights
+            lookahead.extended_set_weight * sum / weights
         };
-        basic + lookahead
+        basic + lookahead_term
     }
 
     fn setup() -> (Architecture, DependencyDag, Mapping) {
@@ -540,16 +517,13 @@ mod tests {
         let (arch, dag, mapping) = setup();
         let front = [0, 1, 2];
         let extended = [3, 4];
-        let params = ScoreParams {
-            extended_set_weight: 0.5,
-            lookahead_decay: None,
-        };
+        let lookahead = LookaheadSpec::sabre_default();
         let mut scorer = SwapScorer::new();
-        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &params);
+        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &lookahead);
         for edge in arch.couplers() {
             let swap = (edge.u, edge.v);
-            let fast = scorer.swap_cost(swap, &arch, &params);
-            let slow = reference_cost(swap, &front, &extended, &dag, &mapping, &arch, &params);
+            let fast = scorer.swap_cost(swap, &arch, &lookahead);
+            let slow = reference_cost(swap, &front, &extended, &dag, &mapping, &arch, &lookahead);
             assert_eq!(fast, slow, "swap {swap:?} diverged");
         }
     }
@@ -559,16 +533,16 @@ mod tests {
         let (arch, dag, mapping) = setup();
         let front = [0, 1, 2];
         let extended = [3, 4];
-        let params = ScoreParams {
-            extended_set_weight: 0.5,
-            lookahead_decay: Some(0.8),
+        let lookahead = LookaheadSpec {
+            depth_decay: Some(0.8),
+            ..LookaheadSpec::sabre_default()
         };
         let mut scorer = SwapScorer::new();
-        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &params);
+        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &lookahead);
         for edge in arch.couplers() {
             let swap = (edge.u, edge.v);
-            let fast = scorer.swap_cost(swap, &arch, &params);
-            let slow = reference_cost(swap, &front, &extended, &dag, &mapping, &arch, &params);
+            let fast = scorer.swap_cost(swap, &arch, &lookahead);
+            let slow = reference_cost(swap, &front, &extended, &dag, &mapping, &arch, &lookahead);
             assert!(
                 (fast - slow).abs() < 1e-9,
                 "swap {swap:?}: {fast} vs {slow}"
@@ -581,12 +555,9 @@ mod tests {
         let (arch, dag, mut mapping) = setup();
         let front = [0, 1, 2];
         let extended = [3, 4];
-        let params = ScoreParams {
-            extended_set_weight: 0.5,
-            lookahead_decay: None,
-        };
+        let lookahead = LookaheadSpec::sabre_default();
         let mut scorer = SwapScorer::new();
-        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &params);
+        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &lookahead);
         // Apply a chain of swaps; after each, delta scores must still match
         // a fresh rescan of the *new* mapping.
         for swap in [(0usize, 1usize), (4, 5), (1, 2), (0, 3)] {
@@ -594,9 +565,10 @@ mod tests {
             scorer.apply(swap, &arch);
             for edge in arch.couplers() {
                 let candidate = (edge.u, edge.v);
-                let fast = scorer.swap_cost(candidate, &arch, &params);
-                let slow =
-                    reference_cost(candidate, &front, &extended, &dag, &mapping, &arch, &params);
+                let fast = scorer.swap_cost(candidate, &arch, &lookahead);
+                let slow = reference_cost(
+                    candidate, &front, &extended, &dag, &mapping, &arch, &lookahead,
+                );
                 assert_eq!(fast, slow, "after {swap:?}, candidate {candidate:?}");
             }
         }
@@ -613,7 +585,7 @@ mod tests {
             &dag,
             &mapping,
             &arch,
-            &ScoreParams::front_only(),
+            &LookaheadSpec::front_only(),
         );
         for edge in arch.couplers() {
             let swap = (edge.u, edge.v);
@@ -648,7 +620,7 @@ mod tests {
             &dag,
             &mapping,
             &arch,
-            &ScoreParams::front_only(),
+            &LookaheadSpec::front_only(),
         );
         let mut candidates = Vec::new();
         scorer.candidates_into(&arch, &mut candidates);

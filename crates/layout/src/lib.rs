@@ -8,9 +8,11 @@
 //! two-qubit gate acts on coupled qubits.
 //!
 //! One router, [`ComposedRouter`], runs every tool. A [`RouterSpec`]
-//! composes one choice per policy axis — lookahead, decay, tie-breaking,
-//! placement, coupler weights and search engine — and the four tools of the
-//! paper's evaluation are named compositions of it:
+//! composes one choice per policy axis — lookahead ([`LookaheadSpec`]),
+//! decay ([`DecaySpec`]), tie-breaking ([`TieBreakerSpec`]), placement
+//! ([`PlacementSpec`]), coupler weights ([`WeightsSpec`]) and search engine
+//! ([`SearchSpec`]) — and the four tools of the paper's evaluation are named
+//! compositions of it:
 //!
 //! * [`RouterSpec::lightsabre`] — SABRE / LightSABRE-style multi-trial,
 //!   forward–backward–forward greedy search with extended-set lookahead and
@@ -29,8 +31,8 @@
 //! benchmark harness can treat the tools uniformly, and
 //! every result can be checked with [`validate_routing`]. The shared
 //! routing machinery — per-call [`RoutingProblem`] construction,
-//! front-layer tracking, incremental SWAP scoring and the
-//! policy-parameterized greedy loop ([`kernel::policy`]) — lives in the
+//! front-layer tracking, incremental SWAP scoring, and the axis types with
+//! the greedy loop that matches on them ([`kernel::policy`]) — lives in the
 //! [`kernel`] module. The benchmark harness enumerates the cross-product of
 //! the policy axes as an ablation matrix.
 //!
@@ -63,11 +65,11 @@ pub mod result;
 pub mod router;
 pub mod validate;
 
-pub use composed::{
-    ComposedRouter, DecaySpec, LookaheadSpec, PlacementSpec, RouterSpec, SearchSpec,
-    TieBreakerSpec, WeightsSpec,
+pub use composed::{ComposedRouter, RouterSpec, SearchSpec, WeightsSpec};
+pub use kernel::{
+    DecaySpec, FrontTracker, LookaheadSpec, PlacementSpec, RoutingProblem, SwapScorer,
+    TieBreakerSpec,
 };
-pub use kernel::{FrontTracker, RoutingProblem, SwapScorer};
 pub use mapping::Mapping;
 pub use multilevel::{MultilevelConfig, MultilevelRouter};
 pub use placement::{greedy_bfs_placement, random_placement, vf2_placement};

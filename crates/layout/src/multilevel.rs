@@ -25,15 +25,14 @@
 //!
 //! The routing itself — a single SABRE-style pass from the refined
 //! placement, with no random-restart trials — is the
-//! [`RouterSpec::ml_qls`](crate::RouterSpec::ml_qls) composition;
-//! [`MultilevelRouter`] is its [`PlacementStrategy`].
+//! [`RouterSpec::ml_qls`](crate::RouterSpec::ml_qls) composition, whose
+//! [`PlacementSpec::Multilevel`](crate::PlacementSpec::Multilevel) axis
+//! places trial 0 with [`MultilevelRouter::default`].
 
-use crate::kernel::PlacementStrategy;
 use crate::mapping::Mapping;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
 use qubikos_graph::{Graph, NodeId};
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Tuning knobs of the multilevel placement.
@@ -366,32 +365,13 @@ impl MultilevelRouter {
     }
 }
 
-/// Trial 0 runs the full coarsen–place–refine hierarchy; later trials fall
-/// back to random restarts like every other strategy. This is how the
-/// router construction kit (see [`crate::composed`]) mixes ML-QLS placement
-/// with arbitrary routing policies.
-impl PlacementStrategy for MultilevelRouter {
-    fn place(
-        &self,
-        trial: usize,
-        circuit: &Circuit,
-        arch: &Architecture,
-        rng: &mut ChaCha8Rng,
-    ) -> Mapping {
-        if trial == 0 {
-            MultilevelRouter::place(self, circuit, arch)
-        } else {
-            Mapping::random(circuit.num_qubits(), arch.num_qubits(), rng)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qubikos_arch::devices;
     use qubikos_circuit::Gate;
     use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn random_circuit(num_qubits: usize, gates: usize, seed: u64) -> Circuit {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
