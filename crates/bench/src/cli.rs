@@ -2,9 +2,12 @@
 //!
 //! Every experiment entry point (`eval`, `optimality`, `case-study`,
 //! `ablations`, `analytics`, `suite export`, `suite verify`) is one function
-//! taking the raw argument list, with one flag vocabulary. Commands return
-//! a process exit code with one meaning per failure class, so scripts and
-//! CI can react without parsing stderr:
+//! taking the raw argument list. Each is declared once in the `COMMANDS`
+//! table (name, prose, and flags in synopsis order with their rules),
+//! from which come the `qubikos help` synopses, the dispatch, and one
+//! parse pass per call that rejects bad usage. Commands return a process
+//! exit code with one meaning per failure class, so scripts and CI can react
+//! without parsing stderr:
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -52,7 +55,9 @@ pub const EXIT_VERIFY: i32 = 3;
 pub const EXIT_TIMEOUT: i32 = 4;
 
 /// What a command hands back to `main`: a process exit code, or an error to
-/// render on stderr (exit code [`EXIT_USAGE`]).
+/// render on stderr (exit code [`EXIT_USAGE`]). Every `*_command` returns
+/// `Err` for bad usage (before it runs anything), configuration, I/O or
+/// store errors.
 pub type CommandOutcome = Result<i32, Box<dyn std::error::Error>>;
 
 /// Renders a command outcome and exits the process accordingly.
@@ -79,100 +84,224 @@ fn report_exit_code(failures: usize, deadline_exceeded: usize) -> i32 {
     }
 }
 
-/// The `qubikos` CLI's top-level dispatcher.
+/// The `qubikos` CLI's top-level dispatcher: finds the `COMMANDS` entry
+/// whose name the arguments start with and runs it on the rest.
 ///
 /// # Errors
 ///
 /// Propagates the dispatched command's error.
 pub fn dispatch(args: &[String]) -> CommandOutcome {
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
-        return Ok(EXIT_USAGE);
-    };
-    let rest = &args[1..];
-    match command.as_str() {
-        "suite" => match rest.first().map(String::as_str) {
-            Some("export") => suite_export_command(&rest[1..]),
-            Some("verify") => suite_verify_command(&rest[1..]),
-            _ => {
-                eprintln!("qubikos suite: expected `export` or `verify`\n\n{USAGE}");
-                Ok(EXIT_USAGE)
-            }
-        },
-        "eval" => eval_command(rest),
-        "analytics" => analytics_command(rest),
-        "optimality" => optimality_command(rest),
-        "case-study" => case_study_command(rest),
-        "ablations" => ablations_command(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(EXIT_OK)
+    if let Some("help" | "--help" | "-h") = args.first().map(String::as_str) {
+        println!("{}", usage());
+        return Ok(EXIT_OK);
+    }
+    for command in COMMANDS {
+        let words: Vec<&str> = command.name.split(' ').collect();
+        if args.get(..words.len()).is_some_and(|given| given == words) {
+            return (command.run)(&args[words.len()..]);
         }
-        other => {
-            eprintln!("qubikos: unknown command `{other}`\n\n{USAGE}");
-            Ok(EXIT_USAGE)
+    }
+    if !args.is_empty() {
+        eprint!("qubikos: no command matches `{}`\n\n", args.join(" "));
+    }
+    eprintln!("{}", usage());
+    Ok(EXIT_USAGE)
+}
+
+/// When a flag may or must be given.
+#[derive(PartialEq)]
+enum Rule {
+    Optional,
+    /// Shown without brackets; the command reports it missing. A required
+    /// bare flag (`--grid`) selects its entry over the same-named one.
+    Required,
+    /// Not with `--suite`, whose stored manifest fixes what it would set:
+    /// half-applying it would run on a corpus other than the one asked for.
+    NotWithSuite,
+    /// Only with `--suite`: without a stored suite it would check nothing.
+    NeedsSuite,
+}
+use Rule::{NeedsSuite, NotWithSuite, Optional, Required};
+
+impl Rule {
+    /// Why a flag with this rule may not be given, if `suite` (whether
+    /// `--suite` is) breaks it.
+    fn broken_by(&self, suite: bool) -> Option<&'static str> {
+        match self {
+            NotWithSuite if suite => Some("has no effect with --suite: its manifest fixes it"),
+            NeedsSuite if !suite => Some("requires --suite DIR: it applies only to a stored suite"),
+            _ => None,
         }
     }
 }
 
-const USAGE: &str = "\
-qubikos — the QUBIKOS benchmark and evaluation pipeline
+/// One flag of a [`Command`]: its name, the placeholder of its value
+/// (`None` for a bare flag) and its [`Rule`]. A name `--a | --b` declares a
+/// choice: either flag, but not both.
+struct Flag(&'static str, Option<&'static str>, Rule);
 
-USAGE:
-  qubikos suite export [--arch DEV] [--out DIR] [--full] [--threads N]
-                       [--shard-size K] [--max-shards M]
-      Generate a benchmark suite and persist it as a sharded corpus: a small
-      manifest.json root index pointing at shards/shard_*.json manifests plus
-      the QASM files. Shards are generated in parallel with byte-identical
-      output at any thread count; an interrupted export (or --max-shards M)
-      leaves a ledger and re-running resumes with only the missing shards.
-      The suite matches what `qubikos eval` would generate in memory for the
-      same device, so stored and in-memory runs report identical numbers.
-  qubikos suite verify --suite DIR [--threads N] [--max-shards M]
-      Re-check every stored instance, streaming one shard at a time: root
-      and shard hashes, QASM parse, and the regeneration round trip. Reports
-      every failing instance (with its shard and index) instead of stopping
-      at the first; clean shards are ledgered so a re-run after an interrupt
-      (or --max-shards M) only checks the remainder.
-  qubikos analytics --suite DIR [--threads N] [--json PATH]
-      Corpus-wide summary tables (gap distributions, per-tool win rates,
-      scaling curves) folded shard-by-shard from the results/ cache a prior
-      `eval --suite` run banked — no circuits are loaded, memory stays flat,
-      and the report is bit-identical at any thread count.
-  qubikos eval [--arch DEV] [--tools LIST] [--full] [--threads N]
-               [--suite DIR] [--require-cached]
-      Figure-4 tool evaluation. With --suite, runs from the stored corpus
-      and the content-addressed result cache (already-evaluated
-      (tool, circuit) pairs are not routed again); --require-cached exits
-      nonzero unless every pair was a cache hit. --arch/--full apply only
-      to in-memory runs (with --suite the manifest fixes both),
-      and --tools restricts the run to a comma-separated subset (an
-      unrecognized name errors with a did-you-mean suggestion).
-  qubikos optimality [--full | --smoke] [--threads N] [--suite DIR]
-                     [--exact-deadline-ms N]
-      §IV-A optimality study. With --suite, verifies the stored corpus,
-      consulting/filling the results/optimality cache; --full/--smoke
-      apply only to in-memory runs (the manifest fixes the suite shape).
-      --exact-deadline-ms caps each exact-solver job's wall clock: a circuit
-      that exceeds it degrades to `unproven` (still certified, not
-      exhaustively confirmed) instead of stalling the run, and the command
-      exits 4 when that happened with zero failures.
-  qubikos case-study [--decay D] [--full] [--threads N]
-      §IV-C LightSABRE lookahead case study.
-  qubikos ablations [--threads N]
-      The legacy hand-picked SABRE parameter sweeps.
-  qubikos ablations --grid --suite DIR [--full] [--json PATH]
-                    [--list-compositions] [--max-compositions N]
-                    [--require-cached] [--threads N]
-      Router-construction-kit ablation matrix: enumerates the composition
-      cross-product of the policy axes (search, lookahead, decay,
-      tie-breaking, placement, coupler weights), prunes redundant points,
-      routes every composition against the stored known-optimal suite, and
-      ranks compositions by mean optimality gap and win rate. Results are
-      cached per composition id, so a rerun is answered from cache and
-      --require-cached exits 1 unless it was. --list-compositions prints
-      the pruned enumeration and exits; --full swaps in the overnight grid.
+impl Flag {
+    /// Its names: one, or each alternative of a choice.
+    fn names(&self) -> impl Iterator<Item = &'static str> {
+        self.0.split(" | ")
+    }
+}
 
+const THREADS: Flag = Flag("--threads", Some("N"), Optional);
+
+/// One usage entry of the `qubikos` CLI.
+struct Command {
+    /// The words that name it after `qubikos`.
+    name: &'static str,
+    /// Its flags, in synopsis order.
+    flags: &'static [Flag],
+    /// The description under the synopsis, one help line per line.
+    prose: &'static str,
+    /// Runs the command on the arguments after its name.
+    run: fn(&[String]) -> CommandOutcome,
+}
+
+/// Every usage entry, in `qubikos help` order.
+const COMMANDS: [&Command; 8] = [
+    &SUITE_EXPORT,
+    &SUITE_VERIFY,
+    &ANALYTICS,
+    &EVAL,
+    &OPTIMALITY,
+    &CASE_STUDY,
+    &SWEEPS,
+    &GRID,
+];
+
+const SUITE_EXPORT: Command = Command {
+    name: "suite export",
+    flags: &[
+        Flag("--arch", Some("DEV"), Optional),
+        Flag("--out", Some("DIR"), Optional),
+        Flag("--full", None, Optional),
+        THREADS,
+        Flag("--shard-size", Some("K"), Optional),
+        Flag("--max-shards", Some("M"), Optional),
+    ],
+    prose: "\
+Generate a benchmark suite and persist it as a sharded corpus: a small
+manifest.json root index pointing at shards/shard_*.json manifests plus
+the QASM files. Shards are generated in parallel with byte-identical
+output at any thread count; an interrupted export (or --max-shards M)
+leaves a ledger and re-running resumes with only the missing shards.
+The suite matches what `qubikos eval` would generate in memory for the
+same device, so stored and in-memory runs report identical numbers.",
+    run: suite_export_command,
+};
+const SUITE_VERIFY: Command = Command {
+    name: "suite verify",
+    flags: &[
+        Flag("--suite", Some("DIR"), Required),
+        THREADS,
+        Flag("--max-shards", Some("M"), Optional),
+    ],
+    prose: "\
+Re-check every stored instance, streaming one shard at a time: root
+and shard hashes, QASM parse, and the regeneration round trip. Reports
+every failing instance (with its shard and index) instead of stopping
+at the first; clean shards are ledgered so a re-run after an interrupt
+(or --max-shards M) only checks the remainder.",
+    run: suite_verify_command,
+};
+const ANALYTICS: Command = Command {
+    name: "analytics",
+    flags: &[
+        Flag("--suite", Some("DIR"), Required),
+        THREADS,
+        Flag("--json", Some("PATH"), Optional),
+    ],
+    prose: "\
+Corpus-wide summary tables (gap distributions, per-tool win rates,
+scaling curves) folded shard-by-shard from the results/ cache a prior
+`eval --suite` run banked — no circuits are loaded, memory stays flat,
+and the report is bit-identical at any thread count.",
+    run: analytics_command,
+};
+const EVAL: Command = Command {
+    name: "eval",
+    flags: &[
+        Flag("--arch", Some("DEV"), NotWithSuite),
+        Flag("--tools", Some("LIST"), Optional),
+        Flag("--full", None, NotWithSuite),
+        THREADS,
+        Flag("--suite", Some("DIR"), Optional),
+        Flag("--require-cached", None, NeedsSuite),
+    ],
+    prose: "\
+Figure-4 tool evaluation. With --suite, runs from the stored corpus
+and the content-addressed result cache (already-evaluated
+(tool, circuit) pairs are not routed again); --require-cached exits
+nonzero unless every pair was a cache hit. --arch/--full apply only
+to in-memory runs (with --suite the manifest fixes both),
+and --tools restricts the run to a comma-separated subset (an
+unrecognized name errors with a did-you-mean suggestion).",
+    run: eval_command,
+};
+const OPTIMALITY: Command = Command {
+    name: "optimality",
+    flags: &[
+        Flag("--full | --smoke", None, NotWithSuite),
+        THREADS,
+        Flag("--suite", Some("DIR"), Optional),
+        Flag("--exact-deadline-ms", Some("N"), Optional),
+    ],
+    prose: "\
+§IV-A optimality study. With --suite, verifies the stored corpus,
+consulting/filling the results/optimality cache; --full/--smoke
+apply only to in-memory runs (the manifest fixes the suite shape).
+--exact-deadline-ms caps each exact-solver job's wall clock: a circuit
+that exceeds it degrades to `unproven` (still certified, not
+exhaustively confirmed) instead of stalling the run, and the command
+exits 4 when that happened with zero failures.",
+    run: optimality_command,
+};
+const CASE_STUDY: Command = Command {
+    name: "case-study",
+    flags: &[
+        Flag("--decay", Some("D"), Optional),
+        Flag("--full", None, Optional),
+        THREADS,
+    ],
+    prose: "§IV-C LightSABRE lookahead case study.",
+    run: case_study_command,
+};
+const SWEEPS: Command = Command {
+    name: "ablations",
+    flags: &[THREADS],
+    prose: "The legacy hand-picked SABRE parameter sweeps.",
+    run: ablations_command,
+};
+const GRID: Command = Command {
+    name: "ablations",
+    flags: &[
+        Flag("--grid", None, Required),
+        Flag("--suite", Some("DIR"), Required),
+        Flag("--full", None, Optional),
+        Flag("--json", Some("PATH"), Optional),
+        Flag("--list-compositions", None, Optional),
+        Flag("--max-compositions", Some("N"), Optional),
+        Flag("--require-cached", None, Optional),
+        THREADS,
+    ],
+    prose: "\
+Router-construction-kit ablation matrix: enumerates the composition
+cross-product of the policy axes (search, lookahead, decay,
+tie-breaking, placement, coupler weights), prunes redundant points,
+routes every composition against the stored known-optimal suite, and
+ranks compositions by mean optimality gap and win rate. Results are
+cached per composition id, so a rerun is answered from cache and
+--require-cached exits 1 unless it was. --list-compositions prints
+the pruned enumeration and exits; --full swaps in the overnight grid.",
+    run: ablations_command,
+};
+
+/// The `qubikos help` text after the synopses.
+const FOOTER: &str = "\
 --threads N sets how many jobs the engine runs at once (default: all
 cores). A route that runs alone may spread its LightSABRE trials over idle
 cores; outputs are byte-identical at any --threads.
@@ -187,260 +316,247 @@ EXIT CODES:
   3  verify  — completed, but verification or optimality failures were found
   4  timeout — completed with no failures, but jobs exceeded their deadline";
 
-/// `qubikos suite export`.
-///
-/// # Errors
-///
-/// Store/generation errors.
-pub fn suite_export_command(args: &[String]) -> CommandOutcome {
-    reject_unknown_flags(
-        "suite export",
-        args,
-        &["--full"],
-        &[
-            "--arch",
-            "--out",
-            "--threads",
-            "--shard-size",
-            "--max-shards",
-        ],
-    )?;
-    let device = parse_arch(args)?.unwrap_or(DeviceKind::Aspen4);
-    let out = arg_value(args, "--out").unwrap_or_else(|| "qubikos_suite".to_string());
-    let threads = threads_flag(args)?;
-    let mut options = ExportOptions::default();
-    if let Some(shard_size) = numeric_flag(args, "--shard-size")? {
-        if shard_size == 0 {
-            return Err("--shard-size must be at least 1".into());
-        }
-        options = options.with_shard_size(shard_size);
-    }
-    if let Some(max_shards) = numeric_flag(args, "--max-shards")? {
-        options = options.with_stop_after_shards(max_shards);
-    }
-    // The exported suite is exactly the one `eval` generates in memory for
-    // the same device and mode, so `eval --suite` on the result reproduces
-    // the in-memory report bit-identically.
-    let eval_config = if flag_present(args, "--full") {
-        EvaluationConfig::paper(device)
-    } else {
-        EvaluationConfig::quick(device)
-    };
-    let progress = StderrProgress::new(format!("export {}", device.name()), 10);
-    let outcome = SuiteStore::export_with_options(
-        &out,
-        device,
-        &eval_config.suite,
-        &options,
-        threads,
-        &progress,
-    )?;
-    match outcome.store {
-        Some(store) => {
-            println!(
-                "wrote {} instances for {} to {} ({} shards: {} generated, {} resumed from ledger)",
-                store.total_instances(),
-                device.name(),
-                store.root().display(),
-                outcome.shards_total,
-                outcome.shards_written,
-                outcome.shards_resumed
-            );
-            Ok(0)
-        }
-        None => {
-            println!(
-                "export interrupted after {} of {} shards ({} resumed); re-run the same \
-                 command to finish from the ledger",
-                outcome.shards_written + outcome.shards_resumed,
-                outcome.shards_total,
-                outcome.shards_resumed
-            );
-            Ok(0)
-        }
-    }
-}
-
-/// Returns the value following `flag` in `args`, if present.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Whether the bare flag `flag` appears in `args`.
-fn flag_present(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Errors on the first argument of `command` that its usage line does not
-/// list: `bare` are the flags that stand alone, `valued` the flags that
-/// take a value, which is skipped unless it is itself a flag (the flag's
-/// own parser then reports the missing value). A removed or misspelt flag
-/// must never be a silent no-op.
-fn reject_unknown_flags(
-    command: &str,
-    args: &[String],
-    bare: &[&str],
-    valued: &[&str],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if valued.contains(&arg.as_str()) {
-            if rest
-                .as_slice()
-                .first()
-                .is_some_and(|v| !v.starts_with("--"))
-            {
-                rest.next();
+/// The `qubikos help` text: each entry's synopsis, its flags wrapped
+/// greedily at 72 columns with continuation lines under the first flag,
+/// and its prose; then [`FOOTER`].
+fn usage() -> String {
+    let mut text =
+        "qubikos — the QUBIKOS benchmark and evaluation pipeline\n\nUSAGE:\n".to_string();
+    for command in COMMANDS {
+        let head = format!("  qubikos {}", command.name);
+        let mut column = head.len();
+        text += &head;
+        for Flag(name, metavar, rule) in command.flags {
+            let spec = metavar.map_or(name.to_string(), |metavar| format!("{name} {metavar}"));
+            let token = if *rule == Required {
+                spec
+            } else {
+                format!("[{spec}]")
+            };
+            if column > head.len() && column + 1 + token.len() > 72 {
+                text += &format!("\n{:1$}", "", head.len());
+                column = head.len();
             }
-        } else if !bare.contains(&arg.as_str()) {
-            return Err(format!("{command}: unknown flag `{arg}` (see `qubikos help`)").into());
+            text += &format!(" {token}");
+            column += 1 + token.len();
         }
+        for line in command.prose.lines() {
+            text += &format!("\n      {line}");
+        }
+        text += "\n";
     }
-    Ok(())
+    text + "\n" + FOOTER
 }
 
-/// Parses a `--flag N` numeric option, erroring when the flag is present
-/// without a parseable value (a typo must never silently fall back to the
-/// default).
-fn numeric_flag(args: &[String], flag: &str) -> Result<Option<usize>, Box<dyn std::error::Error>> {
-    match arg_value(args, flag) {
-        None if flag_present(args, flag) => Err(format!("{flag} requires an integer").into()),
-        None => Ok(None),
-        Some(value) => value
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|_| format!("{flag}: expected an integer, found `{value}`").into()),
+impl Command {
+    /// The entry's flag that `arg` names, if any.
+    fn flag(&self, arg: &str) -> Option<&'static Flag> {
+        self.flags.iter().find(|f| f.names().any(|n| n == arg))
     }
-}
 
-/// Parses the shared `--threads N` flag ([`AUTO_THREADS`] when absent).
-fn threads_flag(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
-    Ok(numeric_flag(args, "--threads")?.unwrap_or(AUTO_THREADS))
-}
+    /// The required bare flag that selects this entry (`--grid`), if any.
+    fn selector(&self) -> Option<&'static str> {
+        let selects = |flag: &&Flag| flag.1.is_none() && flag.2 == Required;
+        self.flags.iter().find(selects).map(|flag| flag.0)
+    }
 
-/// Parses `--arch`, erroring on an unrecognized device name instead of
-/// silently falling back to a default (a typo must never quietly evaluate
-/// the wrong device).
-fn parse_arch(args: &[String]) -> Result<Option<DeviceKind>, Box<dyn std::error::Error>> {
-    match arg_value(args, "--arch") {
-        None => Ok(None),
-        Some(name) => match DeviceKind::parse(&name) {
-            Ok(device) => Ok(Some(device)),
-            Err(err) => {
-                let known: Vec<&str> = qubikos_arch::DeviceParseError::known_devices().collect();
-                Err(format!("--arch: {err} (known devices: {})", known.join(" | ")).into())
+    /// The one parse pass: each argument must be a flag of this entry, given
+    /// once and without another alternative of its choice, followed by its
+    /// value if it takes one (a value may not be a flag), and allowed by its
+    /// rule.
+    fn parse<'a>(&self, raw: &'a [String]) -> Result<Args<'a>, String> {
+        // A value never starts with `--`, so this is the `--suite` flag.
+        let suite = raw.iter().any(|arg| arg == "--suite");
+        let mut args = Args(Vec::new());
+        let mut rest = raw.iter();
+        while let Some(arg) = rest.next() {
+            let Some(flag @ Flag(_, metavar, rule)) = self.flag(arg) else {
+                return Err(self.unknown_flag(arg));
+            };
+            if let Some(earlier) = flag.names().find(|name| args.has(name)) {
+                return Err(if earlier == arg {
+                    format!("{arg} is given more than once")
+                } else {
+                    format!("{earlier} and {arg} cannot be combined")
+                });
             }
-        },
-    }
-}
-
-/// Parses `--tools LIST` (comma-separated tool names), erroring on an
-/// unrecognized name with the parser's did-you-mean suggestion and the full
-/// known-tool list — a typo must never silently evaluate the wrong tool
-/// set. Duplicates collapse to the first occurrence.
-fn parse_tools(args: &[String]) -> Result<Option<Vec<ToolKind>>, Box<dyn std::error::Error>> {
-    match arg_value(args, "--tools") {
-        None if flag_present(args, "--tools") => {
-            Err("--tools requires a comma-separated list of tool names".into())
-        }
-        None => Ok(None),
-        Some(list) => {
-            let mut tools: Vec<ToolKind> = Vec::new();
-            for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                match ToolKind::parse(name) {
-                    Ok(tool) => {
-                        if !tools.contains(&tool) {
-                            tools.push(tool);
-                        }
-                    }
-                    Err(err) => {
-                        let known: Vec<&str> = ToolParseError::known_tools().collect();
-                        return Err(
-                            format!("--tools: {err} (known tools: {})", known.join(" | ")).into(),
-                        );
-                    }
+            if let Some(reason) = rule.broken_by(suite) {
+                return Err(format!("{arg} {reason}"));
+            }
+            let value = match metavar.map(|metavar| (metavar, rest.next())) {
+                None => None,
+                Some((_, Some(value))) if !value.starts_with("--") => Some(value.as_str()),
+                Some((metavar, Some(flag))) => {
+                    return Err(format!("{arg} requires {metavar}, found flag `{flag}`"))
                 }
-            }
-            if tools.is_empty() {
-                return Err("--tools requires at least one tool name".into());
-            }
-            Ok(Some(tools))
+                Some((metavar, None)) => return Err(format!("{arg} requires {metavar}")),
+            };
+            args.0.push((arg, value));
+        }
+        Ok(args)
+    }
+
+    /// The error for `arg`, a flag this entry does not declare. A flag of
+    /// the same-named entry names that entry's selector: the sweeps must not
+    /// silently drop a matrix flag such as `--json`.
+    fn unknown_flag(&self, arg: &str) -> String {
+        let owner = COMMANDS
+            .iter()
+            .find(|command| command.name == self.name && command.flag(arg).is_some());
+        match owner.and_then(|command| command.selector()) {
+            Some(selector) => format!("{arg} applies only with {selector}; add {selector}"),
+            None => format!("{}: unknown flag `{arg}` (see `qubikos help`)", self.name),
         }
     }
 }
 
-/// Parses a `--flag PATH` option, erroring when the flag is present without
-/// a usable value (missing, or another flag in its place); `what` names the
-/// expected value. A forgotten path must never be silently ignored.
-fn path_flag(
-    args: &[String],
-    flag: &str,
-    what: &str,
-) -> Result<Option<String>, Box<dyn std::error::Error>> {
-    match arg_value(args, flag) {
-        Some(value) if value.starts_with("--") => {
-            Err(format!("{flag} requires {what}, found flag `{value}`").into())
-        }
-        Some(value) => Ok(Some(value)),
-        None if flag_present(args, flag) => Err(format!("{flag} requires {what}").into()),
-        None => Ok(None),
+/// A command's arguments after [`Command::parse`]: each given flag once,
+/// with its value if it takes one.
+struct Args<'a>(Vec<(&'a str, Option<&'a str>)>);
+
+impl Args<'_> {
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(name, _)| *name == flag)
     }
-}
 
-/// Parses `--suite DIR`. A forgotten directory must never silently degrade
-/// into the (expensive, differently-scoped) in-memory pipeline.
-fn suite_flag(args: &[String]) -> Result<Option<String>, Box<dyn std::error::Error>> {
-    path_flag(args, "--suite", "a directory path")
-}
+    /// The value given to `flag`, if it was given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.0.iter().find(|(name, _)| *name == flag)?.1
+    }
 
-/// The `--require-cached` verdict on a stored-suite run that routed
-/// `routed` pairs fresh: [`EXIT_POLICY`] unless every pair was a cache hit.
-fn cache_policy(args: &[String], routed: usize) -> i32 {
-    if flag_present(args, "--require-cached") && routed > 0 {
-        eprintln!("ERROR: --require-cached but {routed} pairs were routed fresh");
-        EXIT_POLICY
-    } else {
-        EXIT_OK
+    /// The value given to `flag` as an integer; a value that is not one is
+    /// an error, never a silent fallback to the default.
+    fn number(&self, flag: &str) -> Result<Option<usize>, String> {
+        let Some(value) = self.value(flag) else {
+            return Ok(None);
+        };
+        let error = |_| format!("{flag}: expected an integer, found `{value}`");
+        value.parse().map(Some).map_err(error)
+    }
+
+    /// `--threads N` ([`AUTO_THREADS`] when absent).
+    fn threads(&self) -> Result<usize, String> {
+        Ok(self.number("--threads")?.unwrap_or(AUTO_THREADS))
+    }
+
+    /// `--arch`, erroring on an unrecognized device name instead of silently
+    /// falling back to a default (a typo must never quietly evaluate the
+    /// wrong device).
+    fn arch(&self) -> Result<Option<DeviceKind>, String> {
+        let device = self.value("--arch").map(|name| {
+            DeviceKind::parse(name).map_err(|err| {
+                let known: Vec<&str> = qubikos_arch::DeviceParseError::known_devices().collect();
+                format!("--arch: {err} (known devices: {})", known.join(" | "))
+            })
+        });
+        device.transpose()
+    }
+
+    /// `--tools LIST` (comma-separated tool names), erroring on an
+    /// unrecognized name with the parser's did-you-mean suggestion and the
+    /// full known-tool list — a typo must never silently evaluate the wrong
+    /// tool set. Duplicates collapse to the first occurrence.
+    fn tools(&self) -> Result<Option<Vec<ToolKind>>, String> {
+        let Some(list) = self.value("--tools") else {
+            return Ok(None);
+        };
+        let mut tools: Vec<ToolKind> = Vec::new();
+        for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+            let tool = ToolKind::parse(name).map_err(|err| {
+                let known: Vec<&str> = ToolParseError::known_tools().collect();
+                format!("--tools: {err} (known tools: {})", known.join(" | "))
+            })?;
+            if !tools.contains(&tool) {
+                tools.push(tool);
+            }
+        }
+        if tools.is_empty() {
+            return Err("--tools requires at least one tool name".into());
+        }
+        Ok(Some(tools))
+    }
+
+    /// The `--require-cached` verdict on a stored-suite run that routed
+    /// `routed` pairs fresh: [`EXIT_POLICY`] unless all were cache hits.
+    fn cache_policy(&self, routed: usize) -> i32 {
+        if self.has("--require-cached") && routed > 0 {
+            eprintln!("ERROR: --require-cached but {routed} pairs were routed fresh");
+            EXIT_POLICY
+        } else {
+            EXIT_OK
+        }
     }
 }
 
 /// Writes `value` to `path` as pretty JSON and notes it on stderr.
-fn write_json(
-    path: &str,
-    value: &impl serde::Serialize,
-    what: &str,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn write_json(path: &str, value: &impl serde::Serialize, what: &str) -> Result<(), String> {
     let json = serde_json::to_string_pretty(value).expect("reports serialize");
     std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
     eprintln!("wrote {what} to {path}");
     Ok(())
 }
 
-/// `qubikos suite verify`.
-///
-/// Streams the corpus one shard at a time, reports **every** failing
-/// instance (with its shard and index) instead of stopping at the first,
-/// and ledgers clean shards so interrupted runs resume.
-///
-/// # Errors
-///
-/// Store errors (unreadable root index, IO); integrity violations are
-/// reported on stderr and exit code 1, not `Err`.
+/// `qubikos suite export`.
+pub fn suite_export_command(args: &[String]) -> CommandOutcome {
+    let args = SUITE_EXPORT.parse(args)?;
+    let device = args.arch()?.unwrap_or(DeviceKind::Aspen4);
+    let out = args.value("--out").unwrap_or("qubikos_suite");
+    let threads = args.threads()?;
+    let mut options = ExportOptions::default();
+    if let Some(shard_size) = args.number("--shard-size")? {
+        if shard_size == 0 {
+            return Err("--shard-size must be at least 1".into());
+        }
+        options = options.with_shard_size(shard_size);
+    }
+    if let Some(max_shards) = args.number("--max-shards")? {
+        options = options.with_stop_after_shards(max_shards);
+    }
+    // The exported suite is exactly the one `eval` generates in memory for
+    // the same device and mode, so `eval --suite` on the result reproduces
+    // the in-memory report bit-identically.
+    let preset = if args.has("--full") {
+        EvaluationConfig::paper(device)
+    } else {
+        EvaluationConfig::quick(device)
+    };
+    let progress = StderrProgress::new(format!("export {}", device.name()), 10);
+    let outcome =
+        SuiteStore::export_with_options(out, device, &preset.suite, &options, threads, &progress)?;
+    let Some(store) = outcome.store else {
+        println!(
+            "export interrupted after {} of {} shards ({} resumed); re-run the same \
+             command to finish from the ledger",
+            outcome.shards_written + outcome.shards_resumed,
+            outcome.shards_total,
+            outcome.shards_resumed
+        );
+        return Ok(0);
+    };
+    println!(
+        "wrote {} instances for {} to {} ({} shards: {} generated, {} resumed from ledger)",
+        store.total_instances(),
+        device.name(),
+        store.root().display(),
+        outcome.shards_total,
+        outcome.shards_written,
+        outcome.shards_resumed
+    );
+    Ok(0)
+}
+
+/// `qubikos suite verify`: streams the corpus one shard at a time, reports
+/// **every** failing instance (with its shard and index) with exit code
+/// [`EXIT_VERIFY`], and ledgers clean shards so interrupted runs resume.
 pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
-    reject_unknown_flags(
-        "suite verify",
-        args,
-        &[],
-        &["--suite", "--threads", "--max-shards"],
-    )?;
-    let dir = suite_flag(args)?
+    let args = SUITE_VERIFY.parse(args)?;
+    let dir = args
+        .value("--suite")
         .ok_or("suite verify requires --suite DIR (the exported suite directory)")?;
-    let threads = threads_flag(args)?;
-    let max_shards = numeric_flag(args, "--max-shards")?;
-    let store = SuiteStore::open(&dir)?;
+    let threads = args.threads()?;
+    let max_shards = args.number("--max-shards")?;
+    let store = SuiteStore::open(dir)?;
     let progress = StderrProgress::new(format!("verify {}", store.device().name()), 10);
     let report = store.verify_streaming(threads, max_shards, &progress)?;
     for failure in &report.failures {
@@ -455,11 +571,9 @@ pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
         report.shards_checked,
         report.shards_resumed
     );
-    if !report.failures.is_empty() {
-        eprintln!(
-            "ERROR: {} instances failed verification",
-            report.failures.len()
-        );
+    let failed = report.failures.len();
+    if failed > 0 {
+        eprintln!("ERROR: {failed} instances failed verification");
         return Ok(EXIT_VERIFY);
     }
     if !report.complete {
@@ -474,63 +588,32 @@ pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
 
 /// `qubikos analytics`: corpus-wide summary tables folded shard-by-shard
 /// from a stored suite's result cache.
-///
-/// # Errors
-///
-/// Store errors (unreadable root index or shard manifests).
 pub fn analytics_command(args: &[String]) -> CommandOutcome {
-    reject_unknown_flags("analytics", args, &[], &["--suite", "--threads", "--json"])?;
-    let dir =
-        suite_flag(args)?.ok_or("analytics requires --suite DIR (the exported suite directory)")?;
-    let json_path = path_flag(args, "--json", "an output path")?;
-    let config = AnalyticsConfig::default().with_threads(threads_flag(args)?);
-    let store = SuiteStore::open(&dir)?;
+    let args = ANALYTICS.parse(args)?;
+    let dir = args
+        .value("--suite")
+        .ok_or("analytics requires --suite DIR (the exported suite directory)")?;
+    let config = AnalyticsConfig::default().with_threads(args.threads()?);
+    let store = SuiteStore::open(dir)?;
     let progress = StderrProgress::new(format!("analytics {}", store.device().name()), 10);
     let report = run_suite_analytics_with_sink(&store, &config, &progress)?;
     print!("{}", render_analytics(&report));
-    if let Some(path) = json_path {
-        write_json(&path, &report, "analytics report")?;
+    if let Some(path) = args.value("--json") {
+        write_json(path, &report, "analytics report")?;
     }
     Ok(0)
 }
 
 /// `qubikos eval`.
-///
-/// # Errors
-///
-/// Generation or store errors.
 pub fn eval_command(args: &[String]) -> CommandOutcome {
-    reject_unknown_flags(
-        "eval",
-        args,
-        &["--full", "--require-cached"],
-        &["--arch", "--tools", "--threads", "--suite"],
-    )?;
-    let threads = threads_flag(args)?;
-    let full = flag_present(args, "--full");
+    let args = EVAL.parse(args)?;
+    let threads = args.threads()?;
+    let tools = args.tools()?;
 
-    if let Some(dir) = suite_flag(args)? {
-        // Flags that would silently contradict the stored manifest are
-        // rejected rather than ignored.
-        if full {
-            return Err(
-                "--full has no effect with --suite: the stored manifest fixes the \
-                        suite shape; re-export with `suite export --full` instead"
-                    .into(),
-            );
-        }
-        if parse_arch(args)?.is_some() {
-            return Err(
-                "--arch has no effect with --suite: the stored manifest fixes the \
-                        device"
-                    .into(),
-            );
-        }
-        let store = SuiteStore::open(&dir)?;
+    if let Some(dir) = args.value("--suite") {
+        let store = SuiteStore::open(dir)?;
         let mut config = SuiteEvalConfig::default().with_threads(threads);
-        if let Some(tools) = parse_tools(args)? {
-            config.tools = tools;
-        }
+        config.tools = tools.unwrap_or(config.tools);
         let progress =
             StderrProgress::new(format!("evaluate {} (suite)", store.device().name()), 20);
         let outcome = run_suite_evaluation_with_sink(&store, &config, &progress)?;
@@ -539,36 +622,21 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
             "suite evaluation: {} (tool, circuit) pairs routed, {} served from cache",
             outcome.routed, outcome.cache_hits
         );
-        return Ok(cache_policy(args, outcome.routed));
+        return Ok(args.cache_policy(outcome.routed));
     }
 
-    // An in-memory run has no cache to assert against: a bare
-    // --require-cached would "pass" while checking nothing.
-    if flag_present(args, "--require-cached") {
-        return Err(
-            "--require-cached requires --suite DIR (only stored suites have a \
-                    result cache)"
-                .into(),
-        );
-    }
-
-    let devices: Vec<DeviceKind> = match parse_arch(args)? {
-        Some(device) => vec![device],
-        None => DeviceKind::EVALUATION.to_vec(),
-    };
-
-    let tools = parse_tools(args)?;
+    let devices = args
+        .arch()?
+        .map_or(DeviceKind::EVALUATION.to_vec(), |device| vec![device]);
     let mut reports = Vec::new();
     for device in devices {
-        let mut config = if full {
+        let mut config = if args.has("--full") {
             EvaluationConfig::paper(device)
         } else {
             EvaluationConfig::quick(device)
         }
         .with_threads(threads);
-        if let Some(tools) = &tools {
-            config.tools = tools.clone();
-        }
+        config.tools = tools.clone().unwrap_or(config.tools);
         eprintln!(
             "running tool evaluation on {} ({} circuits, {} two-qubit gates each)...",
             device.name(),
@@ -587,76 +655,46 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
 }
 
 /// `qubikos optimality`.
-///
-/// # Errors
-///
-/// Generation or store errors.
 pub fn optimality_command(args: &[String]) -> CommandOutcome {
-    reject_unknown_flags(
-        "optimality",
-        args,
-        &["--full", "--smoke"],
-        &["--threads", "--suite", "--exact-deadline-ms"],
-    )?;
-    let full = flag_present(args, "--full");
-    let smoke = flag_present(args, "--smoke");
-    let mut config = if full {
+    let args = OPTIMALITY.parse(args)?;
+    let mut config = if args.has("--full") {
         OptimalityConfig::paper()
-    } else if smoke {
+    } else if args.has("--smoke") {
         OptimalityConfig::smoke()
     } else {
         OptimalityConfig::quick()
     }
-    .with_threads(threads_flag(args)?);
-    if let Some(millis) = numeric_flag(args, "--exact-deadline-ms")? {
+    .with_threads(args.threads()?);
+    if let Some(millis) = args.number("--exact-deadline-ms")? {
         config = config.with_exact_deadline(std::time::Duration::from_millis(millis as u64));
     }
 
-    if let Some(dir) = suite_flag(args)? {
-        // The presets differ only in suite shape and devices — exactly the
-        // two things the stored manifest fixes — so combining them with
-        // --suite would silently verify a different corpus than the flag
-        // suggests. Reject instead of half-applying.
-        if full || smoke {
-            return Err(
-                "--full/--smoke have no effect with --suite: the stored manifest \
-                        fixes the suite shape; re-export the corpus at the desired scale \
-                        instead"
-                    .into(),
-            );
-        }
-        let store = SuiteStore::open(&dir)?;
-        eprintln!(
-            "verifying {} stored circuits on {}...",
-            store.total_instances(),
-            store.device().name()
-        );
-        let progress = StderrProgress::new("optimality study (suite)".to_string(), 50);
-        let outcome = run_suite_optimality_with_sink(&store, &config, &progress)?;
-        print!("{}", render_optimality(&outcome.report));
-        eprintln!(
-            "suite optimality: {} circuits verified, {} served from cache",
-            outcome.verified, outcome.cache_hits
-        );
-        if outcome.report.failures > 0 {
+    let report = match args.value("--suite") {
+        Some(dir) => {
+            let store = SuiteStore::open(dir)?;
             eprintln!(
-                "ERROR: {} circuits failed verification",
-                outcome.report.failures
+                "verifying {} stored circuits on {}...",
+                store.total_instances(),
+                store.device().name()
             );
+            let progress = StderrProgress::new("optimality study (suite)".to_string(), 50);
+            let outcome = run_suite_optimality_with_sink(&store, &config, &progress)?;
+            eprintln!(
+                "suite optimality: {} circuits verified, {} served from cache",
+                outcome.verified, outcome.cache_hits
+            );
+            outcome.report
         }
-        return Ok(report_exit_code(
-            outcome.report.failures,
-            outcome.report.deadline_exceeded,
-        ));
-    }
-
-    eprintln!(
-        "verifying {} circuits per device on {:?}...",
-        config.suite.total_circuits(),
-        config.devices.iter().map(|d| d.name()).collect::<Vec<_>>()
-    );
-    let progress = StderrProgress::new("optimality study".to_string(), 50);
-    let report = run_optimality_study_with_sink(&config, &progress)?;
+        None => {
+            eprintln!(
+                "verifying {} circuits per device on {:?}...",
+                config.suite.total_circuits(),
+                config.devices.iter().map(|d| d.name()).collect::<Vec<_>>()
+            );
+            let progress = StderrProgress::new("optimality study".to_string(), 50);
+            run_optimality_study_with_sink(&config, &progress)?
+        }
+    };
     print!("{}", render_optimality(&report));
     if report.failures > 0 {
         eprintln!("ERROR: {} circuits failed verification", report.failures);
@@ -664,31 +702,22 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
     Ok(report_exit_code(report.failures, report.deadline_exceeded))
 }
 
-/// `qubikos case-study`.
-///
-/// # Errors
-///
-/// A `--decay` that is not a finite number above 0, or generation errors.
+/// `qubikos case-study`; `--decay` must be a finite number above 0.
 pub fn case_study_command(args: &[String]) -> CommandOutcome {
-    reject_unknown_flags("case-study", args, &["--full"], &["--decay", "--threads"])?;
-    let decay = match arg_value(args, "--decay") {
-        None if flag_present(args, "--decay") => return Err("--decay requires a number".into()),
-        None => 0.7,
-        Some(value) => match value.parse::<f64>() {
-            Ok(decay) if decay.is_finite() && decay > 0.0 => decay,
-            _ => {
-                return Err(
-                    format!("--decay: expected a finite number above 0, found `{value}`").into(),
-                )
-            }
-        },
-    };
-    let full = flag_present(args, "--full");
-    let threads = threads_flag(args)?;
+    let args = CASE_STUDY.parse(args)?;
+    let decay = args
+        .value("--decay")
+        .map_or(Ok(0.7), |value| match value.parse::<f64>() {
+            Ok(decay) if decay.is_finite() && decay > 0.0 => Ok(decay),
+            _ => Err(format!(
+                "--decay: expected a finite number above 0, found `{value}`"
+            )),
+        })?;
+    let threads = args.threads()?;
     // The lookahead effect the paper analyses only shows up once the padding
     // is dense enough to mislead the extended set, so the default run already
     // uses the paper's Aspen-4 gate budget (300 two-qubit gates).
-    let (swap_counts, circuits): (Vec<usize>, usize) = if full {
+    let (swap_counts, circuits): (Vec<usize>, usize) = if args.has("--full") {
         (vec![5, 10, 15, 20], 10)
     } else {
         (vec![4, 8, 12], 3)
@@ -714,22 +743,12 @@ pub fn case_study_command(args: &[String]) -> CommandOutcome {
 /// `qubikos ablations`. Without `--grid`, the legacy hand-picked SABRE
 /// sweeps; with `--grid`, the router construction kit's composition matrix
 /// against a stored known-optimal suite.
-///
-/// # Errors
-///
-/// Generation or store errors.
 pub fn ablations_command(args: &[String]) -> CommandOutcome {
-    let threads = threads_flag(args)?;
-    if flag_present(args, "--grid") {
-        return ablations_grid_command(args, threads);
+    if args.iter().any(|arg| Some(arg.as_str()) == GRID.selector()) {
+        return ablations_grid(&GRID.parse(args)?);
     }
-    // The legacy sweeps take none of the matrix's flags; accepting them
-    // would silently drop a requested export or cache check.
-    if let Some(flag) = GRID_ONLY_FLAGS.iter().find(|flag| flag_present(args, flag)) {
-        return Err(format!("{flag} applies only to the composition matrix; add --grid").into());
-    }
-    reject_unknown_flags("ablations", args, &[], &["--threads"])?;
-    let config = AblationConfig::paper().with_threads(threads);
+    let args = SWEEPS.parse(args)?;
+    let config = AblationConfig::paper().with_threads(args.threads()?);
     // One sink across all sweeps: each engine run restarts the progress
     // counter, so the multi-minute paper sweep streams per-run progress.
     let progress = StderrProgress::new("ablations".to_string(), 3);
@@ -738,36 +757,15 @@ pub fn ablations_command(args: &[String]) -> CommandOutcome {
     Ok(0)
 }
 
-/// The `ablations` flags that only the composition matrix (`--grid`) reads.
-const GRID_ONLY_FLAGS: [&str; 6] = [
-    "--suite",
-    "--list-compositions",
-    "--json",
-    "--require-cached",
-    "--max-compositions",
-    "--full",
-];
-
 /// `qubikos ablations --grid`: enumerate the (pruned) composition
 /// cross-product, rank it against a stored known-optimal suite through the
 /// per-composition result cache, and render/export the ranking.
-fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
-    reject_unknown_flags(
-        "ablations --grid",
-        args,
-        &[
-            "--grid",
-            "--full",
-            "--list-compositions",
-            "--require-cached",
-        ],
-        &["--suite", "--json", "--max-compositions", "--threads"],
-    )?;
-    let mut config = MatrixConfig::quick().with_threads(threads);
-    if flag_present(args, "--full") {
+fn ablations_grid(args: &Args<'_>) -> CommandOutcome {
+    let mut config = MatrixConfig::quick().with_threads(args.threads()?);
+    if args.has("--full") {
         config.grid = crate::ablations::CompositionGrid::paper();
     }
-    if let Some(max) = numeric_flag(args, "--max-compositions")? {
+    if let Some(max) = args.number("--max-compositions")? {
         if max == 0 {
             return Err("--max-compositions must be at least 1".into());
         }
@@ -776,7 +774,7 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
 
     // The dry run: print the pruned enumeration (what the matrix *would*
     // route) and exit without touching any suite.
-    if flag_present(args, "--list-compositions") {
+    if args.has("--list-compositions") {
         let specs = config.compositions();
         println!(
             "{} compositions ({} raw grid points before pruning)",
@@ -789,13 +787,11 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
         return Ok(EXIT_OK);
     }
 
-    let dir = suite_flag(args)?.ok_or(
+    let dir = args.value("--suite").ok_or(
         "ablations --grid requires --suite DIR (the known-optimal corpus to rank \
          against; create one with `qubikos suite export`)",
     )?;
-    let json_path = path_flag(args, "--json", "an output path")?;
-
-    let store = SuiteStore::open(&dir)?;
+    let store = SuiteStore::open(dir)?;
     let progress = StderrProgress::new(format!("ablation matrix {}", store.device().name()), 20);
     let outcome = run_composition_matrix(&store, &config, &progress)?;
     print!("{}", render_composition_matrix(&outcome.report));
@@ -803,10 +799,10 @@ fn ablations_grid_command(args: &[String], threads: usize) -> CommandOutcome {
         "ablation matrix: {} (composition, circuit) pairs routed, {} served from cache",
         outcome.routed, outcome.cache_hits
     );
-    if let Some(path) = json_path {
-        write_json(&path, &outcome.report, "composition matrix")?;
+    if let Some(path) = args.value("--json") {
+        write_json(path, &outcome.report, "composition matrix")?;
     }
-    Ok(cache_policy(args, outcome.routed))
+    Ok(args.cache_policy(outcome.routed))
 }
 
 #[cfg(test)]
@@ -818,13 +814,71 @@ mod tests {
     }
 
     #[test]
-    fn arg_value_and_flag_present() {
-        let a = args(&["--arch", "aspen4", "--full"]);
-        assert_eq!(arg_value(&a, "--arch"), Some("aspen4".to_string()));
-        assert_eq!(arg_value(&a, "--out"), None);
-        assert_eq!(arg_value(&a, "--full"), None);
-        assert!(flag_present(&a, "--full"));
-        assert!(!flag_present(&a, "--smoke"));
+    fn args_value_and_has() {
+        let raw = args(&["--arch", "aspen4", "--full"]);
+        let a = SUITE_EXPORT.parse(&raw).expect("declared flags");
+        assert_eq!(a.value("--arch"), Some("aspen4"));
+        assert_eq!(a.value("--out"), None);
+        assert_eq!(a.value("--full"), None);
+        assert!(a.has("--full"));
+        assert!(!a.has("--smoke"));
+    }
+
+    #[test]
+    fn a_valued_flags_value_may_not_be_a_flag() {
+        let err = suite_export_command(&args(&["--arch", "grid", "--out", "--max-shards", "0"]))
+            .expect_err("`--max-shards` is not a directory name");
+        assert!(
+            err.to_string().contains("found flag `--max-shards`"),
+            "{err}"
+        );
+        assert!(!std::path::Path::new("--max-shards").exists());
+    }
+
+    #[test]
+    fn repeated_flags_are_usage_errors() {
+        let err = EVAL
+            .parse(&args(&[
+                "--arch",
+                "grid",
+                "--tools",
+                "lightsabre",
+                "--threads",
+                "1",
+                "--threads",
+                "many",
+            ]))
+            .err()
+            .expect("the second --threads must not be dropped");
+        assert!(
+            err.to_string()
+                .contains("--threads is given more than once"),
+            "{err}"
+        );
+        let raw = args(&[
+            "--grid",
+            "--list-compositions",
+            "--max-compositions",
+            "2",
+            "--max-compositions",
+            "0",
+        ]);
+        assert!(GRID.parse(&raw).is_err());
+        assert!(ablations_command(&raw).is_err());
+    }
+
+    #[test]
+    fn optimality_full_and_smoke_conflict() {
+        let err = OPTIMALITY
+            .parse(&args(&["--full", "--smoke"]))
+            .err()
+            .expect("neither preset may silently win");
+        assert!(
+            err.to_string()
+                .contains("--full and --smoke cannot be combined"),
+            "{err}"
+        );
+        assert!(OPTIMALITY.parse(&args(&["--smoke", "--full"])).is_err());
     }
 
     #[test]
