@@ -23,7 +23,9 @@
 
 use qubikos_arch::{devices, Architecture};
 use qubikos_circuit::{Circuit, Gate};
-use qubikos_layout::{validate_routing, Mapping, MultilevelRouter, RoutedCircuit, ToolKind};
+use qubikos_layout::{
+    greedy_bfs_placement, validate_routing, Mapping, MultilevelRouter, RoutedCircuit, ToolKind,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -334,6 +336,89 @@ fn multilevel_placements_are_pinned() {
             0x1b8a_2484_4176_3d05,
         ],
         "ML-QLS placement changed (eagle-127, osprey-433, grid-4x4 × seeds 1-4)"
+    );
+}
+
+/// Greedy-BFS placement pins: the prog→phys vector [`greedy_bfs_placement`]
+/// picks for seeds 1–4 on eagle-127 (5 SWAPs, 60 gates) and osprey-433
+/// (2 SWAPs, 60 gates), as [`mapping_fingerprint`]s. These instances leave
+/// most device qubits without an interaction, so the pins cover the
+/// placement order's one-node components as well.
+#[test]
+fn greedy_bfs_placements_are_pinned() {
+    use qubikos::{generate, GeneratorConfig};
+    let fixtures = [(devices::eagle127(), 5), (devices::osprey433(), 2)];
+    let mut got = Vec::new();
+    for (arch, swaps) in &fixtures {
+        for seed in 1..=4 {
+            let bench = generate(arch, &GeneratorConfig::new(*swaps, 60).with_seed(seed))
+                .expect("generates");
+            let placement = greedy_bfs_placement(bench.circuit(), arch);
+            assert!(placement.is_consistent());
+            got.push(mapping_fingerprint(&placement));
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            0x3d45_9770_68ae_2b9a,
+            0xbc45_fe54_aadf_aeda,
+            0x37e5_8dae_b2b8_bf3a,
+            0xccc4_e165_669d_741a,
+            0x02e6_6039_cbdc_9cba,
+            0xba1a_0cce_229f_c5aa,
+            0xfdfd_e65d_e062_98ca,
+            0x00ef_f08c_98ee_d736,
+        ],
+        "greedy-BFS placement changed (eagle-127, osprey-433 × seeds 1-4)"
+    );
+}
+
+/// t|ket⟩ and QMAP pins on the same instances as
+/// [`greedy_bfs_placements_are_pinned`]: each route's [`stream_fingerprint`],
+/// in (tket, qmap) order per instance, eagle-127 seeds 1–4 then osprey-433
+/// seeds 1–4. Both tools start from the greedy-BFS placement.
+#[test]
+fn tket_and_qmap_streams_are_pinned() {
+    use qubikos::{generate, GeneratorConfig};
+    let fixtures = [(devices::eagle127(), 5), (devices::osprey433(), 2)];
+    let routers = [
+        ToolKind::Tket.build(TOOL_SEED),
+        ToolKind::Qmap.build(TOOL_SEED),
+    ];
+    let mut got = Vec::new();
+    for (arch, swaps) in &fixtures {
+        for seed in 1..=4 {
+            let bench = generate(arch, &GeneratorConfig::new(*swaps, 60).with_seed(seed))
+                .expect("generates");
+            for router in &routers {
+                let routed = router.route(bench.circuit(), arch).expect("fits");
+                validate_routing(bench.circuit(), arch, &routed).expect("valid routing");
+                got.push(stream_fingerprint(&routed));
+            }
+        }
+    }
+    assert_eq!(
+        got,
+        [
+            0x4d07_de51_32f3_52d1,
+            0xcd0a_26b8_11e6_ee30,
+            0x6bd2_4278_a673_9077,
+            0x6604_a7c5_7744_f0ff,
+            0x2732_8db3_fabb_bd59,
+            0xdaad_e981_4e14_7f5b,
+            0x36c6_b430_edf5_99cf,
+            0xbef9_e8e2_4c67_b899,
+            0x2f75_d893_ae90_ee13,
+            0x53e5_67a1_cc26_0353,
+            0x7f7d_0090_7bee_4f7a,
+            0x2826_5029_3140_433a,
+            0xb51b_3129_c052_55e5,
+            0xb590_fd01_71df_75e5,
+            0x4918_230a_e821_8e1f,
+            0x073c_9219_f621_019f,
+        ],
+        "a t|ket⟩ or QMAP routed stream changed (eagle-127, osprey-433 × seeds 1-4)"
     );
 }
 
