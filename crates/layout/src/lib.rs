@@ -65,6 +65,9 @@ pub mod result;
 pub mod router;
 pub mod validate;
 
+#[cfg(test)]
+mod test_support;
+
 pub use composed::{ComposedRouter, RouterSpec, SearchSpec, WeightsSpec};
 pub use kernel::{
     DecaySpec, FrontTracker, LookaheadSpec, PlacementSpec, RoutingProblem, SwapScorer,

@@ -29,6 +29,7 @@
 //! [`PlacementSpec::Multilevel`](crate::PlacementSpec::Multilevel) axis
 //! places trial 0 with [`MultilevelRouter::default`].
 
+use crate::kernel::StampSet;
 use crate::mapping::Mapping;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
@@ -160,6 +161,71 @@ pub struct MultilevelRouter {
     config: MultilevelConfig,
 }
 
+/// Per-placement state shared by every level: the physical qubits' selection
+/// order and the scratch of the distance-ring search.
+struct Qubits<'a> {
+    arch: &'a Architecture,
+    /// Tie-break key: prefer well-connected physical qubits, then low index.
+    tie: Vec<usize>,
+    /// Every physical qubit, sorted by `(tie, index)`.
+    by_tie: Vec<NodeId>,
+    /// Distance-ring search: visited qubits, the current and the next ring.
+    seen: StampSet,
+    ring: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl<'a> Qubits<'a> {
+    fn new(arch: &'a Architecture) -> Self {
+        let n_phys = arch.num_qubits();
+        let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
+        let mut by_tie: Vec<NodeId> = (0..n_phys).collect();
+        by_tie.sort_by_key(|&p| (tie[p], p));
+        Qubits {
+            arch,
+            tie,
+            by_tie,
+            seen: StampSet::new(),
+            ring: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// The free qubit minimising `(distance to anchor, tie, index)`: the
+    /// minimum `(tie, index)` of the first coupling-graph distance ring
+    /// around `anchor` that holds a free qubit. Hop distance is the ring
+    /// number, so this is the argmin of a scan over every qubit, reached
+    /// after visiting only the rings up to the answer.
+    fn nearest_free(&mut self, anchor: NodeId, used: &[bool]) -> NodeId {
+        self.seen.reset(used.len());
+        self.seen.insert(anchor);
+        self.ring.clear();
+        self.ring.push(anchor);
+        while !self.ring.is_empty() {
+            let tie = &self.tie;
+            let best = self
+                .ring
+                .iter()
+                .copied()
+                .filter(|&p| !used[p])
+                .min_by_key(|&p| (tie[p], p));
+            if let Some(best) = best {
+                return best;
+            }
+            self.next.clear();
+            for &p in &self.ring {
+                for &q in self.arch.neighbors(p) {
+                    if self.seen.insert(q) {
+                        self.next.push(q);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.ring, &mut self.next);
+        }
+        panic!("device has enough qubits")
+    }
+}
+
 impl MultilevelRouter {
     /// Creates a router with the given configuration.
     pub fn new(config: MultilevelConfig) -> Self {
@@ -168,66 +234,47 @@ impl MultilevelRouter {
 
     /// Computes the multilevel placement (exposed for tests and ablations).
     pub fn place(&self, circuit: &Circuit, arch: &Architecture) -> Mapping {
-        let interaction = circuit.interaction_graph();
-        let finest = Level::from_graph(&interaction);
-
-        // Build the coarsening hierarchy (finest first).
-        let mut hierarchy = vec![finest];
-        while hierarchy.last().expect("non-empty").node_count() > self.config.coarsest_size {
-            match hierarchy.last().expect("non-empty").coarsen() {
-                Some(coarser) => hierarchy.push(coarser),
-                None => break,
-            }
-        }
+        let hierarchy = self.hierarchy(circuit);
+        let mut qubits = Qubits::new(arch);
 
         // Place the coarsest level: BFS over the weighted graph, assigning
         // each cluster to the free physical qubit closest to its placed
         // neighbours (mirrors `greedy_bfs_placement` but weight-aware).
         let coarsest = hierarchy.last().expect("non-empty");
-        let mut assignment = self.place_level(coarsest, arch, None, &[]);
+        let mut assignment = Self::place_level(coarsest, &mut qubits, None, &[]);
 
         // Uncoarsen: every finer level starts from its cluster's location.
         for idx in (0..hierarchy.len() - 1).rev() {
             let fine = &hierarchy[idx];
             let coarse_assignment = assignment;
             let fine_to_coarse = &hierarchy[idx + 1].fine_to_coarse;
-            assignment = self.place_level(fine, arch, Some(&coarse_assignment), fine_to_coarse);
+            assignment =
+                Self::place_level(fine, &mut qubits, Some(&coarse_assignment), fine_to_coarse);
             self.refine(fine, arch, &mut assignment);
         }
 
         Mapping::from_prog_to_phys(assignment, arch.num_qubits())
     }
 
-    /// Places one level's nodes onto distinct physical qubits.
-    ///
-    /// Each node, in BFS order, takes the unused physical qubit minimising
-    /// `(Σ w × distance to each placed neighbour + distance to the anchor,
-    /// n − degree)`. When `coarse_assignment` is given, the anchor of node
-    /// `u` is `coarse_assignment[fine_to_coarse[u]]`. The BFS runs from the
-    /// heaviest unvisited node, component by component, and all components
-    /// share one `seen` set and one queue.
-    ///
-    /// An interaction-free node's key is its distance to the anchor alone,
-    /// so when the anchor is free it is the unique minimum (distance 0) and
-    /// the node takes it without a scan.
-    ///
-    /// The sums are accumulated row-major (one distance row per placed
-    /// neighbour, added into a per-qubit total) and the selection is one
-    /// strict-`<` scan in index order. That returns the first minimum —
-    /// the qubit a per-candidate `min_by_key` over the same key returns —
-    /// so placements are identical to scoring each qubit separately, at
-    /// O((neighbours + 1) × qubits) per node without per-qubit row lookups.
-    fn place_level(
-        &self,
-        level: &Level,
-        arch: &Architecture,
-        coarse_assignment: Option<&Vec<NodeId>>,
-        fine_to_coarse: &[NodeId],
-    ) -> Vec<NodeId> {
+    /// The coarsening hierarchy of `circuit`'s interaction graph, finest
+    /// first.
+    fn hierarchy(&self, circuit: &Circuit) -> Vec<Level> {
+        let mut hierarchy = vec![Level::from_graph(&circuit.interaction_graph())];
+        while hierarchy.last().expect("non-empty").node_count() > self.config.coarsest_size {
+            match hierarchy.last().expect("non-empty").coarsen() {
+                Some(coarser) => hierarchy.push(coarser),
+                None => break,
+            }
+        }
+        hierarchy
+    }
+
+    /// BFS order over the level graph from the heaviest node, component by
+    /// component (isolated nodes go last). All components share one `seen`
+    /// set, and `order` doubles as the queue, its unvisited tail starting at
+    /// `head`.
+    fn level_order(level: &Level) -> Vec<NodeId> {
         let n = level.node_count();
-        let mut order = Vec::with_capacity(n);
-        // BFS order over the level graph from the heaviest node, component by
-        // component (isolated nodes go last).
         let plain = {
             let mut g = Graph::with_nodes(n);
             for u in 0..n {
@@ -239,8 +286,7 @@ impl MultilevelRouter {
             }
             g
         };
-        // One BFS per component, sharing `seen`: `order` doubles as the
-        // queue, its unvisited tail starting at `head`.
+        let mut order = Vec::with_capacity(n);
         let mut seen = vec![false; n];
         let mut starts: Vec<NodeId> = (0..n).collect();
         starts.sort_by_key(|&u| {
@@ -264,50 +310,81 @@ impl MultilevelRouter {
                 }
             }
         }
+        order
+    }
 
+    /// Places one level's nodes onto distinct physical qubits.
+    ///
+    /// Each node, in [`Self::level_order`], takes the unused physical qubit
+    /// minimising `(Σ w × distance to each placed neighbour + distance to
+    /// the anchor, n − degree, index)`. When `coarse_assignment` is given,
+    /// the anchor of node `u` is `coarse_assignment[fine_to_coarse[u]]`.
+    ///
+    /// Only a node with a placed neighbour needs a scan of every qubit. It
+    /// accumulates the sums row-major (one distance row per placed
+    /// neighbour, plus the anchor's, added into a per-qubit total) and
+    /// selects with one strict-`<` scan in index order, which returns the
+    /// first minimum — the qubit a per-candidate `min_by_key` over the same
+    /// key returns. A node without one has a key that leaves out the sum:
+    /// - with no anchor, every total is 0, so it takes the next free qubit
+    ///   in `(n − degree, index)` order, found through a pointer into that
+    ///   order;
+    /// - with an anchor, its total is the distance to the anchor, so it
+    ///   takes the nearest free qubit by [`Qubits::nearest_free`], which is
+    ///   the anchor itself when that is free.
+    fn place_level(
+        level: &Level,
+        qubits: &mut Qubits<'_>,
+        coarse_assignment: Option<&Vec<NodeId>>,
+        fine_to_coarse: &[NodeId],
+    ) -> Vec<NodeId> {
+        let arch = qubits.arch;
         let n_phys = arch.num_qubits();
-        let mut assignment = vec![usize::MAX; n];
+        let mut assignment = vec![usize::MAX; level.node_count()];
         let mut used = vec![false; n_phys];
-        // Tie-break key: prefer well-connected physical qubits, then low index.
-        let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
+        let mut next_free = 0usize;
         let mut totals = vec![0u64; n_phys];
-        for &u in &order {
-            // An interaction-free node scores only its distance to the
-            // anchor, so a free anchor (distance 0) is the unique minimum.
-            if level.weights[u].is_empty() {
-                if let Some(ca) = coarse_assignment {
-                    let anchor = ca[fine_to_coarse[u]];
-                    if !used[anchor] {
-                        assignment[u] = anchor;
-                        used[anchor] = true;
-                        continue;
+        for u in Self::level_order(level) {
+            let anchor = coarse_assignment.map(|ca| ca[fine_to_coarse[u]]);
+            let placed_neighbour = level.weights[u]
+                .iter()
+                .any(|&(v, _)| assignment[v] != usize::MAX);
+            let best = match anchor {
+                _ if placed_neighbour => {
+                    totals.fill(0);
+                    for &(v, w) in &level.weights[u] {
+                        if assignment[v] != usize::MAX {
+                            let row = arch.distance_row(assignment[v]);
+                            for (total, &d) in totals.iter_mut().zip(row) {
+                                *total += w * d as u64;
+                            }
+                        }
                     }
-                }
-            }
-            totals.fill(0);
-            for &(v, w) in &level.weights[u] {
-                if assignment[v] != usize::MAX {
-                    let row = arch.distance_row(assignment[v]);
-                    for (total, &d) in totals.iter_mut().zip(row) {
-                        *total += w * d as u64;
+                    if let Some(anchor) = anchor {
+                        let row = arch.distance_row(anchor);
+                        for (total, &d) in totals.iter_mut().zip(row) {
+                            *total += d as u64;
+                        }
                     }
+                    let mut best = usize::MAX;
+                    let mut best_key = (u64::MAX, usize::MAX);
+                    for p in 0..n_phys {
+                        if !used[p] && (totals[p], qubits.tie[p]) < best_key {
+                            best_key = (totals[p], qubits.tie[p]);
+                            best = p;
+                        }
+                    }
+                    assert_ne!(best, usize::MAX, "device has enough qubits");
+                    best
                 }
-            }
-            if let Some(ca) = coarse_assignment {
-                let row = arch.distance_row(ca[fine_to_coarse[u]]);
-                for (total, &d) in totals.iter_mut().zip(row) {
-                    *total += d as u64;
+                Some(anchor) => qubits.nearest_free(anchor, &used),
+                None => {
+                    while used[qubits.by_tie[next_free]] {
+                        next_free += 1;
+                    }
+                    qubits.by_tie[next_free]
                 }
-            }
-            let mut best = usize::MAX;
-            let mut best_key = (u64::MAX, usize::MAX);
-            for p in 0..n_phys {
-                if !used[p] && (totals[p], tie[p]) < best_key {
-                    best_key = (totals[p], tie[p]);
-                    best = p;
-                }
-            }
-            assert_ne!(best, usize::MAX, "device has enough qubits");
+            };
             assignment[u] = best;
             used[best] = true;
         }
@@ -317,7 +394,15 @@ impl MultilevelRouter {
     /// Pairwise-exchange refinement: repeatedly swap two nodes' physical
     /// locations when it reduces the weighted interaction distance. Pairs
     /// of two interaction-free nodes are skipped; every other pair is
-    /// visited in `(u, v)` order as before.
+    /// visited in `(u, v)` order.
+    ///
+    /// A node's cost at its own location, `cost_of(u, assignment[u])`,
+    /// changes only when `u` or one of its neighbours moves, so it is kept
+    /// in `here` until an exchange moves one of them. An interaction-free
+    /// node costs 0 anywhere. A pair of an interacting and an idle node
+    /// then costs one `cost_of` (the interacting node at the idle node's
+    /// location), and two interacting nodes cost two. The sums are
+    /// integers, so every comparison is the one a recomputation makes.
     fn refine(&self, level: &Level, arch: &Architecture, assignment: &mut [NodeId]) {
         let n = level.node_count();
         let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
@@ -326,28 +411,40 @@ impl MultilevelRouter {
                 .map(|&(v, w)| w * arch.distance(pos, assignment[v]) as u64)
                 .sum()
         };
+        let idle = |u: usize| level.weights[u].is_empty();
+        let mut here: Vec<Option<u64>> = vec![None; n];
         // Exchanges u and v if that lowers their summed cost. Exchanging
         // them double-counts their mutual edge the same way on both sides,
         // so the comparison is fair.
-        let exchange = |u: usize, v: usize, assignment: &mut [NodeId]| -> bool {
-            let before =
-                cost_of(u, assignment[u], assignment) + cost_of(v, assignment[v], assignment);
-            let after =
-                cost_of(u, assignment[v], assignment) + cost_of(v, assignment[u], assignment);
+        let mut exchange = |u: usize, v: usize, assignment: &mut [NodeId]| -> bool {
+            let mut before = 0;
+            let mut after = 0;
+            for (x, y) in [(u, v), (v, u)] {
+                if !idle(x) {
+                    before += *here[x].get_or_insert_with(|| cost_of(x, assignment[x], assignment));
+                    after += cost_of(x, assignment[y], assignment);
+                }
+            }
             let better = after < before;
             if better {
                 assignment.swap(u, v);
+                for x in [u, v] {
+                    here[x] = None;
+                    for &(nb, _) in &level.weights[x] {
+                        here[nb] = None;
+                    }
+                }
             }
             better
         };
         // Two interaction-free nodes cost 0 wherever they sit, so they never
         // swap: an interaction-free `u` only meets the interacting nodes
         // after it, and every other pair keeps its turn.
-        let interacting: Vec<NodeId> = (0..n).filter(|&u| !level.weights[u].is_empty()).collect();
+        let interacting: Vec<NodeId> = (0..n).filter(|&u| !idle(u)).collect();
         for _ in 0..self.config.refinement_sweeps {
             let mut improved = false;
             for u in 0..n {
-                if level.weights[u].is_empty() {
+                if idle(u) {
                     let later = interacting.partition_point(|&v| v < u);
                     for &v in &interacting[later..] {
                         improved |= exchange(u, v, assignment);
@@ -385,6 +482,155 @@ mod tests {
             c.push(Gate::cx(a, b));
         }
         c
+    }
+
+    /// The placement before the shortcuts: every node scans every qubit
+    /// (except an interaction-free node whose anchor is free), and
+    /// refinement recomputes all four costs of every pair. The differential
+    /// test pins [`MultilevelRouter::place`] to it.
+    fn reference_place(
+        config: MultilevelConfig,
+        circuit: &Circuit,
+        arch: &Architecture,
+    ) -> Mapping {
+        let hierarchy = MultilevelRouter::new(config).hierarchy(circuit);
+        let mut assignment =
+            reference_place_level(hierarchy.last().expect("non-empty"), arch, None, &[]);
+        for idx in (0..hierarchy.len() - 1).rev() {
+            let coarse_assignment = assignment;
+            assignment = reference_place_level(
+                &hierarchy[idx],
+                arch,
+                Some(&coarse_assignment),
+                &hierarchy[idx + 1].fine_to_coarse,
+            );
+            reference_refine(config, &hierarchy[idx], arch, &mut assignment);
+        }
+        Mapping::from_prog_to_phys(assignment, arch.num_qubits())
+    }
+
+    fn reference_place_level(
+        level: &Level,
+        arch: &Architecture,
+        coarse_assignment: Option<&Vec<NodeId>>,
+        fine_to_coarse: &[NodeId],
+    ) -> Vec<NodeId> {
+        let n_phys = arch.num_qubits();
+        let mut assignment = vec![usize::MAX; level.node_count()];
+        let mut used = vec![false; n_phys];
+        let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
+        let mut totals = vec![0u64; n_phys];
+        for u in MultilevelRouter::level_order(level) {
+            if level.weights[u].is_empty() {
+                if let Some(ca) = coarse_assignment {
+                    let anchor = ca[fine_to_coarse[u]];
+                    if !used[anchor] {
+                        assignment[u] = anchor;
+                        used[anchor] = true;
+                        continue;
+                    }
+                }
+            }
+            totals.fill(0);
+            for &(v, w) in &level.weights[u] {
+                if assignment[v] != usize::MAX {
+                    let row = arch.distance_row(assignment[v]);
+                    for (total, &d) in totals.iter_mut().zip(row) {
+                        *total += w * d as u64;
+                    }
+                }
+            }
+            if let Some(ca) = coarse_assignment {
+                let row = arch.distance_row(ca[fine_to_coarse[u]]);
+                for (total, &d) in totals.iter_mut().zip(row) {
+                    *total += d as u64;
+                }
+            }
+            let mut best = usize::MAX;
+            let mut best_key = (u64::MAX, usize::MAX);
+            for p in 0..n_phys {
+                if !used[p] && (totals[p], tie[p]) < best_key {
+                    best_key = (totals[p], tie[p]);
+                    best = p;
+                }
+            }
+            assignment[u] = best;
+            used[best] = true;
+        }
+        assignment
+    }
+
+    fn reference_refine(
+        config: MultilevelConfig,
+        level: &Level,
+        arch: &Architecture,
+        assignment: &mut [NodeId],
+    ) {
+        let n = level.node_count();
+        let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
+            level.weights[u]
+                .iter()
+                .map(|&(v, w)| w * arch.distance(pos, assignment[v]) as u64)
+                .sum()
+        };
+        let exchange = |u: usize, v: usize, assignment: &mut [NodeId]| -> bool {
+            let before =
+                cost_of(u, assignment[u], assignment) + cost_of(v, assignment[v], assignment);
+            let after =
+                cost_of(u, assignment[v], assignment) + cost_of(v, assignment[u], assignment);
+            let better = after < before;
+            if better {
+                assignment.swap(u, v);
+            }
+            better
+        };
+        let interacting: Vec<NodeId> = (0..n).filter(|&u| !level.weights[u].is_empty()).collect();
+        for _ in 0..config.refinement_sweeps {
+            let mut improved = false;
+            for u in 0..n {
+                if level.weights[u].is_empty() {
+                    let later = interacting.partition_point(|&v| v < u);
+                    for &v in &interacting[later..] {
+                        improved |= exchange(u, v, assignment);
+                    }
+                } else {
+                    for v in (u + 1)..n {
+                        improved |= exchange(u, v, assignment);
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn placement_matches_the_full_scan_reference() {
+        let configs = [
+            MultilevelConfig::default(),
+            // More sweeps and a coarser stop exercise refinement's cached
+            // costs across many exchanges.
+            MultilevelConfig {
+                coarsest_size: 2,
+                refinement_sweeps: 6,
+            },
+        ];
+        for (arch, circuit) in crate::test_support::differential_cases() {
+            // The dense osprey-433 case runs the default tuning only: the
+            // reference refinement is quadratic in the node count.
+            let dense_and_large = circuit.gates().len() > 60 && arch.num_qubits() > 127;
+            for config in &configs[..if dense_and_large { 1 } else { 2 }] {
+                let config = *config;
+                assert_eq!(
+                    MultilevelRouter::new(config).place(&circuit, &arch),
+                    reference_place(config, &circuit, &arch),
+                    "{}, {} gates, {config:?}",
+                    arch.name(),
+                    circuit.gates().len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::mapping::Mapping;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
-use qubikos_graph::{bfs_order, find_subgraph_embedding, Graph, NodeId};
+use qubikos_graph::{find_subgraph_embedding, Graph, NodeId};
 use rand::Rng;
 
 /// A uniformly random injective placement.
@@ -55,10 +55,15 @@ pub fn greedy_bfs_placement(circuit: &Circuit, arch: &Architecture) -> Mapping {
         "circuit does not fit the device"
     );
     let interaction = circuit.interaction_graph();
-    let order = placement_order(&interaction);
+    place_in_order(&interaction, arch, &placement_order(&interaction))
+}
+
+/// The greedy placement of [`greedy_bfs_placement`], placing the program
+/// qubits (the nodes of `interaction`) in `order`.
+fn place_in_order(interaction: &Graph, arch: &Architecture, order: &[NodeId]) -> Mapping {
     let n_phys = arch.num_qubits();
 
-    let mut assigned: Vec<Option<NodeId>> = vec![None; circuit.num_qubits()];
+    let mut assigned: Vec<Option<NodeId>> = vec![None; interaction.node_count()];
     let mut used = vec![false; n_phys];
     let mut totals = vec![0usize; n_phys];
     // Tie-break key: prefer well-connected physical qubits, then low index.
@@ -72,7 +77,7 @@ pub fn greedy_bfs_placement(circuit: &Circuit, arch: &Architecture) -> Mapping {
     by_degree.sort_by_key(|&p| (tie[p], p));
     let mut next_free = 0usize;
 
-    for &q in &order {
+    for &q in order {
         // One distance row per placed interaction neighbour covers the whole
         // candidate scan (instead of candidates × neighbours point queries),
         // accumulated row-major into `totals` so the scan over candidates is
@@ -124,27 +129,62 @@ pub fn greedy_bfs_placement(circuit: &Circuit, arch: &Architecture) -> Mapping {
 
 /// Order in which program qubits are placed: BFS from the highest-degree
 /// qubit of each connected component, components visited by decreasing size.
+///
+/// Two passes over the interaction graph, sharing one `seen` vector and one
+/// queue (`order` itself, its unvisited tail starting at `head`). The first
+/// labels each component in index order and records its size and its start
+/// — the highest-index node of maximum degree, the one `max_by_key` over
+/// the component's ascending node list returns. A stable sort by decreasing
+/// size then gives the visiting order, and the second pass runs the BFS from
+/// each start. A QUBIKOS instance declares every device qubit, and most of
+/// them are idle one-node components (about 378 of 433 on a 60-gate
+/// osprey-433 instance), so this costs O(qubits + edges) where one
+/// component list plus one device-sized visited vector per component cost
+/// O(components × qubits). The order is the same.
 fn placement_order(interaction: &Graph) -> Vec<NodeId> {
-    let mut components = qubikos_graph::connected_components(interaction);
-    components.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    let mut order = Vec::with_capacity(interaction.node_count());
-    let mut member = vec![false; interaction.node_count()];
-    for component in components {
-        let start = component
-            .iter()
-            .copied()
-            .max_by_key(|&n| interaction.degree(n))
-            .expect("component is non-empty");
-        for &n in &component {
-            member[n] = true;
+    let n = interaction.node_count();
+    let mut order = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    let mut components = Vec::new();
+    for root in 0..n {
+        if seen[root] {
+            continue;
         }
-        for n in bfs_order(interaction, start) {
-            if member[n] {
-                order.push(n);
+        seen[root] = true;
+        order.clear();
+        order.push(root);
+        let (mut head, mut start) = (0, root);
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            if (interaction.degree(u), u) > (interaction.degree(start), start) {
+                start = u;
+            }
+            for &v in interaction.neighbors(u) {
+                if !seen[v] {
+                    seen[v] = true;
+                    order.push(v);
+                }
             }
         }
-        for &n in &component {
-            member[n] = false;
+        components.push((order.len(), start));
+    }
+    components.sort_by_key(|&(size, _)| std::cmp::Reverse(size));
+    order.clear();
+    seen.fill(false);
+    for (_, start) in components {
+        let mut head = order.len();
+        seen[start] = true;
+        order.push(start);
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            for &v in interaction.neighbors(u) {
+                if !seen[v] {
+                    seen[v] = true;
+                    order.push(v);
+                }
+            }
         }
     }
     order
@@ -230,6 +270,52 @@ mod tests {
         let m = greedy_bfs_placement(&circuit, &arch);
         assert!(m.is_consistent());
         assert_eq!(m.num_program(), 6);
+    }
+
+    /// The placement order before the two-pass rewrite: one component list
+    /// from `connected_components`, then one `bfs_order` call (with its own
+    /// device-sized visited vector) per component. The differential test
+    /// pins [`placement_order`] to it.
+    fn reference_placement_order(interaction: &Graph) -> Vec<NodeId> {
+        let mut components = qubikos_graph::connected_components(interaction);
+        components.sort_by_key(|c| std::cmp::Reverse(c.len()));
+        let mut order = Vec::with_capacity(interaction.node_count());
+        let mut member = vec![false; interaction.node_count()];
+        for component in components {
+            let start = component
+                .iter()
+                .copied()
+                .max_by_key(|&n| interaction.degree(n))
+                .expect("component is non-empty");
+            for &n in &component {
+                member[n] = true;
+            }
+            for n in qubikos_graph::bfs_order(interaction, start) {
+                if member[n] {
+                    order.push(n);
+                }
+            }
+            for &n in &component {
+                member[n] = false;
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn placement_order_and_placement_match_the_reference() {
+        for (arch, circuit) in crate::test_support::differential_cases() {
+            let interaction = circuit.interaction_graph();
+            let order = placement_order(&interaction);
+            let reference = reference_placement_order(&interaction);
+            let case = format!("{}, {} gates", arch.name(), circuit.gates().len());
+            assert_eq!(order, reference, "{case}");
+            assert_eq!(
+                greedy_bfs_placement(&circuit, &arch),
+                place_in_order(&interaction, &arch, &reference),
+                "{case}"
+            );
+        }
     }
 
     #[test]
