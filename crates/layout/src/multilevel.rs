@@ -393,16 +393,23 @@ impl MultilevelRouter {
 
     /// Pairwise-exchange refinement: repeatedly swap two nodes' physical
     /// locations when it reduces the weighted interaction distance. Pairs
-    /// of two interaction-free nodes are skipped; every other pair is
-    /// visited in `(u, v)` order.
+    /// of two interaction-free (idle) nodes are skipped, since both cost 0
+    /// wherever they sit; every other pair is visited in `(u, v)` order.
     ///
-    /// A node's cost at its own location, `cost_of(u, assignment[u])`,
-    /// changes only when `u` or one of its neighbours moves, so it is kept
-    /// in `here` until an exchange moves one of them. An interaction-free
-    /// node costs 0 anywhere. A pair of an interacting and an idle node
-    /// then costs one `cost_of` (the interacting node at the idle node's
-    /// location), and two interacting nodes cost two. The sums are
-    /// integers, so every comparison is the one a recomputation makes.
+    /// A pair of an interacting `x` and an idle `y` exchanges only if `x`
+    /// costs less at `y`'s location than at its own. There each of `x`'s
+    /// neighbours is at least one hop away, so `x` costs at least
+    /// `floor(x)`, the sum of its edge weights. Two shortcuts follow, and
+    /// both give the decisions of scoring every pair:
+    /// - an interacting `u` that costs no more than its floor is *settled*:
+    ///   its pairs with the idle nodes after it are skipped until an
+    ///   exchange moves it;
+    /// - an idle `u` meets each interacting `v` after it with `v`'s own cost
+    ///   kept in `here[v]`, which stays valid until `v` or a neighbour of
+    ///   `v` moves. The pair then costs one `cost_of`, or none when `v` is
+    ///   settled.
+    ///
+    /// The costs are integers, so every comparison is exact.
     fn refine(&self, level: &Level, arch: &Architecture, assignment: &mut [NodeId]) {
         let n = level.node_count();
         let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
@@ -411,48 +418,79 @@ impl MultilevelRouter {
                 .map(|&(v, w)| w * arch.distance(pos, assignment[v]) as u64)
                 .sum()
         };
-        let idle = |u: usize| level.weights[u].is_empty();
-        let mut here: Vec<Option<u64>> = vec![None; n];
         // Exchanges u and v if that lowers their summed cost. Exchanging
         // them double-counts their mutual edge the same way on both sides,
         // so the comparison is fair.
-        let mut exchange = |u: usize, v: usize, assignment: &mut [NodeId]| -> bool {
-            let mut before = 0;
-            let mut after = 0;
-            for (x, y) in [(u, v), (v, u)] {
-                if !idle(x) {
-                    before += *here[x].get_or_insert_with(|| cost_of(x, assignment[x], assignment));
-                    after += cost_of(x, assignment[y], assignment);
-                }
-            }
+        let exchange = |u: usize, v: usize, assignment: &mut [NodeId]| -> bool {
+            let before =
+                cost_of(u, assignment[u], assignment) + cost_of(v, assignment[v], assignment);
+            let after =
+                cost_of(u, assignment[v], assignment) + cost_of(v, assignment[u], assignment);
             let better = after < before;
             if better {
                 assignment.swap(u, v);
-                for x in [u, v] {
-                    here[x] = None;
-                    for &(nb, _) in &level.weights[x] {
-                        here[nb] = None;
-                    }
-                }
             }
             better
         };
-        // Two interaction-free nodes cost 0 wherever they sit, so they never
-        // swap: an interaction-free `u` only meets the interacting nodes
-        // after it, and every other pair keeps its turn.
-        let interacting: Vec<NodeId> = (0..n).filter(|&u| !idle(u)).collect();
+        let floor = |u: usize| -> u64 { level.weights[u].iter().map(|&(_, w)| w).sum() };
+        let settled =
+            |u: usize, assignment: &[NodeId]| cost_of(u, assignment[u], assignment) <= floor(u);
+        // `here[v]` is `cost_of(v, assignment[v])`, or `u64::MAX` once `v`
+        // or a neighbour of `v` has moved.
+        let mut here = vec![u64::MAX; n];
+        let moved = |here: &mut [u64], x: usize| {
+            here[x] = u64::MAX;
+            for &(nb, _) in &level.weights[x] {
+                here[nb] = u64::MAX;
+            }
+        };
+        let interacting: Vec<NodeId> = (0..n).filter(|&u| !level.weights[u].is_empty()).collect();
         for _ in 0..self.config.refinement_sweeps {
             let mut improved = false;
             for u in 0..n {
-                if idle(u) {
-                    let later = interacting.partition_point(|&v| v < u);
+                let later = interacting.partition_point(|&v| v <= u);
+                if level.weights[u].is_empty() {
                     for &v in &interacting[later..] {
-                        improved |= exchange(u, v, assignment);
+                        if here[v] == u64::MAX {
+                            here[v] = cost_of(v, assignment[v], assignment);
+                        }
+                        if here[v] > floor(v) && cost_of(v, assignment[u], assignment) < here[v] {
+                            assignment.swap(u, v);
+                            moved(&mut here, v);
+                            improved = true;
+                        }
                     }
-                } else {
+                    continue;
+                }
+                if interacting.len() == n {
+                    // No idle node: neither shortcut applies, and `here`
+                    // is never read.
                     for v in (u + 1)..n {
                         improved |= exchange(u, v, assignment);
                     }
+                    continue;
+                }
+                // The idle nodes after `u` come in runs, each ended by the
+                // next interacting node (or by `n`).
+                let mut run_start = u + 1;
+                for &v in interacting[later..].iter().chain(&[n]) {
+                    if run_start < v && !settled(u, assignment) {
+                        for idle in run_start..v {
+                            if exchange(u, idle, assignment) {
+                                improved = true;
+                                moved(&mut here, u);
+                                if settled(u, assignment) {
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    if v < n && exchange(u, v, assignment) {
+                        improved = true;
+                        moved(&mut here, u);
+                        moved(&mut here, v);
+                    }
+                    run_start = v + 1;
                 }
             }
             if !improved {
