@@ -264,9 +264,21 @@ pub struct GreedyPolicies<'a> {
 pub struct GreedyScratch {
     tracker: FrontTracker,
     scorer: SwapScorer,
-    candidates: Vec<(NodeId, NodeId)>,
+    candidates: Vec<(usize, (NodeId, NodeId))>,
     ties: Vec<(NodeId, NodeId)>,
     decay: Vec<f64>,
+    /// Qubits whose decay factor was bumped since the last reset: every
+    /// other factor is exactly 1.0, so a reset only rewrites these.
+    bumped: Vec<NodeId>,
+}
+
+impl GreedyScratch {
+    /// Resets every decay factor to 1.0.
+    fn reset_decay(&mut self) {
+        for q in self.bumped.drain(..) {
+            self.decay[q] = 1.0;
+        }
+    }
 }
 
 /// The full multiplier of one candidate SWAP: its coupler weight times the
@@ -308,6 +320,7 @@ pub fn run_greedy_pass(
     scratch.tracker.reset(dag);
     scratch.decay.clear();
     scratch.decay.resize(arch.num_qubits(), 1.0);
+    scratch.bumped.clear();
     let mut decisions_since_reset = 0usize;
     let mut swaps_since_progress = 0usize;
     // SWAP gates emitted so far, counted whether or not `out` is present.
@@ -317,30 +330,32 @@ pub fn run_greedy_pass(
     let mut scorer_ready = false;
 
     while !scratch.tracker.is_done() {
-        // Execute every front gate whose qubits are adjacent.
-        let out_ref = &mut out;
-        let executed_any = scratch.tracker.advance(
-            dag,
-            |node| {
-                let (a, b) = dag.qubit_pair(node);
-                arch.are_coupled(mapping.physical(a), mapping.physical(b))
-            },
-            |node| {
-                swaps += usize::from(dag.gate(node).is_swap());
-                if let Some(out) = out_ref.as_deref_mut() {
-                    view.emit(node, &mapping, out);
-                }
-            },
-        );
-        if executed_any {
-            swaps_since_progress = 0;
-            scratch.decay.iter_mut().for_each(|d| *d = 1.0);
-            decisions_since_reset = 0;
-            scorer_ready = false;
-            continue;
-        }
-        if scratch.tracker.is_done() {
-            break;
+        // Execute every front gate whose qubits are adjacent. While the
+        // scorer snapshot is valid it knows every front gate's distance, so
+        // after a SWAP that brought none to distance 1 there is nothing to
+        // execute and the front stays as it is.
+        if !scorer_ready || scratch.scorer.front_has_executable_gate() {
+            let out_ref = &mut out;
+            let executed_any = scratch.tracker.advance(
+                dag,
+                |node| {
+                    let (a, b) = dag.qubit_pair(node);
+                    arch.are_coupled(mapping.physical(a), mapping.physical(b))
+                },
+                |node| {
+                    swaps += usize::from(dag.gate(node).is_swap());
+                    if let Some(out) = out_ref.as_deref_mut() {
+                        view.emit(node, &mapping, out);
+                    }
+                },
+            );
+            if executed_any {
+                swaps_since_progress = 0;
+                scratch.reset_decay();
+                decisions_since_reset = 0;
+                scorer_ready = false;
+                continue;
+            }
         }
 
         // Release valve: force the closest front gate through if the
@@ -380,15 +395,15 @@ pub fn run_greedy_pass(
         );
         let mut best_score = f64::INFINITY;
         scratch.ties.clear();
-        for &(pa, pb) in &scratch.candidates {
-            let score = swap_multiplier(policies.weights, &scratch.decay, (pa, pb))
-                * scratch.scorer.swap_cost((pa, pb), arch, lookahead);
+        for &(coupler, swap) in &scratch.candidates {
+            let score = swap_multiplier(policies.weights, &scratch.decay, swap)
+                * scratch.scorer.swap_cost(coupler, arch, lookahead);
             if score < best_score - 1e-12 {
                 best_score = score;
                 scratch.ties.clear();
-                scratch.ties.push((pa, pb));
+                scratch.ties.push(swap);
             } else if (score - best_score).abs() <= 1e-12 {
-                scratch.ties.push((pa, pb));
+                scratch.ties.push(swap);
             }
         }
         let chosen = {
@@ -401,12 +416,17 @@ pub fn run_greedy_pass(
         swaps += 1;
         mapping.apply_swap_physical(chosen.0, chosen.1);
         scratch.scorer.apply(chosen, arch);
-        scratch.decay[chosen.0] += decay_increment;
-        scratch.decay[chosen.1] += decay_increment;
+        // A zero increment (no decay) leaves every factor at exactly 1.0.
+        if decay_increment != 0.0 {
+            for q in [chosen.0, chosen.1] {
+                scratch.decay[q] += decay_increment;
+                scratch.bumped.push(q);
+            }
+        }
         decisions_since_reset += 1;
         swaps_since_progress += 1;
         if decisions_since_reset >= decay_reset_interval {
-            scratch.decay.iter_mut().for_each(|d| *d = 1.0);
+            scratch.reset_decay();
             decisions_since_reset = 0;
         }
     }
@@ -568,6 +588,232 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         Mapping::random(circuit.num_qubits(), arch.num_qubits(), &mut rng)
     }
+
+    /// The greedy pass before the SWAP-chain shortcuts: every candidate's
+    /// deltas recomputed ([`SwapScorer::uncached_swap_cost`]), the front
+    /// advanced after every SWAP, and every decay factor refilled on a
+    /// reset. The differential test pins [`run_greedy_pass`] to it.
+    fn reference_greedy_pass(
+        view: &ProblemView,
+        arch: &Architecture,
+        policies: &GreedyPolicies<'_>,
+        mut mapping: Mapping,
+        rng: &mut ChaCha8Rng,
+        scratch: &mut GreedyScratch,
+        mut out: Option<&mut Circuit>,
+    ) -> Option<Mapping> {
+        let dag = view.dag();
+        let lookahead = &policies.lookahead;
+        let (decay_increment, decay_reset_interval) = policies.decay.schedule();
+        scratch.tracker.reset(dag);
+        scratch.decay.clear();
+        scratch.decay.resize(arch.num_qubits(), 1.0);
+        let mut decisions_since_reset = 0usize;
+        let mut swaps_since_progress = 0usize;
+        let mut swaps = 0usize;
+        let mut scorer_ready = false;
+        while !scratch.tracker.is_done() {
+            let out_ref = &mut out;
+            let executed_any = scratch.tracker.advance(
+                dag,
+                |node| {
+                    let (a, b) = dag.qubit_pair(node);
+                    arch.are_coupled(mapping.physical(a), mapping.physical(b))
+                },
+                |node| {
+                    swaps += usize::from(dag.gate(node).is_swap());
+                    if let Some(out) = out_ref.as_deref_mut() {
+                        view.emit(node, &mapping, out);
+                    }
+                },
+            );
+            if executed_any {
+                swaps_since_progress = 0;
+                scratch.decay.iter_mut().for_each(|d| *d = 1.0);
+                decisions_since_reset = 0;
+                scorer_ready = false;
+                continue;
+            }
+            if swaps_since_progress >= policies.stall_threshold {
+                swaps += force_closest_gate(view, arch, &mut mapping, &mut out, scratch);
+                swaps_since_progress = 0;
+                scorer_ready = false;
+                continue;
+            }
+            if !scorer_ready {
+                scratch.tracker.compute_extended_set(dag, lookahead.window);
+                scratch.scorer.prepare(
+                    scratch.tracker.front(),
+                    scratch.tracker.extended(),
+                    dag,
+                    &mapping,
+                    arch,
+                    lookahead,
+                );
+                scorer_ready = true;
+            }
+            if let Some(best) = policies.incumbent {
+                if swaps + scratch.scorer.front_deficit().div_ceil(2) >= best {
+                    return None;
+                }
+            }
+            scratch
+                .scorer
+                .candidates_into(arch, &mut scratch.candidates);
+            let mut best_score = f64::INFINITY;
+            scratch.ties.clear();
+            for &(_, swap) in &scratch.candidates {
+                let score = swap_multiplier(policies.weights, &scratch.decay, swap)
+                    * scratch.scorer.uncached_swap_cost(swap, arch, lookahead);
+                if score < best_score - 1e-12 {
+                    best_score = score;
+                    scratch.ties.clear();
+                    scratch.ties.push(swap);
+                } else if (score - best_score).abs() <= 1e-12 {
+                    scratch.ties.push(swap);
+                }
+            }
+            let chosen = {
+                let GreedyScratch { scorer, ties, .. } = &mut *scratch;
+                policies.tie_breaker.break_tie(ties, scorer, arch, rng)
+            };
+            if let Some(out) = out.as_deref_mut() {
+                out.push(Gate::swap(chosen.0, chosen.1));
+            }
+            swaps += 1;
+            mapping.apply_swap_physical(chosen.0, chosen.1);
+            scratch.scorer.apply(chosen, arch);
+            scratch.decay[chosen.0] += decay_increment;
+            scratch.decay[chosen.1] += decay_increment;
+            decisions_since_reset += 1;
+            swaps_since_progress += 1;
+            if decisions_since_reset >= decay_reset_interval {
+                scratch.decay.iter_mut().for_each(|d| *d = 1.0);
+                decisions_since_reset = 0;
+            }
+        }
+        if let Some(out) = out {
+            view.emit_trailing(&mapping, out);
+        }
+        Some(mapping)
+    }
+
+    /// Routed streams of [`run_greedy_pass`] and [`reference_greedy_pass`]
+    /// must match, on sparse and dense random circuits over five devices,
+    /// from the greedy-BFS, multilevel and a random placement, under the
+    /// LightSABRE and t|ket⟩ policies and the variants with fidelity
+    /// weights, a lookahead depth decay and distance-refined ties. One
+    /// scratch per side is reused throughout, as a route's trials reuse
+    /// theirs, and a bounded pass must be abandoned at the same point.
+    #[test]
+    fn greedy_pass_matches_the_uncached_reference() {
+        let uniform = CouplerWeights::uniform();
+        let sabre = policies(
+            LookaheadSpec::sabre_default(),
+            DecaySpec::sabre_default(),
+            TieBreakerSpec::SeededRandom,
+            &uniform,
+        );
+        let tket = GreedyPolicies {
+            stall_threshold: 16,
+            ..policies(
+                LookaheadSpec::front_only(),
+                DecaySpec::None,
+                TieBreakerSpec::QubitIndex,
+                &uniform,
+            )
+        };
+        let (mut fast, mut slow) = (GreedyScratch::default(), GreedyScratch::default());
+        for (arch, circuit) in crate::test_support::differential_cases() {
+            let fidelity = CouplerWeights::fidelity_derived(arch.coupling_graph(), 3);
+            let specs = [
+                sabre,
+                tket,
+                GreedyPolicies {
+                    weights: &fidelity,
+                    ..sabre
+                },
+                GreedyPolicies {
+                    lookahead: LookaheadSpec {
+                        depth_decay: Some(0.8),
+                        ..LookaheadSpec::sabre_default()
+                    },
+                    ..sabre
+                },
+                GreedyPolicies {
+                    tie_breaker: TieBreakerSpec::DistanceRefined,
+                    ..sabre
+                },
+            ];
+            // Dense passes are long, so dense circuits skip the fidelity
+            // weights (which multiply the SWAPs) and the random start. On
+            // eagle-127 they run t|ket⟩ and LightSABRE from the greedy-BFS
+            // placement only, and osprey-433 (seconds per dense pass in a
+            // debug build) is covered by its sparse circuits.
+            let (spec_ids, starts): (&[usize], usize) =
+                match (circuit.gates().len(), arch.num_qubits()) {
+                    (60, _) => (&[0, 1, 2, 3, 4], 3),
+                    (_, ..=54) => (&[0, 1, 3, 4], 2),
+                    (_, ..=127) => (&[0, 1], 1),
+                    _ => continue,
+                };
+            let problem = RoutingProblem::forward_only(&circuit);
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            let starts: Vec<Mapping> = [
+                (PlacementSpec::GreedyBfs, 0),
+                (PlacementSpec::Multilevel, 0),
+                (PlacementSpec::GreedyBfs, 1),
+            ][..starts]
+                .iter()
+                .map(|&(placement, trial)| placement.place(trial, &circuit, &arch, &mut rng))
+                .collect();
+            for &s in spec_ids {
+                let p = &specs[s];
+                for (m, start) in starts.iter().enumerate() {
+                    let case = format!(
+                        "{}, {} gates, spec {s}, start {m}",
+                        arch.name(),
+                        circuit.gates().len()
+                    );
+                    let run = |pass: PassFn, scratch: &mut GreedyScratch, incumbent| {
+                        let bounded = GreedyPolicies { incumbent, ..*p };
+                        let mut out = Circuit::new(arch.num_qubits());
+                        let mapping = pass(
+                            problem.forward(),
+                            &arch,
+                            &bounded,
+                            start.clone(),
+                            &mut ChaCha8Rng::seed_from_u64(7),
+                            scratch,
+                            Some(&mut out),
+                        );
+                        mapping.map(|mapping| (out, mapping))
+                    };
+                    let expected = run(reference_greedy_pass, &mut slow, None);
+                    let got = run(run_greedy_pass, &mut fast, None);
+                    assert_eq!(got, expected, "{case}");
+                    let count = expected.expect("unbounded").0.swap_count();
+                    let bound = Some(count / 2);
+                    assert_eq!(
+                        run(run_greedy_pass, &mut fast, bound),
+                        run(reference_greedy_pass, &mut slow, bound),
+                        "{case}, bounded at {bound:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The signature shared by [`run_greedy_pass`] and its reference.
+    type PassFn = fn(
+        &ProblemView,
+        &Architecture,
+        &GreedyPolicies<'_>,
+        Mapping,
+        &mut ChaCha8Rng,
+        &mut GreedyScratch,
+        Option<&mut Circuit>,
+    ) -> Option<Mapping>;
 
     #[test]
     fn bounded_pass_is_abandoned_only_when_it_cannot_win() {

@@ -22,8 +22,33 @@
 //! default). With a lookahead `depth_decay` the weights are non-integral and the
 //! accumulation order can differ from a rescan in the last ulp; routing
 //! decisions may then differ only on exact score ties.
+//!
+//! # The per-coupler delta cache
+//!
+//! A long SWAP chain walks a few qubits across the device while the rest of
+//! the front and extended set stays put, so most candidates' deltas do not
+//! change from one SWAP to the next: on 60-gate osprey-433 LightSABRE
+//! routes about four in five are reused. `swap_cost` therefore keeps each
+//! coupler's `(Δfront, Δextended)`, keyed by coupler id, and reuses it
+//! while it is current.
+//!
+//! The contract: a candidate `(a, b)`'s deltas read only the entries in
+//! `touch[a]` and `touch[b]` — their endpoints, distances and weights — and
+//! the distance table. Applying a SWAP `(u, v)` changes exactly the entries
+//! on `u` or `v`: their `u`/`v` endpoint moves and their distance changes.
+//! So the deltas that can change are those of the couplers on `u`, on `v`,
+//! and on the other endpoint of each moved entry, and `apply` drops exactly
+//! those. `prepare` loads new entries and drops every coupler's, by bumping
+//! the generation a cached value must carry. A reused value is the one a
+//! recomputation gives: the same entries, visited in the same order, so
+//! even the non-integral `Δextended` is bit-identical, and the score formula
+//! still runs on the current running sums. The cache never changes a score,
+//! only whether its deltas are recomputed.
+//!
+//! The scorer also counts the front entries at distance 1. While it is 0
+//! after a SWAP, no front gate is executable, and the greedy pass skips
+//! looking for one ([`SwapScorer::front_has_executable_gate`]).
 
-use crate::kernel::scratch::StampSet;
 use crate::mapping::Mapping;
 use crate::LookaheadSpec;
 use qubikos_arch::Architecture;
@@ -59,10 +84,23 @@ pub struct SwapScorer {
     ext_sum: f64,
     /// Sum of extended-set weights (the lookahead denominator).
     ext_weight_sum: f64,
-    /// Per-candidate dedupe of entries touching both swapped qubits.
-    mark: StampSet,
     /// One bit per coupler id; all zero between `candidates_into` calls.
     coupler_bits: Vec<u64>,
+    /// Each coupler's SWAP deltas, by coupler id (see the module docs).
+    cache: Vec<CachedDeltas>,
+    /// The stamp of a current [`CachedDeltas`]; never 0.
+    generation: u32,
+    /// Front entries at distance 1, whose gates are executable.
+    front_adjacent: usize,
+}
+
+/// The `(Δfront, Δextended)` of one coupler's SWAP, current while `stamp`
+/// equals the scorer's generation.
+#[derive(Debug, Clone, Copy, Default)]
+struct CachedDeltas {
+    stamp: u32,
+    d_front: i32,
+    d_ext: f64,
 }
 
 impl SwapScorer {
@@ -91,7 +129,17 @@ impl SwapScorer {
             self.touch.resize(arch.num_qubits(), Vec::new());
         }
         self.entries.clear();
+        if self.cache.len() < arch.num_couplers() {
+            self.cache
+                .resize(arch.num_couplers(), CachedDeltas::default());
+        }
+        if self.generation == u32::MAX {
+            self.cache.fill(CachedDeltas::default());
+            self.generation = 0;
+        }
+        self.generation += 1;
         self.front_len = front.len();
+        self.front_adjacent = 0;
         self.front_sum = 0.0;
         self.ext_sum = 0.0;
         self.ext_weight_sum = 0.0;
@@ -130,6 +178,7 @@ impl SwapScorer {
         });
         if is_front {
             self.front_sum += dist as f64;
+            self.front_adjacent += usize::from(dist == 1);
         } else {
             self.ext_sum += weight * dist as f64;
             self.ext_weight_sum += weight;
@@ -142,14 +191,19 @@ impl SwapScorer {
         }
     }
 
-    /// Collects candidate SWAPs into `out`: the coupler edges with at least
-    /// one endpoint hosting a qubit of some front gate, in coupler order.
+    /// Collects candidate SWAPs into `out` as `(coupler id, (u, v))`: the
+    /// coupler edges with at least one endpoint hosting a qubit of some
+    /// front gate, in coupler order.
     ///
     /// Marks the incident couplers of every front endpoint in a per-coupler
     /// bitset, then drains the bitset in ascending coupler id — O(front ×
     /// degree + couplers/64), and the same list, order included, as a scan
     /// over [`Architecture::couplers`].
-    pub fn candidates_into(&mut self, arch: &Architecture, out: &mut Vec<(NodeId, NodeId)>) {
+    pub fn candidates_into(
+        &mut self,
+        arch: &Architecture,
+        out: &mut Vec<(usize, (NodeId, NodeId))>,
+    ) {
         out.clear();
         let words = arch.num_couplers().div_ceil(64);
         if self.coupler_bits.len() < words {
@@ -165,8 +219,9 @@ impl SwapScorer {
         for (w, word) in self.coupler_bits[..words].iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                let edge = arch.coupler(w * 64 + bits.trailing_zeros() as usize);
-                out.push((edge.u, edge.v));
+                let id = w * 64 + bits.trailing_zeros() as usize;
+                let edge = arch.coupler(id);
+                out.push((id, (edge.u, edge.v)));
                 bits &= bits - 1;
             }
         }
@@ -195,18 +250,19 @@ impl SwapScorer {
     }
 
     /// Distance-sum deltas `(Δfront, Δextended)` if `swap` were applied.
-    fn deltas(&mut self, swap: (NodeId, NodeId), arch: &Architecture) -> (i64, f64) {
+    ///
+    /// Visits `u`'s entries, then `v`'s. An entry on both qubits is in both
+    /// lists and counts once, from `u`'s.
+    fn deltas(&self, swap: (NodeId, NodeId), arch: &Architecture) -> (i64, f64) {
         let (u, v) = swap;
-        self.mark.reset(self.entries.len());
         let mut d_front = 0i64;
         let mut d_ext = 0.0f64;
         for side in [u, v] {
-            for i in 0..self.touch[side].len() {
-                let idx = self.touch[side][i] as usize;
-                if !self.mark.insert(idx) {
+            for &idx in &self.touch[side] {
+                let entry = self.entries[idx as usize];
+                if side == v && (entry.phys_a == u || entry.phys_b == u) {
                     continue;
                 }
-                let entry = self.entries[idx];
                 let new_dist = Self::new_dist(entry, u, v, arch);
                 if entry.is_front {
                     d_front += new_dist as i64 - entry.dist as i64;
@@ -219,16 +275,51 @@ impl SwapScorer {
     }
 
     /// The LightSABRE cost (basic + weighted lookahead, *without* the decay
-    /// factor) of applying `swap` to the current mapping. Only meaningful
-    /// after a [`Self::prepare`] that loaded at least one front gate (SWAPs
-    /// are only scored while some gate is blocked).
+    /// factor) of applying the SWAP on coupler `coupler` (oriented as
+    /// [`Architecture::coupler`] gives it) to the current mapping. Only
+    /// meaningful after a [`Self::prepare`] that loaded at least one front
+    /// gate (SWAPs are only scored while some gate is blocked).
+    ///
+    /// The deltas come from the per-coupler cache when they are current and
+    /// are computed and stored otherwise; the formula runs on them either
+    /// way, so the score is the one recomputing the deltas would give.
     pub fn swap_cost(
         &mut self,
+        coupler: usize,
+        arch: &Architecture,
+        lookahead: &LookaheadSpec,
+    ) -> f64 {
+        let cached = self.cache[coupler];
+        let deltas = if cached.stamp == self.generation {
+            (i64::from(cached.d_front), cached.d_ext)
+        } else {
+            let edge = arch.coupler(coupler);
+            let (d_front, d_ext) = self.deltas((edge.u, edge.v), arch);
+            self.cache[coupler] = CachedDeltas {
+                stamp: self.generation,
+                d_front: i32::try_from(d_front).expect("a SWAP moves at most two front gates"),
+                d_ext,
+            };
+            (d_front, d_ext)
+        };
+        self.cost(deltas, lookahead)
+    }
+
+    /// [`Self::swap_cost`] of `swap` without the per-coupler cache: the
+    /// deltas are recomputed on every call.
+    #[cfg(test)]
+    pub(crate) fn uncached_swap_cost(
+        &self,
         swap: (NodeId, NodeId),
         arch: &Architecture,
         lookahead: &LookaheadSpec,
     ) -> f64 {
-        let (d_front, d_ext) = self.deltas(swap, arch);
+        let deltas = self.deltas(swap, arch);
+        self.cost(deltas, lookahead)
+    }
+
+    /// The score formula on a candidate's `(Δfront, Δextended)`.
+    fn cost(&self, (d_front, d_ext): (i64, f64), lookahead: &LookaheadSpec) -> f64 {
         let basic = (self.front_sum + d_front as f64) / self.front_len as f64;
         let lookahead_term = if self.ext_weight_sum == 0.0 {
             0.0
@@ -247,16 +338,26 @@ impl SwapScorer {
         self.front_sum as usize - self.front_len
     }
 
+    /// Whether some front gate is executable under the current mapping
+    /// (its qubits at distance 1). Tracked through [`Self::apply`], so
+    /// after a SWAP that brings no front gate together the caller can skip
+    /// looking for executable gates.
+    pub fn front_has_executable_gate(&self) -> bool {
+        self.front_adjacent > 0
+    }
+
     /// The summed front-gate distance (an integer) if `swap` were applied —
     /// the t|ket⟩-style greedy objective.
-    pub fn front_total(&mut self, swap: (NodeId, NodeId), arch: &Architecture) -> i64 {
+    pub fn front_total(&self, swap: (NodeId, NodeId), arch: &Architecture) -> i64 {
         let (d_front, _) = self.deltas(swap, arch);
         self.front_sum as i64 + d_front
     }
 
     /// Commits `swap` (already applied to the mapping by the caller): updates
     /// entry endpoints/distances, the running sums, and the per-qubit touch
-    /// lists, in O(gates touching the swapped qubits).
+    /// lists, in O(gates touching the swapped qubits). Drops the cached
+    /// deltas of every coupler on `u`, `v` or the other endpoint of a moved
+    /// entry.
     pub fn apply(&mut self, swap: (NodeId, NodeId), arch: &Architecture) {
         let (u, v) = swap;
         let resolve = |p: NodeId| {
@@ -268,16 +369,30 @@ impl SwapScorer {
                 p
             }
         };
-        self.mark.reset(self.entries.len());
-        // Collect indices first: the touch lists for u and v swap wholesale
-        // below (an entry on u is on v afterwards and vice versa).
-        for list in [u, v] {
-            for i in 0..self.touch[list].len() {
-                let idx = self.touch[list][i] as usize;
-                if !self.mark.insert(idx) {
+        let cache = &mut self.cache;
+        let mut invalidate = |p: NodeId| {
+            for &id in arch.incident_couplers(p) {
+                cache[id].stamp = 0;
+            }
+        };
+        invalidate(u);
+        invalidate(v);
+        // The touch lists for u and v swap wholesale below (an entry on u
+        // is on v afterwards and vice versa). An entry on both is in both
+        // lists; it is updated from u's, and its endpoints stay {u, v}, so
+        // v's pass still recognises it.
+        for side in [u, v] {
+            for i in 0..self.touch[side].len() {
+                let idx = self.touch[side][i] as usize;
+                let entry = self.entries[idx];
+                if side == v && (entry.phys_a == u || entry.phys_b == u) {
                     continue;
                 }
-                let entry = self.entries[idx];
+                for p in [entry.phys_a, entry.phys_b] {
+                    if p != u && p != v {
+                        invalidate(p);
+                    }
+                }
                 let new_dist = Self::new_dist(entry, u, v, arch);
                 let delta_front = new_dist as f64 - entry.dist as f64;
                 let updated = &mut self.entries[idx];
@@ -286,6 +401,8 @@ impl SwapScorer {
                 updated.dist = new_dist;
                 if entry.is_front {
                     self.front_sum += delta_front;
+                    self.front_adjacent = self.front_adjacent + usize::from(new_dist == 1)
+                        - usize::from(entry.dist == 1);
                 } else {
                     self.ext_sum += entry.weight * delta_front;
                 }
@@ -319,7 +436,7 @@ mod tests {
         dag: &DependencyDag,
         mapping: &Mapping,
         arch: &Architecture,
-    ) -> Vec<(NodeId, NodeId)> {
+    ) -> Vec<(usize, (NodeId, NodeId))> {
         let mut active = vec![false; arch.num_qubits()];
         for &node in front {
             let (a, b) = dag.qubit_pair(node);
@@ -327,8 +444,9 @@ mod tests {
             active[mapping.physical(b)] = true;
         }
         arch.couplers()
-            .filter(|edge| active[edge.u] || active[edge.v])
-            .map(|edge| (edge.u, edge.v))
+            .enumerate()
+            .filter(|(_, edge)| active[edge.u] || active[edge.v])
+            .map(|(id, edge)| (id, (edge.u, edge.v)))
             .collect()
     }
 
@@ -349,7 +467,8 @@ mod tests {
     /// Prepares `scorer` on a random mapping, front and extended set of a
     /// random circuit on `arch`, then applies a chain of SWAPs; after the
     /// prepare and after every SWAP the candidates must equal the reference
-    /// scan, in order.
+    /// scan, in order, and every coupler's cached score must equal its
+    /// recomputed one bit for bit.
     fn check_candidates_against_scan(
         scorer: &mut SwapScorer,
         arch: &Architecture,
@@ -363,7 +482,10 @@ mod tests {
         let front_len = rng.gen_range(1..=12);
         let (front, rest) = nodes.split_at(front_len);
         let extended = &rest[..rng.gen_range(0..=20)];
-        let lookahead = LookaheadSpec::sabre_default();
+        let lookahead = LookaheadSpec {
+            depth_decay: rng.gen_bool(0.5).then_some(0.8),
+            ..LookaheadSpec::sabre_default()
+        };
         scorer.prepare(front, extended, &dag, &mapping, arch, &lookahead);
         let mut candidates = Vec::new();
         for step in 0..24 {
@@ -374,13 +496,22 @@ mod tests {
                 "{} after {step} swaps",
                 arch.name()
             );
+            for (coupler, edge) in arch.couplers().enumerate() {
+                let swap = (edge.u, edge.v);
+                assert_eq!(
+                    scorer.swap_cost(coupler, arch, &lookahead).to_bits(),
+                    scorer.uncached_swap_cost(swap, arch, &lookahead).to_bits(),
+                    "{} after {step} swaps, coupler {swap:?}",
+                    arch.name()
+                );
+            }
             // Mostly front-touching SWAPs (what routing applies), sometimes
             // any coupler.
             let swap = if rng.gen_range(0..4) == 0 {
                 let edge = arch.coupler(rng.gen_range(0..arch.num_couplers()));
                 (edge.u, edge.v)
             } else {
-                candidates[rng.gen_range(0..candidates.len())]
+                candidates[rng.gen_range(0..candidates.len())].1
             };
             mapping.apply_swap_physical(swap.0, swap.1);
             scorer.apply(swap, arch);
@@ -443,7 +574,7 @@ mod tests {
             reference_candidates(&front, &dag, &mapping, &arch)
         );
         for shared in [(0, 3), (2, 5)] {
-            assert_eq!(candidates.iter().filter(|&&c| c == shared).count(), 1);
+            assert_eq!(candidates.iter().filter(|&&(_, c)| c == shared).count(), 1);
         }
         let mut sorted = candidates.clone();
         sorted.sort_unstable();
@@ -520,9 +651,9 @@ mod tests {
         let lookahead = LookaheadSpec::sabre_default();
         let mut scorer = SwapScorer::new();
         scorer.prepare(&front, &extended, &dag, &mapping, &arch, &lookahead);
-        for edge in arch.couplers() {
+        for (coupler, edge) in arch.couplers().enumerate() {
             let swap = (edge.u, edge.v);
-            let fast = scorer.swap_cost(swap, &arch, &lookahead);
+            let fast = scorer.swap_cost(coupler, &arch, &lookahead);
             let slow = reference_cost(swap, &front, &extended, &dag, &mapping, &arch, &lookahead);
             assert_eq!(fast, slow, "swap {swap:?} diverged");
         }
@@ -539,9 +670,9 @@ mod tests {
         };
         let mut scorer = SwapScorer::new();
         scorer.prepare(&front, &extended, &dag, &mapping, &arch, &lookahead);
-        for edge in arch.couplers() {
+        for (coupler, edge) in arch.couplers().enumerate() {
             let swap = (edge.u, edge.v);
-            let fast = scorer.swap_cost(swap, &arch, &lookahead);
+            let fast = scorer.swap_cost(coupler, &arch, &lookahead);
             let slow = reference_cost(swap, &front, &extended, &dag, &mapping, &arch, &lookahead);
             assert!(
                 (fast - slow).abs() < 1e-9,
@@ -563,9 +694,9 @@ mod tests {
         for swap in [(0usize, 1usize), (4, 5), (1, 2), (0, 3)] {
             mapping.apply_swap_physical(swap.0, swap.1);
             scorer.apply(swap, &arch);
-            for edge in arch.couplers() {
+            for (coupler, edge) in arch.couplers().enumerate() {
                 let candidate = (edge.u, edge.v);
-                let fast = scorer.swap_cost(candidate, &arch, &lookahead);
+                let fast = scorer.swap_cost(coupler, &arch, &lookahead);
                 let slow = reference_cost(
                     candidate, &front, &extended, &dag, &mapping, &arch, &lookahead,
                 );
@@ -628,7 +759,10 @@ mod tests {
         let (pa, pb) = (mapping.physical(a), mapping.physical(b));
         for edge in arch.couplers() {
             let expected = edge.u == pa || edge.u == pb || edge.v == pa || edge.v == pb;
-            assert_eq!(candidates.contains(&(edge.u, edge.v)), expected);
+            assert_eq!(
+                candidates.iter().any(|&(_, c)| c == (edge.u, edge.v)),
+                expected
+            );
         }
     }
 }
