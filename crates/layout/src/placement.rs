@@ -4,6 +4,15 @@
 //! VF2 placement is what solves QUEKO-style (SWAP-free) benchmarks outright;
 //! the paper stresses that it is *not* sufficient for QUBIKOS circuits, which
 //! is exercised by the tests in the `qubikos` crate.
+//!
+//! A QUBIKOS instance declares every device qubit, and a short one leaves
+//! most of them idle, so the greedy-BFS placement keeps its per-idle-qubit
+//! work constant: its order is built in two passes over the interaction
+//! graph (not one component list and one device-sized BFS per component),
+//! and an idle qubit, whose distance sum is 0 everywhere, takes the next
+//! free physical qubit in tie-break order through a pointer instead of a
+//! scan. Both select what the full scans select; the old order is kept as
+//! a test-only reference that a differential test compares against.
 
 use crate::mapping::Mapping;
 use qubikos_arch::Architecture;
