@@ -62,13 +62,68 @@ pub type CommandOutcome = Result<i32, Box<dyn std::error::Error>>;
 
 /// Renders a command outcome and exits the process accordingly.
 pub fn exit_with(outcome: CommandOutcome) -> ! {
+    std::process::exit(exit_code(outcome))
+}
+
+/// The process exit code of a command outcome, rendering an error on
+/// stderr. A command stopped by [`StdoutClosed`] exits [`EXIT_OK`] without
+/// a word: its reader (`| head`) has all the output it wanted.
+fn exit_code(outcome: CommandOutcome) -> i32 {
     match outcome {
-        Ok(code) => std::process::exit(code),
+        Ok(code) => code,
+        Err(error) if error.is::<StdoutClosed>() => EXIT_OK,
         Err(error) => {
             eprintln!("error: {error}");
-            std::process::exit(EXIT_USAGE);
+            EXIT_USAGE
         }
     }
+}
+
+/// Stdout was closed while a command wrote its output: the reader of the
+/// pipe has exited, as `head` does after its lines.
+#[derive(Debug)]
+struct StdoutClosed;
+
+impl std::fmt::Display for StdoutClosed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("stdout closed")
+    }
+}
+
+impl std::error::Error for StdoutClosed {}
+
+/// Writes `text` to `out` and flushes it, so a closed reader shows at once.
+/// A `BrokenPipe` error becomes [`StdoutClosed`]; any other write error is
+/// returned as it is.
+fn write_output(
+    out: &mut impl std::io::Write,
+    text: std::fmt::Arguments<'_>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    match out.write_fmt(text).and_then(|()| out.flush()) {
+        Err(error) if error.kind() == std::io::ErrorKind::BrokenPipe => Err(Box::new(StdoutClosed)),
+        written => Ok(written?),
+    }
+}
+
+/// Command output: every report a command prints goes through here to
+/// stdout. Used as `out!(...)` / `outln!(...)` inside a command, which
+/// returns early on a write error.
+fn output(text: std::fmt::Arguments<'_>) -> Result<(), Box<dyn std::error::Error>> {
+    write_output(&mut std::io::stdout().lock(), text)
+}
+
+/// `print!` through [`output`], returning from the command on an error.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        output(format_args!($($arg)*))?
+    };
+}
+
+/// `println!` through [`output`], returning from the command on an error.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        output(format_args!("{}\n", format_args!($($arg)*)))?
+    };
 }
 
 /// Maps a completed report's failure and timeout counts to an exit code:
@@ -92,7 +147,7 @@ fn report_exit_code(failures: usize, deadline_exceeded: usize) -> i32 {
 /// Propagates the dispatched command's error.
 pub fn dispatch(args: &[String]) -> CommandOutcome {
     if let Some("help" | "--help" | "-h") = args.first().map(String::as_str) {
-        println!("{}", usage());
+        outln!("{}", usage());
         return Ok(EXIT_OK);
     }
     for command in COMMANDS {
@@ -525,7 +580,7 @@ pub fn suite_export_command(args: &[String]) -> CommandOutcome {
     let outcome =
         SuiteStore::export_with_options(out, device, &preset.suite, &options, threads, &progress)?;
     let Some(store) = outcome.store else {
-        println!(
+        outln!(
             "export interrupted after {} of {} shards ({} resumed); re-run the same \
              command to finish from the ledger",
             outcome.shards_written + outcome.shards_resumed,
@@ -534,7 +589,7 @@ pub fn suite_export_command(args: &[String]) -> CommandOutcome {
         );
         return Ok(0);
     };
-    println!(
+    outln!(
         "wrote {} instances for {} to {} ({} shards: {} generated, {} resumed from ledger)",
         store.total_instances(),
         device.name(),
@@ -562,7 +617,7 @@ pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
     for failure in &report.failures {
         eprintln!("FAIL: {failure}");
     }
-    println!(
+    outln!(
         "verified {} instances of {} in {} ({} shards checked, {} resumed from ledger; \
          hashes, QASM parse, regeneration round trip)",
         report.instances,
@@ -577,7 +632,7 @@ pub fn suite_verify_command(args: &[String]) -> CommandOutcome {
         return Ok(EXIT_VERIFY);
     }
     if !report.complete {
-        println!(
+        outln!(
             "verification interrupted after {} of {} shards; re-run to finish from the ledger",
             report.shards_checked + report.shards_resumed,
             store.shard_count()
@@ -597,7 +652,7 @@ pub fn analytics_command(args: &[String]) -> CommandOutcome {
     let store = SuiteStore::open(dir)?;
     let progress = StderrProgress::new(format!("analytics {}", store.device().name()), 10);
     let report = run_suite_analytics_with_sink(&store, &config, &progress)?;
-    print!("{}", render_analytics(&report));
+    out!("{}", render_analytics(&report));
     if let Some(path) = args.value("--json") {
         write_json(path, &report, "analytics report")?;
     }
@@ -617,7 +672,7 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
         let progress =
             StderrProgress::new(format!("evaluate {} (suite)", store.device().name()), 20);
         let outcome = run_suite_evaluation_with_sink(&store, &config, &progress)?;
-        println!("{}", render_evaluation(&outcome.report));
+        outln!("{}", render_evaluation(&outcome.report));
         eprintln!(
             "suite evaluation: {} (tool, circuit) pairs routed, {} served from cache",
             outcome.routed, outcome.cache_hits
@@ -645,11 +700,11 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
         );
         let progress = StderrProgress::new(format!("evaluate {}", device.name()), 20);
         let report = run_tool_evaluation_with_sink(&config, &progress)?;
-        println!("{}", render_evaluation(&report));
+        outln!("{}", render_evaluation(&report));
         reports.push(report);
     }
     if reports.len() > 1 {
-        println!("{}", render_aggregate(&aggregate_by_tool(&reports)));
+        outln!("{}", render_aggregate(&aggregate_by_tool(&reports)));
     }
     Ok(0)
 }
@@ -695,7 +750,7 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
             run_optimality_study_with_sink(&config, &progress)?
         }
     };
-    print!("{}", render_optimality(&report));
+    out!("{}", render_optimality(&report));
     if report.failures > 0 {
         eprintln!("ERROR: {} circuits failed verification", report.failures);
     }
@@ -735,7 +790,7 @@ pub fn case_study_command(args: &[String]) -> CommandOutcome {
             threads,
         };
         let outcome = run_case_study(&config)?;
-        print!("{}", render_case_study(&outcome));
+        out!("{}", render_case_study(&outcome));
     }
     Ok(0)
 }
@@ -753,7 +808,7 @@ pub fn ablations_command(args: &[String]) -> CommandOutcome {
     // counter, so the multi-minute paper sweep streams per-run progress.
     let progress = StderrProgress::new("ablations".to_string(), 3);
     let report = run_ablations_with_sink(&config, &progress)?;
-    print!("{}", render_ablations(&report));
+    out!("{}", render_ablations(&report));
     Ok(0)
 }
 
@@ -776,13 +831,13 @@ fn ablations_grid(args: &Args<'_>) -> CommandOutcome {
     // route) and exit without touching any suite.
     if args.has("--list-compositions") {
         let specs = config.compositions();
-        println!(
+        outln!(
             "{} compositions ({} raw grid points before pruning)",
             specs.len(),
             config.grid.raw_combinations()
         );
         for spec in &specs {
-            println!("  {}", spec.id());
+            outln!("  {}", spec.id());
         }
         return Ok(EXIT_OK);
     }
@@ -794,7 +849,7 @@ fn ablations_grid(args: &Args<'_>) -> CommandOutcome {
     let store = SuiteStore::open(dir)?;
     let progress = StderrProgress::new(format!("ablation matrix {}", store.device().name()), 20);
     let outcome = run_composition_matrix(&store, &config, &progress)?;
-    print!("{}", render_composition_matrix(&outcome.report));
+    out!("{}", render_composition_matrix(&outcome.report));
     eprintln!(
         "ablation matrix: {} (composition, circuit) pairs routed, {} served from cache",
         outcome.routed, outcome.cache_hits
@@ -811,6 +866,41 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A stdout whose reader is gone: every write fails with `kind`.
+    struct ClosedPipe(std::io::ErrorKind);
+
+    impl std::io::Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_the_command_quietly_with_exit_0() {
+        let closed = write_output(
+            &mut ClosedPipe(std::io::ErrorKind::BrokenPipe),
+            format_args!("line {}\n", 1),
+        )
+        .expect_err("the pipe is closed");
+        assert!(closed.is::<StdoutClosed>(), "{closed}");
+        assert_eq!(exit_code(Err(closed)), EXIT_OK);
+        // Any other write error is still a failure.
+        let failed = write_output(
+            &mut ClosedPipe(std::io::ErrorKind::PermissionDenied),
+            format_args!("line"),
+        )
+        .expect_err("the write fails");
+        assert!(!failed.is::<StdoutClosed>());
+        assert_eq!(exit_code(Err(failed)), EXIT_USAGE);
+        let mut open = Vec::new();
+        write_output(&mut open, format_args!("{}\n", "line")).expect("written");
+        assert_eq!(open, b"line\n");
     }
 
     #[test]
