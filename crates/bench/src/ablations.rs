@@ -759,7 +759,28 @@ mod tests {
         assert_eq!(&MatrixConfig::quick().compositions()[..8], &truncated[..]);
     }
 
-    fn fresh_store(name: &str) -> SuiteStore {
+    /// A tiny suite exported into its own temp dir, which is removed when
+    /// the store is dropped. Derefs to the [`SuiteStore`].
+    struct TempStore {
+        store: SuiteStore,
+        dir: std::path::PathBuf,
+    }
+
+    impl std::ops::Deref for TempStore {
+        type Target = SuiteStore;
+
+        fn deref(&self) -> &SuiteStore {
+            &self.store
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn fresh_store(name: &str) -> TempStore {
         let dir =
             std::env::temp_dir().join(format!("qubikos-matrix-test-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -769,7 +790,9 @@ mod tests {
             two_qubit_gates: 20,
             base_seed: 5,
         };
-        SuiteStore::export(&dir, DeviceKind::Grid3x3, &suite, 2, &NullSink).expect("export")
+        let store =
+            SuiteStore::export(&dir, DeviceKind::Grid3x3, &suite, 2, &NullSink).expect("export");
+        TempStore { store, dir }
     }
 
     #[test]
