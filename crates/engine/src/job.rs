@@ -183,9 +183,7 @@ pub struct JobOutput<T> {
 }
 
 /// Timing record of one completed job, as streamed to progress sinks.
-/// Serializes to flat JSON (the duration is stored in integer microseconds,
-/// not a `Duration`, so a record is toolchain-agnostic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobRecord {
     /// Index of the job in the worklist.
     pub job: usize,
@@ -242,19 +240,5 @@ mod tests {
     fn job_id_displays_its_index() {
         assert_eq!(JobId(17).to_string(), "job #17");
         assert_eq!(JobId(17).index(), 17);
-    }
-
-    #[test]
-    fn job_record_serializes_flat() {
-        let record = JobRecord {
-            job: 3,
-            seed: 9,
-            worker: 1,
-            micros: 1500,
-        };
-        let json = serde_json::to_string(&record).expect("serialize");
-        assert!(json.contains("\"job\""));
-        let back: JobRecord = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, record);
     }
 }

@@ -8,12 +8,11 @@
 //! id.
 
 use crate::job::JobRecord;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Summary of a finished run, handed to [`ProgressSink::run_finished`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
     /// Number of jobs executed.
     pub jobs: usize,
