@@ -42,8 +42,8 @@
 //! [`PlacementSpec::Multilevel`](crate::PlacementSpec::Multilevel) axis
 //! places trial 0 with [`MultilevelRouter::default`].
 
-use crate::kernel::StampSet;
 use crate::mapping::Mapping;
+use crate::placement::Qubits;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
 use qubikos_graph::{Graph, NodeId};
@@ -174,71 +174,6 @@ pub struct MultilevelRouter {
     config: MultilevelConfig,
 }
 
-/// Per-placement state shared by every level: the physical qubits' selection
-/// order and the scratch of the distance-ring search.
-struct Qubits<'a> {
-    arch: &'a Architecture,
-    /// Tie-break key: prefer well-connected physical qubits, then low index.
-    tie: Vec<usize>,
-    /// Every physical qubit, sorted by `(tie, index)`.
-    by_tie: Vec<NodeId>,
-    /// Distance-ring search: visited qubits, the current and the next ring.
-    seen: StampSet,
-    ring: Vec<NodeId>,
-    next: Vec<NodeId>,
-}
-
-impl<'a> Qubits<'a> {
-    fn new(arch: &'a Architecture) -> Self {
-        let n_phys = arch.num_qubits();
-        let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
-        let mut by_tie: Vec<NodeId> = (0..n_phys).collect();
-        by_tie.sort_by_key(|&p| (tie[p], p));
-        Qubits {
-            arch,
-            tie,
-            by_tie,
-            seen: StampSet::new(),
-            ring: Vec::new(),
-            next: Vec::new(),
-        }
-    }
-
-    /// The free qubit minimising `(distance to anchor, tie, index)`: the
-    /// minimum `(tie, index)` of the first coupling-graph distance ring
-    /// around `anchor` that holds a free qubit. Hop distance is the ring
-    /// number, so this is the argmin of a scan over every qubit, reached
-    /// after visiting only the rings up to the answer.
-    fn nearest_free(&mut self, anchor: NodeId, used: &[bool]) -> NodeId {
-        self.seen.reset(used.len());
-        self.seen.insert(anchor);
-        self.ring.clear();
-        self.ring.push(anchor);
-        while !self.ring.is_empty() {
-            let tie = &self.tie;
-            let best = self
-                .ring
-                .iter()
-                .copied()
-                .filter(|&p| !used[p])
-                .min_by_key(|&p| (tie[p], p));
-            if let Some(best) = best {
-                return best;
-            }
-            self.next.clear();
-            for &p in &self.ring {
-                for &q in self.arch.neighbors(p) {
-                    if self.seen.insert(q) {
-                        self.next.push(q);
-                    }
-                }
-            }
-            std::mem::swap(&mut self.ring, &mut self.next);
-        }
-        panic!("device has enough qubits")
-    }
-}
-
 impl MultilevelRouter {
     /// Creates a router with the given configuration.
     pub fn new(config: MultilevelConfig) -> Self {
@@ -343,7 +278,7 @@ impl MultilevelRouter {
     ///   in `(n − degree, index)` order, found through a pointer into that
     ///   order;
     /// - with an anchor, its total is the distance to the anchor, so it
-    ///   takes the nearest free qubit by [`Qubits::nearest_free`], which is
+    ///   takes the nearest free qubit by `Qubits::nearest_free`, which is
     ///   the anchor itself when that is free.
     fn place_level(
         level: &Level,
@@ -351,7 +286,7 @@ impl MultilevelRouter {
         coarse_assignment: Option<&Vec<NodeId>>,
         fine_to_coarse: &[NodeId],
     ) -> Vec<NodeId> {
-        let arch = qubits.arch;
+        let arch = qubits.arch();
         let n_phys = arch.num_qubits();
         let mut assignment = vec![usize::MAX; level.node_count()];
         let mut used = vec![false; n_phys];
@@ -382,8 +317,8 @@ impl MultilevelRouter {
                     let mut best = usize::MAX;
                     let mut best_key = (u64::MAX, usize::MAX);
                     for p in 0..n_phys {
-                        if !used[p] && (totals[p], qubits.tie[p]) < best_key {
-                            best_key = (totals[p], qubits.tie[p]);
+                        if !used[p] && (totals[p], qubits.tie(p)) < best_key {
+                            best_key = (totals[p], qubits.tie(p));
                             best = p;
                         }
                     }
@@ -391,12 +326,7 @@ impl MultilevelRouter {
                     best
                 }
                 Some(anchor) => qubits.nearest_free(anchor, &used),
-                None => {
-                    while used[qubits.by_tie[next_free]] {
-                        next_free += 1;
-                    }
-                    qubits.by_tie[next_free]
-                }
+                None => qubits.first_free(&used, &mut next_free),
             };
             assignment[u] = best;
             used[best] = true;

@@ -6,14 +6,23 @@
 //! is exercised by the tests in the `qubikos` crate.
 //!
 //! A QUBIKOS instance declares every device qubit, and a short one leaves
-//! most of them idle, so the greedy-BFS placement keeps its per-idle-qubit
-//! work constant: its order is built in two passes over the interaction
-//! graph (not one component list and one device-sized BFS per component),
-//! and an idle qubit, whose distance sum is 0 everywhere, takes the next
-//! free physical qubit in tie-break order through a pointer instead of a
-//! scan. Both select what the full scans select; the old order is kept as
-//! a test-only reference that a differential test compares against.
+//! most of them idle, so the greedy-BFS placement avoids work per device
+//! qubit where it can:
+//! - its order is built in two passes over the interaction graph, not one
+//!   component list and one device-sized BFS per component;
+//! - a qubit with no placed neighbour, whose distance sum is 0 everywhere,
+//!   takes the next free physical qubit in tie-break order through a
+//!   pointer instead of a scan;
+//! - a qubit with one placed neighbour, whose sum is the distance to it,
+//!   takes the nearest free physical qubit found by a search outward from
+//!   that neighbour, one distance ring at a time.
+//!
+//! Only a qubit with two or more placed neighbours scans every physical
+//! qubit. Each shortcut selects what the full scan selects; the old order
+//! and loop are kept as test-only references that a differential test
+//! compares against. The multilevel placement shares these shortcuts.
 
+use crate::kernel::StampSet;
 use crate::mapping::Mapping;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
@@ -71,44 +80,39 @@ pub fn greedy_bfs_placement(circuit: &Circuit, arch: &Architecture) -> Mapping {
 /// qubits (the nodes of `interaction`) in `order`.
 fn place_in_order(interaction: &Graph, arch: &Architecture, order: &[NodeId]) -> Mapping {
     let n_phys = arch.num_qubits();
-
     let mut assigned: Vec<Option<NodeId>> = vec![None; interaction.node_count()];
     let mut used = vec![false; n_phys];
     let mut totals = vec![0usize; n_phys];
-    // Tie-break key: prefer well-connected physical qubits, then low index.
-    let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
-    // Free physical qubits in selection order for the no-placed-neighbour
-    // case (seed qubits and interaction-isolated qubits): with every total
-    // zero the argmin reduces to this precomputed connectivity order, so the
-    // scan becomes popping the next unused entry. QUEKO circuits are
-    // device-width but sparse, so this covers a large fraction of qubits.
-    let mut by_degree: Vec<NodeId> = (0..n_phys).collect();
-    by_degree.sort_by_key(|&p| (tie[p], p));
+    let mut qubits = Qubits::new(arch);
     let mut next_free = 0usize;
 
     for &q in order {
-        // One distance row per placed interaction neighbour covers the whole
-        // candidate scan (instead of candidates × neighbours point queries),
-        // accumulated row-major into `totals` so the scan over candidates is
-        // a single cache-friendly pass. Selects exactly the qubit a
-        // per-candidate `min_by_key` over `(total, tie)` would: same sums,
-        // same first-minimum in index order.
-        let mut rows = interaction
+        let mut placed = interaction
             .neighbors(q)
             .iter()
-            .filter_map(|&nb| assigned[nb])
-            .map(|np| arch.distance_row(np));
-        let best = match rows.next() {
-            None => {
-                while used[by_degree[next_free]] {
-                    next_free += 1;
-                }
-                by_degree[next_free]
-            }
-            Some(first) => {
-                totals[..n_phys].copy_from_slice(&first[..n_phys]);
-                for row in rows {
-                    let row = &row[..n_phys];
+            .filter_map(|&nb| assigned[nb]);
+        let best = match (placed.next(), placed.next()) {
+            // No placed neighbour (seed qubits and interaction-isolated
+            // qubits): every total is zero, so the argmin is the first free
+            // qubit in tie-break order.
+            (None, _) => qubits.first_free(&used, &mut next_free),
+            // One: the total is the distance to it.
+            (Some(np), None) => qubits.nearest_free(np, &used),
+            // One distance row per placed interaction neighbour covers the
+            // whole candidate scan (instead of candidates × neighbours point
+            // queries), accumulated row-major into `totals` so the scan
+            // over candidates is a single cache-friendly pass. Selects
+            // exactly the qubit a per-candidate `min_by_key` over
+            // `(total, tie)` would: same sums, same first-minimum in index
+            // order.
+            (Some(_), Some(_)) => {
+                totals.fill(0);
+                for np in interaction
+                    .neighbors(q)
+                    .iter()
+                    .filter_map(|&nb| assigned[nb])
+                {
+                    let row = &arch.distance_row(np)[..n_phys];
                     for p in 0..n_phys {
                         totals[p] += row[p];
                     }
@@ -116,8 +120,8 @@ fn place_in_order(interaction: &Graph, arch: &Architecture, order: &[NodeId]) ->
                 let mut best = usize::MAX;
                 let mut best_key = (usize::MAX, usize::MAX);
                 for p in 0..n_phys {
-                    if !used[p] && (totals[p], tie[p]) < best_key {
-                        best_key = (totals[p], tie[p]);
+                    if !used[p] && (totals[p], qubits.tie(p)) < best_key {
+                        best_key = (totals[p], qubits.tie(p));
                         best = p;
                     }
                 }
@@ -134,6 +138,93 @@ fn place_in_order(interaction: &Graph, arch: &Architecture, order: &[NodeId]) ->
         .map(|p| p.expect("every program qubit placed"))
         .collect();
     Mapping::from_prog_to_phys(prog_to_phys, n_phys)
+}
+
+/// The physical qubits in the greedy placements' selection order, with the
+/// scratch of the distance-ring search. Both greedy placements pick the
+/// free qubit minimising `(total, n − degree, index)`; these are the
+/// shortcuts for a node whose total is 0 everywhere or a distance to one
+/// qubit.
+pub(crate) struct Qubits<'a> {
+    arch: &'a Architecture,
+    /// Tie-break key: prefer well-connected physical qubits, then low index.
+    tie: Vec<usize>,
+    /// Every physical qubit, sorted by `(tie, index)`.
+    by_tie: Vec<NodeId>,
+    /// Distance-ring search: visited qubits, the current and the next ring.
+    seen: StampSet,
+    ring: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl<'a> Qubits<'a> {
+    pub(crate) fn new(arch: &'a Architecture) -> Self {
+        let n_phys = arch.num_qubits();
+        let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
+        let mut by_tie: Vec<NodeId> = (0..n_phys).collect();
+        by_tie.sort_by_key(|&p| (tie[p], p));
+        Qubits {
+            arch,
+            tie,
+            by_tie,
+            seen: StampSet::new(),
+            ring: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    pub(crate) fn arch(&self) -> &'a Architecture {
+        self.arch
+    }
+
+    /// The tie-break key of `p`: `n − degree`.
+    pub(crate) fn tie(&self, p: NodeId) -> usize {
+        self.tie[p]
+    }
+
+    /// The free qubit minimising `(tie, index)`: the argmin when every total
+    /// is equal. `cursor` indexes the selection order; no qubit before it
+    /// is free, and it only moves forward as qubits are used.
+    pub(crate) fn first_free(&self, used: &[bool], cursor: &mut usize) -> NodeId {
+        while used[self.by_tie[*cursor]] {
+            *cursor += 1;
+        }
+        self.by_tie[*cursor]
+    }
+
+    /// The free qubit minimising `(distance to centre, tie, index)`: the
+    /// minimum `(tie, index)` of the first coupling-graph distance ring
+    /// around `centre` that holds a free qubit. Hop distance is the ring
+    /// number, so this is the argmin of a scan over every qubit, reached
+    /// after visiting only the rings up to the answer.
+    pub(crate) fn nearest_free(&mut self, centre: NodeId, used: &[bool]) -> NodeId {
+        self.seen.reset(used.len());
+        self.seen.insert(centre);
+        self.ring.clear();
+        self.ring.push(centre);
+        while !self.ring.is_empty() {
+            let tie = &self.tie;
+            let best = self
+                .ring
+                .iter()
+                .copied()
+                .filter(|&p| !used[p])
+                .min_by_key(|&p| (tie[p], p));
+            if let Some(best) = best {
+                return best;
+            }
+            self.next.clear();
+            for &p in &self.ring {
+                for &q in self.arch.neighbors(p) {
+                    if self.seen.insert(q) {
+                        self.next.push(q);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.ring, &mut self.next);
+        }
+        panic!("device has enough qubits")
+    }
 }
 
 /// Order in which program qubits are placed: BFS from the highest-degree
@@ -311,6 +402,39 @@ mod tests {
         order
     }
 
+    /// The greedy loop before the shortcuts: every node with a placed
+    /// neighbour scans every physical qubit.
+    fn reference_place_in_order(
+        interaction: &Graph,
+        arch: &Architecture,
+        order: &[NodeId],
+    ) -> Mapping {
+        let n_phys = arch.num_qubits();
+        let mut assigned: Vec<Option<NodeId>> = vec![None; interaction.node_count()];
+        let mut used = vec![false; n_phys];
+        let tie: Vec<usize> = (0..n_phys).map(|p| n_phys - arch.degree(p)).collect();
+        for &q in order {
+            let mut totals = vec![0usize; n_phys];
+            for np in interaction
+                .neighbors(q)
+                .iter()
+                .filter_map(|&nb| assigned[nb])
+            {
+                for p in 0..n_phys {
+                    totals[p] += arch.distance(np, p);
+                }
+            }
+            let best = (0..n_phys)
+                .filter(|&p| !used[p])
+                .min_by_key(|&p| (totals[p], tie[p], p))
+                .expect("device has enough free qubits");
+            assigned[q] = Some(best);
+            used[best] = true;
+        }
+        let prog_to_phys = assigned.into_iter().map(|p| p.expect("placed")).collect();
+        Mapping::from_prog_to_phys(prog_to_phys, n_phys)
+    }
+
     #[test]
     fn placement_order_and_placement_match_the_reference() {
         for (arch, circuit) in crate::test_support::differential_cases() {
@@ -321,7 +445,7 @@ mod tests {
             assert_eq!(order, reference, "{case}");
             assert_eq!(
                 greedy_bfs_placement(&circuit, &arch),
-                place_in_order(&interaction, &arch, &reference),
+                reference_place_in_order(&interaction, &arch, &reference),
                 "{case}"
             );
         }
