@@ -73,12 +73,7 @@ pub fn greedy_bfs_placement(circuit: &Circuit, arch: &Architecture) -> Mapping {
         "circuit does not fit the device"
     );
     let interaction = circuit.interaction_graph();
-    place_in_order(&interaction, arch, &placement_order(&interaction))
-}
-
-/// The greedy placement of [`greedy_bfs_placement`], placing the program
-/// qubits (the nodes of `interaction`) in `order`.
-fn place_in_order(interaction: &Graph, arch: &Architecture, order: &[NodeId]) -> Mapping {
+    let order = placement_order(&interaction);
     let n_phys = arch.num_qubits();
     let mut assigned: Vec<Option<NodeId>> = vec![None; interaction.node_count()];
     let mut used = vec![false; n_phys];
@@ -86,7 +81,7 @@ fn place_in_order(interaction: &Graph, arch: &Architecture, order: &[NodeId]) ->
     let mut qubits = Qubits::new(arch);
     let mut next_free = 0usize;
 
-    for &q in order {
+    for &q in &order {
         let mut placed = interaction
             .neighbors(q)
             .iter()
