@@ -28,6 +28,7 @@ use crate::evaluation::{
 };
 use crate::optimality::{
     run_optimality_study_with_sink, run_suite_optimality_with_sink, OptimalityConfig,
+    OptimalityReport,
 };
 use crate::report::{
     render_ablations, render_aggregate, render_analytics, render_case_study,
@@ -66,12 +67,10 @@ pub fn exit_with(outcome: CommandOutcome) -> ! {
 }
 
 /// The process exit code of a command outcome, rendering an error on
-/// stderr. A command stopped by [`StdoutClosed`] exits [`EXIT_OK`] without
-/// a word: its reader (`| head`) has all the output it wanted.
+/// stderr.
 fn exit_code(outcome: CommandOutcome) -> i32 {
     match outcome {
         Ok(code) => code,
-        Err(error) if error.is::<StdoutClosed>() => EXIT_OK,
         Err(error) => {
             eprintln!("error: {error}");
             EXIT_USAGE
@@ -79,37 +78,66 @@ fn exit_code(outcome: CommandOutcome) -> i32 {
     }
 }
 
-/// Stdout was closed while a command wrote its output: the reader of the
-/// pipe has exited, as `head` does after its lines.
-#[derive(Debug)]
-struct StdoutClosed;
+/// Where a command's report goes. `print!` panics once stdout's reader has
+/// gone (`| head` after its lines, `| true`); this output instead closes
+/// at the first `BrokenPipe` and drops the rest of the report. The command
+/// runs on: it still writes its files and returns its own exit code, so a
+/// failed verification exits [`EXIT_VERIFY`] whether or not anyone reads
+/// the report.
+struct Output<W> {
+    sink: W,
+    closed: bool,
+}
 
-impl std::fmt::Display for StdoutClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("stdout closed")
+impl<W: std::io::Write> Output<W> {
+    fn new(sink: W) -> Self {
+        Output {
+            sink,
+            closed: false,
+        }
+    }
+
+    /// Writes `text` and flushes it, so a closed reader shows at once. A
+    /// `BrokenPipe` error closes the output; any other write error is
+    /// returned.
+    fn write(&mut self, text: std::fmt::Arguments<'_>) -> std::io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        match self.sink.write_fmt(text).and_then(|()| self.sink.flush()) {
+            Err(error) if error.kind() == std::io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            written => written,
+        }
     }
 }
 
-impl std::error::Error for StdoutClosed {}
-
-/// Writes `text` to `out` and flushes it, so a closed reader shows at once.
-/// A `BrokenPipe` error becomes [`StdoutClosed`]; any other write error is
-/// returned as it is.
-fn write_output(
-    out: &mut impl std::io::Write,
-    text: std::fmt::Arguments<'_>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    match out.write_fmt(text).and_then(|()| out.flush()) {
-        Err(error) if error.kind() == std::io::ErrorKind::BrokenPipe => Err(Box::new(StdoutClosed)),
-        written => Ok(written?),
-    }
+thread_local! {
+    /// Commands write their reports on the thread that dispatched them.
+    static OUTPUT: std::cell::RefCell<Output<Box<dyn std::io::Write>>> =
+        std::cell::RefCell::new(Output::new(stdout_sink()));
 }
 
-/// Command output: every report a command prints goes through here to
-/// stdout. Used as `out!(...)` / `outln!(...)` inside a command, which
-/// returns early on a write error.
+/// The process's stdout.
+#[cfg(not(test))]
+fn stdout_sink() -> Box<dyn std::io::Write> {
+    Box::new(std::io::stdout())
+}
+
+/// In unit tests, `print!`: the test harness captures it, but not a direct
+/// write to stdout.
+#[cfg(test)]
+fn stdout_sink() -> Box<dyn std::io::Write> {
+    Box::new(tests::Printed)
+}
+
+/// Command output: every report a command prints goes through here. Used
+/// as `out!(...)` / `outln!(...)` inside a command, which returns early on
+/// a write error other than a closed stdout.
 fn output(text: std::fmt::Arguments<'_>) -> Result<(), Box<dyn std::error::Error>> {
-    write_output(&mut std::io::stdout().lock(), text)
+    Ok(OUTPUT.with_borrow_mut(|output| output.write(text))?)
 }
 
 /// `print!` through [`output`], returning from the command on an error.
@@ -750,7 +778,12 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
             run_optimality_study_with_sink(&config, &progress)?
         }
     };
-    out!("{}", render_optimality(&report));
+    optimality_outcome(&report)
+}
+
+/// Prints an optimality report and maps it to the command's exit code.
+fn optimality_outcome(report: &OptimalityReport) -> CommandOutcome {
+    out!("{}", render_optimality(report));
     if report.failures > 0 {
         eprintln!("ERROR: {} circuits failed verification", report.failures);
     }
@@ -868,39 +901,93 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
-    /// A stdout whose reader is gone: every write fails with `kind`.
-    struct ClosedPipe(std::io::ErrorKind);
+    /// The unit tests' stdout: `print!`, which the harness captures.
+    pub(super) struct Printed;
 
-    impl std::io::Write for ClosedPipe {
-        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-            Err(self.0.into())
+    impl std::io::Write for Printed {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            print!("{}", String::from_utf8_lossy(buf));
+            Ok(buf.len())
         }
 
         fn flush(&mut self) -> std::io::Result<()> {
-            Err(self.0.into())
+            Ok(())
+        }
+    }
+
+    /// A stdout whose reader is gone: every write fails with `kind`.
+    struct ClosedPipe {
+        kind: std::io::ErrorKind,
+        writes: usize,
+    }
+
+    impl ClosedPipe {
+        fn new(kind: std::io::ErrorKind) -> Self {
+            ClosedPipe { kind, writes: 0 }
+        }
+    }
+
+    impl std::io::Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            Err(self.kind.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.kind.into())
         }
     }
 
     #[test]
-    fn a_closed_stdout_ends_the_command_quietly_with_exit_0() {
-        let closed = write_output(
-            &mut ClosedPipe(std::io::ErrorKind::BrokenPipe),
-            format_args!("line {}\n", 1),
-        )
-        .expect_err("the pipe is closed");
-        assert!(closed.is::<StdoutClosed>(), "{closed}");
-        assert_eq!(exit_code(Err(closed)), EXIT_OK);
+    fn a_closed_stdout_drops_the_rest_of_the_report() {
+        let mut closed = Output::new(ClosedPipe::new(std::io::ErrorKind::BrokenPipe));
+        closed
+            .write(format_args!("line {}\n", 1))
+            .expect("a closed pipe is no error");
+        closed
+            .write(format_args!("line {}\n", 2))
+            .expect("a closed pipe is no error");
+        assert!(closed.closed);
+        assert_eq!(
+            closed.sink.writes, 1,
+            "nothing is written after the pipe closed"
+        );
         // Any other write error is still a failure.
-        let failed = write_output(
-            &mut ClosedPipe(std::io::ErrorKind::PermissionDenied),
-            format_args!("line"),
-        )
-        .expect_err("the write fails");
-        assert!(!failed.is::<StdoutClosed>());
-        assert_eq!(exit_code(Err(failed)), EXIT_USAGE);
-        let mut open = Vec::new();
-        write_output(&mut open, format_args!("{}\n", "line")).expect("written");
-        assert_eq!(open, b"line\n");
+        let mut failing = Output::new(ClosedPipe::new(std::io::ErrorKind::PermissionDenied));
+        failing
+            .write(format_args!("line"))
+            .expect_err("the write fails");
+        assert!(!failing.closed);
+        let mut open = Output::new(Vec::new());
+        open.write(format_args!("{}\n", "line")).expect("written");
+        assert_eq!(open.sink, b"line\n");
+    }
+
+    #[test]
+    fn a_closed_stdout_keeps_the_commands_exit_code() {
+        let closed = ClosedPipe::new(std::io::ErrorKind::BrokenPipe);
+        let stdout = OUTPUT.replace(Output::new(Box::new(closed)));
+        let report = |failures, deadline_exceeded| OptimalityReport {
+            circuits: 4,
+            certified: 4 - failures,
+            exactly_confirmed: 0,
+            exact_budget_exceeded: 0,
+            deadline_exceeded,
+            failures,
+            exact_nodes: 0,
+            exact_nodes_by_k: Vec::new(),
+            exact_wall_micros: 0,
+        };
+        let failed = optimality_outcome(&report(2, 0));
+        let timed_out = optimality_outcome(&report(0, 1));
+        let passed = optimality_outcome(&report(0, 0));
+        let help = dispatch(&args(&["help"]));
+        let was_closed = OUTPUT.replace(stdout).closed;
+        assert!(was_closed, "the report met the closed pipe");
+        assert_eq!(failed.expect("no error"), EXIT_VERIFY);
+        assert_eq!(timed_out.expect("no error"), EXIT_TIMEOUT);
+        assert_eq!(passed.expect("no error"), EXIT_OK);
+        assert_eq!(help.expect("no error"), EXIT_OK);
     }
 
     #[test]
