@@ -27,10 +27,7 @@
 //!   free qubit in tie-break order. Over the ~2,900 nodes placed on all
 //!   levels of a 60-gate osprey-433 instance, about 75 still scan, where
 //!   the full scans ran about 1,240 times;
-//! - refinement never scores a pair of two interaction-free nodes, and
-//!   skips a pair of an interacting and an idle node when the interacting
-//!   one already costs no more than it could anywhere else (see
-//!   `refine`).
+//! - refinement never scores a pair of two interaction-free nodes.
 //!
 //! Each shortcut selects exactly what the full scan selects, and the
 //! full-scan placement is kept as a test-only reference that the
@@ -336,23 +333,8 @@ impl MultilevelRouter {
 
     /// Pairwise-exchange refinement: repeatedly swap two nodes' physical
     /// locations when it reduces the weighted interaction distance. Pairs
-    /// of two interaction-free (idle) nodes are skipped, since both cost 0
-    /// wherever they sit; every other pair is visited in `(u, v)` order.
-    ///
-    /// A pair of an interacting `x` and an idle `y` exchanges only if `x`
-    /// costs less at `y`'s location than at its own. There each of `x`'s
-    /// neighbours is at least one hop away, so `x` costs at least
-    /// `floor(x)`, the sum of its edge weights. Two shortcuts follow, and
-    /// both give the decisions of scoring every pair:
-    /// - an interacting `u` that costs no more than its floor is *settled*:
-    ///   its pairs with the idle nodes after it are skipped until an
-    ///   exchange moves it;
-    /// - an idle `u` meets each interacting `v` after it with `v`'s own cost
-    ///   kept in `here[v]`, which stays valid until `v` or a neighbour of
-    ///   `v` moves. The pair then costs one `cost_of`, or none when `v` is
-    ///   settled.
-    ///
-    /// The costs are integers, so every comparison is exact.
+    /// of two interaction-free nodes are skipped; every other pair is
+    /// visited in `(u, v)` order as before.
     fn refine(&self, level: &Level, arch: &Architecture, assignment: &mut [NodeId]) {
         let n = level.node_count();
         let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
@@ -375,65 +357,22 @@ impl MultilevelRouter {
             }
             better
         };
-        let floor = |u: usize| -> u64 { level.weights[u].iter().map(|&(_, w)| w).sum() };
-        let settled =
-            |u: usize, assignment: &[NodeId]| cost_of(u, assignment[u], assignment) <= floor(u);
-        // `here[v]` is `cost_of(v, assignment[v])`, or `u64::MAX` once `v`
-        // or a neighbour of `v` has moved.
-        let mut here = vec![u64::MAX; n];
-        let moved = |here: &mut [u64], x: usize| {
-            here[x] = u64::MAX;
-            for &(nb, _) in &level.weights[x] {
-                here[nb] = u64::MAX;
-            }
-        };
+        // Two interaction-free nodes cost 0 wherever they sit, so they never
+        // swap: an interaction-free `u` only meets the interacting nodes
+        // after it, and every other pair keeps its turn.
         let interacting: Vec<NodeId> = (0..n).filter(|&u| !level.weights[u].is_empty()).collect();
         for _ in 0..self.config.refinement_sweeps {
             let mut improved = false;
             for u in 0..n {
-                let later = interacting.partition_point(|&v| v <= u);
                 if level.weights[u].is_empty() {
+                    let later = interacting.partition_point(|&v| v < u);
                     for &v in &interacting[later..] {
-                        if here[v] == u64::MAX {
-                            here[v] = cost_of(v, assignment[v], assignment);
-                        }
-                        if here[v] > floor(v) && cost_of(v, assignment[u], assignment) < here[v] {
-                            assignment.swap(u, v);
-                            moved(&mut here, v);
-                            improved = true;
-                        }
+                        improved |= exchange(u, v, assignment);
                     }
-                    continue;
-                }
-                if interacting.len() == n {
-                    // No idle node: neither shortcut applies, and `here`
-                    // is never read.
+                } else {
                     for v in (u + 1)..n {
                         improved |= exchange(u, v, assignment);
                     }
-                    continue;
-                }
-                // The idle nodes after `u` come in runs, each ended by the
-                // next interacting node (or by `n`).
-                let mut run_start = u + 1;
-                for &v in interacting[later..].iter().chain(&[n]) {
-                    if run_start < v && !settled(u, assignment) {
-                        for idle in run_start..v {
-                            if exchange(u, idle, assignment) {
-                                improved = true;
-                                moved(&mut here, u);
-                                if settled(u, assignment) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if v < n && exchange(u, v, assignment) {
-                        improved = true;
-                        moved(&mut here, u);
-                        moved(&mut here, v);
-                    }
-                    run_start = v + 1;
                 }
             }
             if !improved {
@@ -466,15 +405,15 @@ mod tests {
     }
 
     /// The placement before the shortcuts: every node scans every qubit
-    /// (except an interaction-free node whose anchor is free), and
-    /// refinement recomputes all four costs of every pair. The differential
-    /// test pins [`MultilevelRouter::place`] to it.
+    /// (except an interaction-free node whose anchor is free). The
+    /// differential test pins [`MultilevelRouter::place`] to it.
     fn reference_place(
         config: MultilevelConfig,
         circuit: &Circuit,
         arch: &Architecture,
     ) -> Mapping {
-        let hierarchy = MultilevelRouter::new(config).hierarchy(circuit);
+        let router = MultilevelRouter::new(config);
+        let hierarchy = router.hierarchy(circuit);
         let mut assignment =
             reference_place_level(hierarchy.last().expect("non-empty"), arch, None, &[]);
         for idx in (0..hierarchy.len() - 1).rev() {
@@ -485,7 +424,7 @@ mod tests {
                 Some(&coarse_assignment),
                 &hierarchy[idx + 1].fine_to_coarse,
             );
-            reference_refine(config, &hierarchy[idx], arch, &mut assignment);
+            router.refine(&hierarchy[idx], arch, &mut assignment);
         }
         Mapping::from_prog_to_phys(assignment, arch.num_qubits())
     }
@@ -541,65 +480,20 @@ mod tests {
         assignment
     }
 
-    fn reference_refine(
-        config: MultilevelConfig,
-        level: &Level,
-        arch: &Architecture,
-        assignment: &mut [NodeId],
-    ) {
-        let n = level.node_count();
-        let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
-            level.weights[u]
-                .iter()
-                .map(|&(v, w)| w * arch.distance(pos, assignment[v]) as u64)
-                .sum()
-        };
-        let exchange = |u: usize, v: usize, assignment: &mut [NodeId]| -> bool {
-            let before =
-                cost_of(u, assignment[u], assignment) + cost_of(v, assignment[v], assignment);
-            let after =
-                cost_of(u, assignment[v], assignment) + cost_of(v, assignment[u], assignment);
-            let better = after < before;
-            if better {
-                assignment.swap(u, v);
-            }
-            better
-        };
-        let interacting: Vec<NodeId> = (0..n).filter(|&u| !level.weights[u].is_empty()).collect();
-        for _ in 0..config.refinement_sweeps {
-            let mut improved = false;
-            for u in 0..n {
-                if level.weights[u].is_empty() {
-                    let later = interacting.partition_point(|&v| v < u);
-                    for &v in &interacting[later..] {
-                        improved |= exchange(u, v, assignment);
-                    }
-                } else {
-                    for v in (u + 1)..n {
-                        improved |= exchange(u, v, assignment);
-                    }
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-    }
-
     #[test]
     fn placement_matches_the_full_scan_reference() {
         let configs = [
             MultilevelConfig::default(),
-            // More sweeps and a coarser stop exercise refinement's cached
-            // costs across many exchanges.
+            // More sweeps and a coarser stop place more levels, each
+            // from a refined coarser one.
             MultilevelConfig {
                 coarsest_size: 2,
                 refinement_sweeps: 6,
             },
         ];
         for (arch, circuit) in crate::test_support::differential_cases() {
-            // The dense osprey-433 case runs the default tuning only: the
-            // reference refinement is quadratic in the node count.
+            // The dense osprey-433 case runs the default tuning only:
+            // refinement is quadratic in the node count.
             let dense_and_large = circuit.gates().len() > 60 && arch.num_qubits() > 127;
             for config in &configs[..if dense_and_large { 1 } else { 2 }] {
                 let config = *config;
