@@ -25,7 +25,7 @@ use crate::shard_map::{map_shards, Corpus};
 use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::DeviceKind;
-use qubikos_engine::{NullSink, ProgressSink, AUTO_THREADS};
+use qubikos_engine::{ProgressSink, AUTO_THREADS};
 use qubikos_layout::{
     DecaySpec, LookaheadSpec, PlacementSpec, RouterSpec, SearchSpec, TieBreakerSpec, WeightsSpec,
 };
@@ -135,22 +135,13 @@ pub struct AblationReport {
     pub padding_swap_count: usize,
 }
 
-/// Runs all three ablation sweeps.
+/// Runs all three ablation sweeps, streaming per-job progress to `sink`.
 ///
 /// # Errors
 ///
 /// Propagates [`GenerateError`] on suite misconfiguration instead of
 /// panicking.
-pub fn run_ablations(config: &AblationConfig) -> Result<AblationReport, GenerateError> {
-    run_ablations_with_sink(config, &NullSink)
-}
-
-/// [`run_ablations`] with a caller-supplied progress/metrics sink.
-///
-/// # Errors
-///
-/// As [`run_ablations`].
-pub fn run_ablations_with_sink(
+pub fn run_ablations(
     config: &AblationConfig,
     sink: &dyn ProgressSink,
 ) -> Result<AblationReport, GenerateError> {
@@ -640,11 +631,12 @@ impl MatrixFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qubikos_engine::NullSink;
 
     #[test]
     fn quick_ablations_cover_every_sweep_point() {
         let config = AblationConfig::quick().with_threads(2);
-        let report = run_ablations(&config).expect("valid config");
+        let report = run_ablations(&config, &NullSink).expect("valid config");
         assert_eq!(report.trial_counts.len(), 2);
         assert_eq!(report.extended_set_sizes.len(), 2);
         assert_eq!(report.padding_gate_budgets.len(), 2);
@@ -665,7 +657,7 @@ mod tests {
     /// extended-set, padding order.
     #[test]
     fn quick_ablations_are_pinned() {
-        let report = run_ablations(&AblationConfig::quick()).expect("valid config");
+        let report = run_ablations(&AblationConfig::quick(), &NullSink).expect("valid config");
         let bits: Vec<u64> = report
             .trial_counts
             .iter()
@@ -688,8 +680,10 @@ mod tests {
 
     #[test]
     fn reports_identical_across_thread_counts() {
-        let reference = run_ablations(&AblationConfig::quick().with_threads(1)).expect("valid");
-        let parallel = run_ablations(&AblationConfig::quick().with_threads(8)).expect("valid");
+        let reference =
+            run_ablations(&AblationConfig::quick().with_threads(1), &NullSink).expect("valid");
+        let parallel =
+            run_ablations(&AblationConfig::quick().with_threads(8), &NullSink).expect("valid");
         assert_eq!(reference, parallel);
     }
 

@@ -22,7 +22,7 @@ use crate::evaluation::{cell_gap, CachedRouting, DEFAULT_TOOL_SEED};
 use crate::store::{CacheStatsSnapshot, StoreError, SuiteStore};
 use qubikos::InstanceRecord;
 use qubikos_arch::DeviceKind;
-use qubikos_engine::{Engine, JobKey, NullSink, ProgressSink, AUTO_THREADS};
+use qubikos_engine::{Engine, JobKey, ProgressSink, AUTO_THREADS};
 use qubikos_layout::ToolKind;
 use serde::{Deserialize, Serialize};
 
@@ -296,7 +296,8 @@ fn summarize_records(
 }
 
 /// Runs the analytics pass over a stored suite: shard-parallel summaries on
-/// the engine, merged in shard order.
+/// the engine (one job per shard, reported to `sink`), merged in shard
+/// order.
 ///
 /// # Errors
 ///
@@ -308,19 +309,6 @@ fn summarize_records(
 /// is not an error — the instance counts as uncovered for that tool (a
 /// corrupt entry is additionally quarantined and counted in
 /// [`AnalyticsReport::cache`]).
-pub fn run_suite_analytics(
-    store: &SuiteStore,
-    config: &AnalyticsConfig,
-) -> Result<AnalyticsReport, StoreError> {
-    run_suite_analytics_with_sink(store, config, &NullSink)
-}
-
-/// [`run_suite_analytics`] with a caller-supplied progress/metrics sink
-/// (one job per shard).
-///
-/// # Errors
-///
-/// As [`run_suite_analytics`].
 pub fn run_suite_analytics_with_sink(
     store: &SuiteStore,
     config: &AnalyticsConfig,
@@ -328,12 +316,11 @@ pub fn run_suite_analytics_with_sink(
 ) -> Result<AnalyticsReport, StoreError> {
     let shards: Vec<usize> = (0..store.shard_count()).collect();
     let cache_before = store.cache_stats();
-    let engine = Engine::new(config.threads).with_base_seed(config.tool_seed);
-    let summaries = engine
-        .run_values(
+    let summaries = Engine::new(config.threads)
+        .run(
             &shards,
             |_worker| (),
-            |(), _ctx, &shard| -> Result<ShardSummary, StoreError> {
+            |(), _deadline, &shard| -> Result<ShardSummary, StoreError> {
                 let records = store.shard_records(shard)?;
                 Ok(summarize_records(store, config, &records))
             },

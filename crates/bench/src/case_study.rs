@@ -15,7 +15,7 @@
 use crate::evaluation::RoutingJobs;
 use qubikos::{generate_suite, GenerateError, SuiteConfig};
 use qubikos_arch::DeviceKind;
-use qubikos_engine::{NullSink, ProgressSink};
+use qubikos_engine::ProgressSink;
 use qubikos_layout::{LookaheadSpec, RouterSpec};
 use serde::{Deserialize, Serialize};
 
@@ -67,22 +67,13 @@ pub struct CaseStudyOutcome {
     pub decayed_optimal: usize,
 }
 
-/// Runs the case study.
+/// Runs the case study, streaming per-job progress to `sink`.
 ///
 /// # Errors
 ///
 /// Propagates [`GenerateError`] on suite misconfiguration instead of
 /// panicking.
-pub fn run_case_study(config: &CaseStudyConfig) -> Result<CaseStudyOutcome, GenerateError> {
-    run_case_study_with_sink(config, &NullSink)
-}
-
-/// [`run_case_study`] with a caller-supplied progress/metrics sink.
-///
-/// # Errors
-///
-/// As [`run_case_study`].
-pub fn run_case_study_with_sink(
+pub fn run_case_study(
     config: &CaseStudyConfig,
     sink: &dyn ProgressSink,
 ) -> Result<CaseStudyOutcome, GenerateError> {
@@ -129,7 +120,7 @@ pub fn run_case_study_with_sink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qubikos_engine::AUTO_THREADS;
+    use qubikos_engine::{NullSink, AUTO_THREADS};
 
     fn tiny_config() -> CaseStudyConfig {
         CaseStudyConfig {
@@ -145,7 +136,7 @@ mod tests {
 
     #[test]
     fn case_study_reports_both_variants() {
-        let outcome = run_case_study(&tiny_config()).expect("valid config");
+        let outcome = run_case_study(&tiny_config(), &NullSink).expect("valid config");
         assert_eq!(outcome.circuits, 4);
         assert!(outcome.uniform_lookahead_ratio >= 1.0 - 1e-9);
         assert!(outcome.decayed_lookahead_ratio >= 1.0 - 1e-9);
@@ -158,7 +149,7 @@ mod tests {
     /// and both optimal counts.
     #[test]
     fn tiny_outcome_is_pinned() {
-        let outcome = run_case_study(&tiny_config()).expect("valid config");
+        let outcome = run_case_study(&tiny_config(), &NullSink).expect("valid config");
         assert_eq!(
             (
                 outcome.uniform_lookahead_ratio.to_bits(),
@@ -172,10 +163,11 @@ mod tests {
 
     #[test]
     fn outcomes_identical_across_thread_counts() {
-        let reference = run_case_study(&tiny_config().with_threads(1)).expect("valid config");
+        let reference =
+            run_case_study(&tiny_config().with_threads(1), &NullSink).expect("valid config");
         for threads in [2usize, 8, AUTO_THREADS] {
-            let outcome =
-                run_case_study(&tiny_config().with_threads(threads)).expect("valid config");
+            let outcome = run_case_study(&tiny_config().with_threads(threads), &NullSink)
+                .expect("valid config");
             assert_eq!(outcome, reference, "outcome diverged at threads={threads}");
         }
     }

@@ -17,18 +17,15 @@
 //! | [`EXIT_VERIFY`] (3) | the run completed and found verification or optimality failures |
 //! | [`EXIT_TIMEOUT`] (4) | the run completed with no failures, but at least one job exceeded its wall-clock deadline |
 
-use crate::ablations::{
-    run_ablations_with_sink, run_composition_matrix, AblationConfig, MatrixConfig,
-};
+use crate::ablations::{run_ablations, run_composition_matrix, AblationConfig, MatrixConfig};
 use crate::analytics::{run_suite_analytics_with_sink, AnalyticsConfig};
 use crate::case_study::{run_case_study, CaseStudyConfig};
 use crate::evaluation::{
-    aggregate_by_tool, run_suite_evaluation_with_sink, run_tool_evaluation_with_sink,
-    EvaluationConfig, SuiteEvalConfig,
+    aggregate_by_tool, run_suite_evaluation_with_sink, run_tool_evaluation, EvaluationConfig,
+    SuiteEvalConfig,
 };
 use crate::optimality::{
-    run_optimality_study_with_sink, run_suite_optimality_with_sink, OptimalityConfig,
-    OptimalityReport,
+    run_optimality_study, run_suite_optimality_with_sink, OptimalityConfig, OptimalityReport,
 };
 use crate::report::{
     render_ablations, render_aggregate, render_analytics, render_case_study,
@@ -36,7 +33,7 @@ use crate::report::{
 };
 use crate::store::{ExportOptions, SuiteStore};
 use qubikos_arch::DeviceKind;
-use qubikos_engine::{StderrProgress, AUTO_THREADS};
+use qubikos_engine::{NullSink, StderrProgress, AUTO_THREADS};
 use qubikos_layout::{ToolKind, ToolParseError};
 
 /// Exit code: the run completed and every check passed.
@@ -727,7 +724,7 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
             config.suite.two_qubit_gates
         );
         let progress = StderrProgress::new(format!("evaluate {}", device.name()), 20);
-        let report = run_tool_evaluation_with_sink(&config, &progress)?;
+        let report = run_tool_evaluation(&config, &progress)?;
         outln!("{}", render_evaluation(&report));
         reports.push(report);
     }
@@ -775,7 +772,7 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
                 config.devices.iter().map(|d| d.name()).collect::<Vec<_>>()
             );
             let progress = StderrProgress::new("optimality study".to_string(), 50);
-            run_optimality_study_with_sink(&config, &progress)?
+            run_optimality_study(&config, &progress)?
         }
     };
     optimality_outcome(&report)
@@ -822,7 +819,7 @@ pub fn case_study_command(args: &[String]) -> CommandOutcome {
             seed: 11,
             threads,
         };
-        let outcome = run_case_study(&config)?;
+        let outcome = run_case_study(&config, &NullSink)?;
         out!("{}", render_case_study(&outcome));
     }
     Ok(0)
@@ -840,7 +837,7 @@ pub fn ablations_command(args: &[String]) -> CommandOutcome {
     // One sink across all sweeps: each engine run restarts the progress
     // counter, so the multi-minute paper sweep streams per-run progress.
     let progress = StderrProgress::new("ablations".to_string(), 3);
-    let report = run_ablations_with_sink(&config, &progress)?;
+    let report = run_ablations(&config, &progress)?;
     out!("{}", render_ablations(&report));
     Ok(0)
 }

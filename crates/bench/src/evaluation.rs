@@ -12,10 +12,10 @@
 //!
 //! * [`run_tool_evaluation`] generates the suite in memory and maps it as a
 //!   single shard with no cache;
-//! * [`run_suite_evaluation`] maps a [`SuiteStore`] corpus shard by shard
-//!   through the store's content-addressed result cache: pairs the cache
-//!   already holds are *not routed at all*, so a repeated or resumed run
-//!   costs only the cache reads.
+//! * [`run_suite_evaluation_with_sink`] maps a [`SuiteStore`] corpus shard
+//!   by shard through the store's content-addressed result cache: pairs the
+//!   cache already holds are *not routed at all*, so a repeated or resumed
+//!   run costs only the cache reads.
 //!
 //! Routing is deterministic per (tool, circuit) and the fold sums integers,
 //! so both report bit-identical numbers for the same suite.
@@ -24,9 +24,10 @@ use crate::shard_map::{map_shards, Corpus, ShardJobs};
 use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, JobContext, JobKey, NullSink, ProgressSink, AUTO_THREADS};
+use qubikos_engine::{Engine, JobKey, ProgressSink, AUTO_THREADS};
 use qubikos_layout::{validate_routing, ComposedRouter, Router, RouterSpec, ToolKind};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// The tool seed every standard evaluation hands to the routers. One
 /// constant shared by [`EvaluationConfig::paper`]/[`EvaluationConfig::quick`]
@@ -144,7 +145,11 @@ pub(crate) fn cell_gap(average_swaps: f64, optimal_swaps: usize) -> f64 {
 }
 
 /// Runs one subfigure of Figure 4: generates the QUBIKOS suite for the device
-/// and measures the SWAP ratio of every requested tool on every circuit.
+/// and measures the SWAP ratio of every requested tool on every circuit,
+/// streaming per-job progress to `sink` (stderr in the CLI, [`NullSink`]
+/// for library callers).
+///
+/// [`NullSink`]: qubikos_engine::NullSink
 ///
 /// # Errors
 ///
@@ -157,19 +162,7 @@ pub(crate) fn cell_gap(average_swaps: f64, optimal_swaps: usize) -> f64 {
 /// tool, not a property of the benchmark, and must never be silently
 /// averaged into the results). The engine attributes the panic to the exact
 /// (tool, circuit) job that failed.
-pub fn run_tool_evaluation(config: &EvaluationConfig) -> Result<EvaluationReport, GenerateError> {
-    run_tool_evaluation_with_sink(config, &NullSink)
-}
-
-/// [`run_tool_evaluation`] with a caller-supplied progress/metrics sink
-/// (stderr streaming in the CLI, per-job timing JSON in nightly CI).
-///
-/// # Errors
-///
-/// # Panics
-///
-/// As [`run_tool_evaluation`].
-pub fn run_tool_evaluation_with_sink(
+pub fn run_tool_evaluation(
     config: &EvaluationConfig,
     sink: &dyn ProgressSink,
 ) -> Result<EvaluationReport, GenerateError> {
@@ -256,7 +249,9 @@ pub struct SuiteEvalOutcome {
 }
 
 /// Runs the Figure-4 evaluation from a stored suite, reading and writing
-/// the store's content-addressed result cache.
+/// the store's content-addressed result cache. The sink only sees the jobs
+/// that actually run (cache misses), one engine worklist per shard with
+/// misses.
 ///
 /// The run streams shard by shard: at most one shard of circuits is ever
 /// materialized (and integrity-checked — hash, parse, regeneration round
@@ -280,22 +275,6 @@ pub struct SuiteEvalOutcome {
 /// # Panics
 ///
 /// As [`run_tool_evaluation`], if a tool produces an invalid routing.
-pub fn run_suite_evaluation(
-    store: &SuiteStore,
-    config: &SuiteEvalConfig,
-) -> Result<SuiteEvalOutcome, StoreError> {
-    run_suite_evaluation_with_sink(store, config, &NullSink)
-}
-
-/// [`run_suite_evaluation`] with a caller-supplied progress/metrics sink.
-/// The sink only sees the jobs that actually run (cache misses), one engine
-/// worklist per shard with misses.
-///
-/// # Errors
-///
-/// # Panics
-///
-/// As [`run_suite_evaluation`].
 pub fn run_suite_evaluation_with_sink(
     store: &SuiteStore,
     config: &SuiteEvalConfig,
@@ -314,7 +293,7 @@ pub fn run_suite_evaluation_with_sink(
 ///
 /// # Panics
 ///
-/// As [`run_suite_evaluation`].
+/// As [`run_suite_evaluation_with_sink`].
 pub fn run_suite_evaluation_partial(
     store: &SuiteStore,
     config: &SuiteEvalConfig,
@@ -412,7 +391,7 @@ impl ShardJobs for RoutingJobs<'_> {
     }
 
     fn engine(&self) -> Engine {
-        Engine::new(self.threads).with_base_seed(self.seed)
+        Engine::new(self.threads)
     }
 
     fn key(&self, variant: usize, hash: &str) -> JobKey {
@@ -444,7 +423,7 @@ impl ShardJobs for RoutingJobs<'_> {
     fn run(
         &self,
         routers: &mut Vec<ComposedRouter>,
-        _ctx: &JobContext,
+        _deadline: Option<Instant>,
         variant: usize,
         point: &ExperimentPoint,
     ) -> usize {
@@ -542,6 +521,7 @@ pub fn aggregate_by_tool(reports: &[EvaluationReport]) -> Vec<(ToolKind, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qubikos_engine::NullSink;
 
     /// All four (kernel-based) routers, so the invariance tests below cover
     /// every tool, not just the fast pair.
@@ -562,7 +542,7 @@ mod tests {
 
     #[test]
     fn evaluation_produces_one_cell_per_tool_and_count() {
-        let report = run_tool_evaluation(&tiny_config()).expect("valid config");
+        let report = run_tool_evaluation(&tiny_config(), &NullSink).expect("valid config");
         assert_eq!(report.cells.len(), 8);
         for cell in &report.cells {
             assert_eq!(cell.circuits, 2);
@@ -582,7 +562,7 @@ mod tests {
         let mut config = tiny_config();
         config.threads = 1;
         config.tools = vec![ToolKind::LightSabre];
-        let report = run_tool_evaluation(&config).expect("valid config");
+        let report = run_tool_evaluation(&config, &NullSink).expect("valid config");
         assert_eq!(report.cells.len(), 2);
     }
 
@@ -592,12 +572,12 @@ mod tests {
     #[test]
     fn reports_are_byte_identical_across_thread_counts() {
         let reference = serde_json::to_string(
-            &run_tool_evaluation(&tiny_config().with_threads(1)).expect("valid config"),
+            &run_tool_evaluation(&tiny_config().with_threads(1), &NullSink).expect("valid config"),
         )
         .expect("serialize");
         for threads in [2usize, 8, AUTO_THREADS] {
-            let report =
-                run_tool_evaluation(&tiny_config().with_threads(threads)).expect("valid config");
+            let report = run_tool_evaluation(&tiny_config().with_threads(threads), &NullSink)
+                .expect("valid config");
             let json = serde_json::to_string(&report).expect("serialize");
             assert_eq!(reference, json, "report diverged at threads={threads}");
         }
@@ -607,7 +587,7 @@ mod tests {
     /// and both averages as `f64::to_bits`.
     #[test]
     fn tiny_report_is_pinned() {
-        let report = run_tool_evaluation(&tiny_config()).expect("valid config");
+        let report = run_tool_evaluation(&tiny_config(), &NullSink).expect("valid config");
         let cells: Vec<(&str, usize, usize, u64, u64)> = report
             .cells
             .iter()
@@ -650,7 +630,7 @@ mod tests {
 
     #[test]
     fn aggregate_averages_device_gaps() {
-        let report = run_tool_evaluation(&tiny_config()).expect("valid config");
+        let report = run_tool_evaluation(&tiny_config(), &NullSink).expect("valid config");
         let aggregate = aggregate_by_tool(std::slice::from_ref(&report));
         assert_eq!(aggregate.len(), 4);
         for (_, gap) in aggregate {
@@ -676,7 +656,7 @@ mod tests {
         let mut config = tiny_config();
         config.suite.swap_counts = vec![0];
         assert_eq!(
-            run_tool_evaluation(&config).unwrap_err(),
+            run_tool_evaluation(&config, &NullSink).unwrap_err(),
             GenerateError::ZeroSwaps
         );
     }

@@ -33,9 +33,9 @@
 //!
 //! Every pipeline executes on the [`qubikos_engine`] work-stealing executor:
 //! results are identical for any thread count, a `--threads` flag is shared
-//! by all commands (default: every available core), and per-job timings can
-//! stream to any [`qubikos_engine::ProgressSink`] via the `*_with_sink`
-//! entry points.
+//! by all commands (default: every available core), and every entry point
+//! takes a [`qubikos_engine::ProgressSink`] that per-job timings stream to
+//! ([`qubikos_engine::NullSink`] to ignore them).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,24 +57,23 @@ pub use ablations::{
     CompositionGrid, CompositionSummary, MatrixConfig, MatrixOutcome, MatrixReport,
 };
 pub use analytics::{
-    gap_bucket, run_suite_analytics, run_suite_analytics_with_sink, AnalyticsConfig,
-    AnalyticsReport, ScalingPoint, ShardSummary, ToolSummary, GAP_BUCKETS, GAP_BUCKET_EDGES,
+    gap_bucket, run_suite_analytics_with_sink, AnalyticsConfig, AnalyticsReport, ScalingPoint,
+    ShardSummary, ToolSummary, GAP_BUCKETS, GAP_BUCKET_EDGES,
 };
 pub use case_study::{run_case_study, CaseStudyConfig, CaseStudyOutcome};
 pub use evaluation::{
-    aggregate_by_tool, run_suite_evaluation, run_suite_evaluation_partial,
-    run_suite_evaluation_with_sink, run_tool_evaluation, run_tool_evaluation_with_sink,
-    EvaluationCell, EvaluationConfig, EvaluationReport, SuiteEvalConfig, SuiteEvalOutcome,
-    DEFAULT_TOOL_SEED,
+    aggregate_by_tool, run_suite_evaluation_partial, run_suite_evaluation_with_sink,
+    run_tool_evaluation, EvaluationCell, EvaluationConfig, EvaluationReport, SuiteEvalConfig,
+    SuiteEvalOutcome, DEFAULT_TOOL_SEED,
 };
 pub use optimality::{
-    run_optimality_study, run_suite_optimality, run_suite_optimality_with_sink, ExactNodesAtK,
-    OptimalityConfig, OptimalityReport, SuiteOptimalityOutcome,
+    run_optimality_study, run_suite_optimality_with_sink, ExactNodesAtK, OptimalityConfig,
+    OptimalityReport, SuiteOptimalityOutcome,
 };
 pub use store::{
-    export_suite, CacheStatsSnapshot, ExportOptions, ExportOutcome, LoadedShard, QuarantineEntry,
-    QuarantineReport, StoreError, SuiteStore, VerifyFailure, VerifyOutcome, VerifyReport,
-    EXPORT_LEDGER_FILE, QUARANTINE_DIR, QUARANTINE_REPORT_FILE, VERIFY_LEDGER_FILE,
+    CacheStatsSnapshot, ExportOptions, ExportOutcome, LoadedShard, QuarantineEntry,
+    QuarantineReport, StoreError, SuiteStore, VerifyFailure, VerifyReport, EXPORT_LEDGER_FILE,
+    QUARANTINE_DIR, QUARANTINE_REPORT_FILE, VERIFY_LEDGER_FILE,
 };
 pub use vfs::{
     Fault, FaultKind, FaultPlan, FaultVfs, InjectedFault, OpKind, RealVfs, RetryPolicy, Vfs,

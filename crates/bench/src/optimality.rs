@@ -19,8 +19,9 @@
 //!
 //! Both entry points run the crate's one cached shard map with the same job
 //! and the same fold: [`run_optimality_study`] maps each device's generated
-//! suite as a single shard with no cache, and [`run_suite_optimality`] maps
-//! a stored corpus shard by shard through its `results/optimality/` cache.
+//! suite as a single shard with no cache, and
+//! [`run_suite_optimality_with_sink`] maps a stored corpus shard by shard
+//! through its `results/optimality/` cache.
 //!
 //! The report also aggregates the exact solver's per-`k` node counts and
 //! wall-clock so the study output shows where the search budget goes — the
@@ -31,9 +32,10 @@ use crate::shard_map::{map_shards, Corpus, ShardJobs};
 use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, verify_certificate, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, JobContext, JobKey, NullSink, ProgressSink, AUTO_THREADS};
+use qubikos_engine::{Engine, JobKey, ProgressSink, AUTO_THREADS};
 use qubikos_exact::{ExactConfig, ExactSolver};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Configuration of the optimality study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -242,22 +244,13 @@ struct PointOutcome {
     exact_wall_micros: u64,
 }
 
-/// Runs the optimality study.
+/// Runs the optimality study, streaming per-job progress to `sink`.
 ///
 /// # Errors
 ///
 /// Propagates [`GenerateError`] on suite misconfiguration instead of
 /// panicking.
-pub fn run_optimality_study(config: &OptimalityConfig) -> Result<OptimalityReport, GenerateError> {
-    run_optimality_study_with_sink(config, &NullSink)
-}
-
-/// [`run_optimality_study`] with a caller-supplied progress/metrics sink.
-///
-/// # Errors
-///
-/// As [`run_optimality_study`].
-pub fn run_optimality_study_with_sink(
+pub fn run_optimality_study(
     config: &OptimalityConfig,
     sink: &dyn ProgressSink,
 ) -> Result<OptimalityReport, GenerateError> {
@@ -268,7 +261,6 @@ pub fn run_optimality_study_with_sink(
         let jobs = VerifyJobs {
             arch: &arch,
             config,
-            base_seed: config.suite.base_seed,
         };
         map_shards(Corpus::Generated(&suite), &jobs, sink, |_, outcome| {
             fold.add(&outcome[0])
@@ -393,26 +385,14 @@ pub struct SuiteOptimalityOutcome {
 /// by shard: at most one shard of circuits is ever materialized, and only
 /// when at least one of its circuits misses the cache. A persistently
 /// corrupt shard is quarantined, counted in
-/// [`SuiteOptimalityOutcome::shards_quarantined`] and skipped.
+/// [`SuiteOptimalityOutcome::shards_quarantined`] and skipped. The sink
+/// only sees the circuits that are actually verified (cache misses), one
+/// engine worklist per shard with misses.
 ///
 /// # Errors
 ///
 /// Propagates [`StoreError`] from loading a shard or writing cache
 /// entries.
-pub fn run_suite_optimality(
-    store: &SuiteStore,
-    config: &OptimalityConfig,
-) -> Result<SuiteOptimalityOutcome, StoreError> {
-    run_suite_optimality_with_sink(store, config, &NullSink)
-}
-
-/// [`run_suite_optimality`] with a caller-supplied progress/metrics sink.
-/// The sink only sees the circuits that are actually verified (cache
-/// misses), one engine worklist per shard with misses.
-///
-/// # Errors
-///
-/// As [`run_suite_optimality`].
 pub fn run_suite_optimality_with_sink(
     store: &SuiteStore,
     config: &OptimalityConfig,
@@ -422,7 +402,6 @@ pub fn run_suite_optimality_with_sink(
     let jobs = VerifyJobs {
         arch: &arch,
         config,
-        base_seed: store.config().base_seed,
     };
     let mut fold = OptimalityFold::default();
     let outcome = map_shards(Corpus::Stored(store, None), &jobs, sink, |_, outcome| {
@@ -444,7 +423,6 @@ pub fn run_suite_optimality_with_sink(
 struct VerifyJobs<'a> {
     arch: &'a Architecture,
     config: &'a OptimalityConfig,
-    base_seed: u64,
 }
 
 impl ShardJobs for VerifyJobs<'_> {
@@ -457,7 +435,7 @@ impl ShardJobs for VerifyJobs<'_> {
     }
 
     fn engine(&self) -> Engine {
-        let engine = Engine::new(self.config.threads).with_base_seed(self.base_seed);
+        let engine = Engine::new(self.config.threads);
         match self.config.exact_deadline() {
             Some(limit) => engine.with_job_deadline(limit),
             None => engine,
@@ -515,7 +493,7 @@ impl ShardJobs for VerifyJobs<'_> {
     fn run(
         &self,
         solver: &mut ExactSolver,
-        ctx: &JobContext,
+        deadline: Option<Instant>,
         _variant: usize,
         point: &ExperimentPoint,
     ) -> PointOutcome {
@@ -530,11 +508,7 @@ impl ShardJobs for VerifyJobs<'_> {
         if point.swap_count > self.config.exact_swap_limit {
             return unsolved(CircuitVerdict::CertifiedOnly);
         }
-        let result = solver.solve_with_deadline(
-            point.benchmark.circuit(),
-            self.arch,
-            ctx.deadline.map(|d| d.expires_at()),
-        );
+        let result = solver.solve_with_deadline(point.benchmark.circuit(), self.arch, deadline);
         let verdict = match result.optimal_swaps {
             Some(optimal) if result.proven => {
                 if optimal == point.benchmark.optimal_swaps() {
@@ -557,6 +531,7 @@ impl ShardJobs for VerifyJobs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qubikos_engine::NullSink;
 
     fn tiny_config() -> OptimalityConfig {
         OptimalityConfig {
@@ -579,7 +554,7 @@ mod tests {
 
     #[test]
     fn tiny_study_confirms_optimality() {
-        let report = run_optimality_study(&tiny_config()).expect("valid config");
+        let report = run_optimality_study(&tiny_config(), &NullSink).expect("valid config");
         assert_eq!(report.circuits, 4);
         assert_eq!(report.certified, 4);
         assert_eq!(report.failures, 0);
@@ -599,7 +574,7 @@ mod tests {
     /// as `(swaps, queries, nodes)`.
     #[test]
     fn tiny_report_is_pinned() {
-        let report = run_optimality_study(&tiny_config()).expect("valid config");
+        let report = run_optimality_study(&tiny_config(), &NullSink).expect("valid config");
         let by_k: Vec<(usize, usize, u64)> = report
             .exact_nodes_by_k
             .iter()
@@ -625,10 +600,11 @@ mod tests {
     /// comparison covers node counts; wall-clock is excluded from `==`.)
     #[test]
     fn reports_identical_across_thread_counts() {
-        let reference = run_optimality_study(&tiny_config().with_threads(1)).expect("valid config");
+        let reference =
+            run_optimality_study(&tiny_config().with_threads(1), &NullSink).expect("valid config");
         for threads in [2usize, 8, AUTO_THREADS] {
-            let report =
-                run_optimality_study(&tiny_config().with_threads(threads)).expect("valid config");
+            let report = run_optimality_study(&tiny_config().with_threads(threads), &NullSink)
+                .expect("valid config");
             assert_eq!(report, reference, "report diverged at threads={threads}");
         }
     }
@@ -651,7 +627,8 @@ mod tests {
 
     #[test]
     fn smoke_study_passes_cleanly() {
-        let report = run_optimality_study(&OptimalityConfig::smoke()).expect("valid config");
+        let report =
+            run_optimality_study(&OptimalityConfig::smoke(), &NullSink).expect("valid config");
         assert_eq!(report.failures, 0);
         assert_eq!(report.certified, report.circuits);
         // The smoke limit covers every designed SWAP count, so every circuit
@@ -666,7 +643,7 @@ mod tests {
     #[test]
     fn zero_deadline_degrades_to_unproven_without_failing() {
         let config = tiny_config().with_exact_deadline(std::time::Duration::ZERO);
-        let report = run_optimality_study(&config).expect("valid config");
+        let report = run_optimality_study(&config, &NullSink).expect("valid config");
         // Every circuit still completes its certificate check...
         assert_eq!(report.circuits, 4);
         assert_eq!(report.certified, 4);
@@ -680,9 +657,9 @@ mod tests {
     /// A generous deadline must not change the study's outcome.
     #[test]
     fn generous_deadline_matches_unbounded_report() {
-        let unbounded = run_optimality_study(&tiny_config()).expect("valid config");
+        let unbounded = run_optimality_study(&tiny_config(), &NullSink).expect("valid config");
         let config = tiny_config().with_exact_deadline(std::time::Duration::from_secs(3600));
-        let bounded = run_optimality_study(&config).expect("valid config");
+        let bounded = run_optimality_study(&config, &NullSink).expect("valid config");
         assert_eq!(bounded, unbounded);
         assert_eq!(bounded.deadline_exceeded, 0);
     }

@@ -15,8 +15,9 @@
 
 use crate::store::{StoreError, SuiteStore};
 use qubikos::ExperimentPoint;
-use qubikos_engine::{Engine, JobContext, JobKey, ProgressSink};
+use qubikos_engine::{Engine, JobKey, ProgressSink};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// One pipeline's parts of a [`map_shards`] run. Jobs are
 /// `(variant, point)` pairs, visited point-major.
@@ -31,7 +32,7 @@ pub(crate) trait ShardJobs: Sync {
     /// Variants run on every point: tools, compositions, or 1 for a
     /// per-circuit check.
     fn variants(&self) -> usize;
-    /// The engine the jobs run on (threads, base seed, deadline).
+    /// The engine the jobs run on (threads, job deadline).
     fn engine(&self) -> Engine;
     /// The cache key of `variant` on the circuit with content hash `hash`.
     fn key(&self, variant: usize, hash: &str) -> JobKey;
@@ -43,11 +44,12 @@ pub(crate) trait ShardJobs: Sync {
     fn entry(&self, variant: usize, hash: &str, value: &Self::Value) -> Option<Self::Entry>;
     /// Builds one worker's state.
     fn worker(&self) -> Self::Worker;
-    /// Runs `variant` on `point`.
+    /// Runs `variant` on `point`; `deadline` is the instant the job's
+    /// budget runs out, when the engine has one.
     fn run(
         &self,
         worker: &mut Self::Worker,
-        ctx: &JobContext,
+        deadline: Option<Instant>,
         variant: usize,
         point: &ExperimentPoint,
     ) -> Self::Value;
@@ -205,11 +207,11 @@ fn run_jobs<J: ShardJobs>(
     persist: impl Fn(&(usize, usize), &J::Value) -> Result<(), StoreError> + Sync,
 ) -> Result<Vec<J::Value>, StoreError> {
     jobs.engine()
-        .run_values(
+        .run(
             pairs,
             |_worker| jobs.worker(),
-            |worker, ctx, pair| {
-                let value = jobs.run(worker, ctx, pair.0, &points[pair.1]);
+            |worker, deadline, pair| {
+                let value = jobs.run(worker, deadline, pair.0, &points[pair.1]);
                 persist(pair, &value)?;
                 Ok(value)
             },

@@ -62,10 +62,12 @@
 //! * Transient I/O errors are absorbed by a bounded
 //!   [`RetryPolicy`] (and transiently corrupt
 //!   *reads* by re-reading until the hash check passes).
-//! * Commits of manifests, ledgers, and the quarantine report fsync the
-//!   temp file before the rename and the directory after it (see
-//!   [`ExportOptions::durable`]), so "atomic" survives power loss, not just
-//!   SIGKILL. A failed commit removes its temp file.
+//! * Commits of manifests, ledgers, and the quarantine report always fsync
+//!   the temp file before the rename and the directory after it, so
+//!   "atomic" survives power loss, not just SIGKILL. Per-instance QASM and
+//!   sidecar files and cache entries are not fsynced: they are cheap to
+//!   regenerate and hash-checked on read. A failed commit removes its temp
+//!   file.
 //! * Files that are *persistently* corrupt on disk (a cache entry that does
 //!   not parse, a shard manifest that fails its hash check) are moved into
 //!   `quarantine/` and recorded in the machine-readable
@@ -86,7 +88,7 @@ use qubikos::{
 };
 use qubikos_arch::DeviceKind;
 use qubikos_circuit::{parse_qasm, to_qasm};
-use qubikos_engine::{Engine, JobKey, NullSink, ProgressSink};
+use qubikos_engine::{Engine, JobKey, ProgressSink};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -161,13 +163,6 @@ pub enum StoreError {
     },
     /// Regenerating an instance from its recorded seed failed.
     Generate(GenerateError),
-    /// Verification finished and found failing instances. Unlike the
-    /// per-instance variants above, this carries **every** failure, each
-    /// with its shard and instance context.
-    VerifyFailed {
-        /// All failing instances, in (shard, instance) order.
-        failures: Vec<VerifyFailure>,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -197,13 +192,6 @@ impl fmt::Display for StoreError {
                 "stored QASM {file} parses to a different circuit than its recorded seed regenerates"
             ),
             StoreError::Generate(error) => write!(f, "regeneration failed: {error}"),
-            StoreError::VerifyFailed { failures } => {
-                writeln!(f, "verification failed for {} instance(s):", failures.len())?;
-                for failure in failures {
-                    writeln!(f, "  {failure}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -241,13 +229,12 @@ fn io_error(path: &Path, error: &std::io::Error) -> StoreError {
 
 // ---- fault-tolerant filesystem plumbing -----------------------------------
 
-/// The store's view of the filesystem: a [`Vfs`] backend, the retry budget
-/// for transient faults, and whether commits of critical files fsync.
+/// The store's view of the filesystem: a [`Vfs`] backend and the retry
+/// budget for transient faults.
 #[derive(Debug, Clone)]
 struct Fs {
     vfs: Arc<dyn Vfs>,
     retry: RetryPolicy,
-    durable: bool,
 }
 
 impl Fs {
@@ -417,7 +404,7 @@ fn quarantine_file(
         path: report_path.display().to_string(),
         message: e.to_string(),
     })?;
-    fs.write_atomic(&report_path, &json, fs.durable)
+    fs.write_atomic(&report_path, &json, true)
 }
 
 /// One failing instance found by [`SuiteStore::verify_streaming`], with the
@@ -448,13 +435,6 @@ impl fmt::Display for VerifyFailure {
     }
 }
 
-/// Outcome of [`SuiteStore::verify`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VerifyOutcome {
-    /// Number of instances checked (hash + parse + regeneration round trip).
-    pub instances: usize,
-}
-
 /// Outcome of [`SuiteStore::verify_streaming`]: counts plus **all** failures
 /// found, instead of bailing on the first.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -482,12 +462,6 @@ pub struct ExportOptions {
     /// and CI hook for exercising shard-granularity resume; `None` runs to
     /// completion.
     pub stop_after_shards: Option<usize>,
-    /// Fsync manifests, ledgers, and the quarantine report on commit (temp
-    /// file before the rename, directory after), so those files survive
-    /// power loss — on by default. Per-instance QASM/sidecar files and
-    /// cache entries are never fsynced: they are cheap to regenerate and
-    /// their integrity is hash-checked on read anyway.
-    pub durable: bool,
     /// Retry budget for transient I/O faults.
     pub retry: RetryPolicy,
 }
@@ -497,7 +471,6 @@ impl Default for ExportOptions {
         ExportOptions {
             shard_size: DEFAULT_SHARD_SIZE,
             stop_after_shards: None,
-            durable: true,
             retry: RetryPolicy::default(),
         }
     }
@@ -513,12 +486,6 @@ impl ExportOptions {
     /// Simulates an interrupt after `shards` newly written shards.
     pub fn with_stop_after_shards(mut self, shards: usize) -> Self {
         self.stop_after_shards = Some(shards);
-        self
-    }
-
-    /// Enables or disables fsync-on-commit for manifests and ledgers.
-    pub fn with_durability(mut self, durable: bool) -> Self {
-        self.durable = durable;
         self
     }
 
@@ -595,7 +562,7 @@ fn write_ledger(
         path: path.display().to_string(),
         message: e.to_string(),
     })?;
-    fs.write_atomic(path, &json, fs.durable)
+    fs.write_atomic(path, &json, true)
 }
 
 /// Per-store shard-residency bookkeeping: how many shards of
@@ -745,7 +712,6 @@ impl SuiteStore {
         let fs = Fs {
             vfs,
             retry: options.retry,
-            durable: options.durable,
         };
         fs.create_dir_all(&root.join(SHARD_DIR))?;
 
@@ -788,11 +754,10 @@ impl SuiteStore {
                 .map(|(shard, _)| *shard)
                 .collect::<BTreeSet<_>>(),
         );
-        let engine = Engine::new(threads).with_base_seed(config.base_seed);
-        let written = engine.run_values(
+        let written = Engine::new(threads).run(
             &pending,
             |_worker| (),
-            |(), _ctx, &shard| -> Result<(usize, ShardRecord), StoreError> {
+            |(), _deadline, &shard| -> Result<(usize, ShardRecord), StoreError> {
                 let mut records = Vec::with_capacity(spans[shard].len());
                 for flat in spans[shard].clone() {
                     let (count_index, instance) = config.instance_coordinates(flat);
@@ -839,7 +804,7 @@ impl SuiteStore {
                         path: path.display().to_string(),
                         message: e.to_string(),
                     })?;
-                fs.write_atomic(&path, &json, fs.durable)?;
+                fs.write_atomic(&path, &json, true)?;
                 let record = ShardRecord {
                     shard,
                     file,
@@ -891,7 +856,7 @@ impl SuiteStore {
             path: manifest_path.display().to_string(),
             message: e.to_string(),
         })?;
-        fs.write_atomic(&manifest_path, &json, fs.durable)?;
+        fs.write_atomic(&manifest_path, &json, true)?;
         let _ = fs.retry.run(|| fs.vfs.remove_file(&ledger_path));
         Ok(ExportOutcome {
             store: Some(SuiteStore {
@@ -945,26 +910,10 @@ impl SuiteStore {
     /// [`StoreError::Malformed`] when it does not deserialize,
     /// [`StoreError::FormatVersion`] on a schema mismatch.
     pub fn open(root: impl Into<PathBuf>) -> Result<SuiteStore, StoreError> {
-        Self::open_with(root, Arc::new(RealVfs), RetryPolicy::default())
-    }
-
-    /// [`open`](Self::open) on an explicit [`Vfs`] backend and retry policy
-    /// — the entry point the chaos suite drives with a
-    /// [`crate::vfs::FaultVfs`].
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open).
-    pub fn open_with(
-        root: impl Into<PathBuf>,
-        vfs: Arc<dyn Vfs>,
-        retry: RetryPolicy,
-    ) -> Result<SuiteStore, StoreError> {
         let root = root.into();
         let fs = Fs {
-            vfs,
-            retry,
-            durable: true,
+            vfs: Arc::new(RealVfs),
+            retry: RetryPolicy::default(),
         };
         let manifest_path = root.join(MANIFEST_FILE);
         let text = fs
@@ -1202,9 +1151,9 @@ impl SuiteStore {
     /// Verifies every instance (hash, parse, regeneration round trip)
     /// without keeping the circuits, streaming shard by shard on the engine
     /// — one job per shard, so verification of a large corpus parallelizes
-    /// with flat memory. Unlike [`verify`](Self::verify) this reports
-    /// **all** failing instances (with shard + index context) instead of
-    /// bailing on the first mismatch.
+    /// with flat memory. Unlike [`load`](Self::load) this reports **all**
+    /// failing instances (with shard + index context) instead of bailing on
+    /// the first mismatch.
     ///
     /// Clean shards are recorded in a resume ledger ([`VERIFY_LEDGER_FILE`]);
     /// an interrupted verification rerun skips them. The ledger is removed
@@ -1242,11 +1191,10 @@ impl SuiteStore {
 
         let arch = self.index.device.build();
         let ledger = Mutex::new(completed);
-        let engine = Engine::new(threads).with_base_seed(self.index.config.base_seed);
-        let checked = engine.run_values(
+        let checked = Engine::new(threads).run(
             &pending,
             |_worker| (),
-            |(), _ctx, &shard| -> Result<(usize, Vec<VerifyFailure>), StoreError> {
+            |(), _deadline, &shard| -> Result<(usize, Vec<VerifyFailure>), StoreError> {
                 let records = match self.shard_records(shard) {
                     Ok(records) => records,
                     Err(error) => {
@@ -1308,29 +1256,6 @@ impl SuiteStore {
             failures,
             complete,
         })
-    }
-
-    /// Single-threaded full verification, erroring when anything fails. Kept
-    /// for callers that want the old all-or-nothing contract; the error now
-    /// carries **every** failure ([`StoreError::VerifyFailed`]), not just
-    /// the first. Ignores and does not touch the resume ledger semantics
-    /// beyond [`verify_streaming`](Self::verify_streaming)'s.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::VerifyFailed`] listing all failing instances;
-    /// [`StoreError::Io`] on ledger write failures.
-    pub fn verify(&self) -> Result<VerifyOutcome, StoreError> {
-        let report = self.verify_streaming(1, None, &NullSink)?;
-        if report.failures.is_empty() {
-            Ok(VerifyOutcome {
-                instances: report.instances,
-            })
-        } else {
-            Err(StoreError::VerifyFailed {
-                failures: report.failures,
-            })
-        }
     }
 
     /// Fingerprint binding a verification ledger to this exact corpus (the
@@ -1628,25 +1553,10 @@ fn read_shard_record_validated(
     Ok(record)
 }
 
-/// Exports a suite with no progress streaming (library/test convenience;
-/// CLIs pass a real sink to [`SuiteStore::export`]).
-///
-/// # Errors
-///
-/// As [`SuiteStore::export`].
-pub fn export_suite(
-    root: impl Into<PathBuf>,
-    device: DeviceKind,
-    config: &SuiteConfig,
-    threads: usize,
-) -> Result<SuiteStore, StoreError> {
-    SuiteStore::export(root, device, config, threads, &NullSink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qubikos_engine::AUTO_THREADS;
+    use qubikos_engine::{NullSink, AUTO_THREADS};
 
     /// A unique temp dir per test; removed on drop.
     struct TempDir(PathBuf);
@@ -1685,7 +1595,8 @@ mod tests {
     fn export_then_load_round_trips_bit_identically() {
         let dir = TempDir::new("round-trip");
         let config = tiny_config();
-        let store = export_suite(&dir.0, DeviceKind::Grid3x3, &config, 2).expect("export");
+        let store =
+            SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &config, 2, &NullSink).expect("export");
         assert_eq!(store.total_instances(), 4);
         assert_eq!(store.shard_count(), 1, "4 instances fit one default shard");
 
@@ -1781,7 +1692,13 @@ mod tests {
         .expect("export")
         .store
         .expect("completed");
-        assert_eq!(store.verify().expect("clean verify").instances, 4);
+        let clean = store.verify_streaming(1, None, &NullSink).expect("verify");
+        assert!(
+            clean.failures.is_empty(),
+            "clean verify: {:?}",
+            clean.failures
+        );
+        assert_eq!(clean.instances, 4);
 
         // Tamper with one instance in each shard: verification must report
         // both, with shard + index context, instead of bailing on the first.
@@ -1794,45 +1711,45 @@ mod tests {
             std::fs::write(&victim, text).expect("tamper");
         }
         let store = SuiteStore::open(&dir.0).expect("open");
-        match store.verify() {
-            Err(StoreError::VerifyFailed { failures }) => {
-                assert_eq!(failures.len(), 2, "both tampered instances reported");
-                assert_eq!(failures[0].shard, 0);
-                assert_eq!(failures[0].instance, Some(0));
-                assert_eq!(failures[0].file, shard0[0].file);
-                assert!(failures[0].message.contains("hash mismatch"));
-                assert_eq!(failures[1].shard, 1);
-                assert_eq!(failures[1].instance, Some(1));
-                assert_eq!(failures[1].file, shard1[1].file);
-            }
-            other => panic!("expected VerifyFailed, got {other:?}"),
-        }
+        let failures = store
+            .verify_streaming(1, None, &NullSink)
+            .expect("verify")
+            .failures;
+        assert_eq!(failures.len(), 2, "both tampered instances reported");
+        assert_eq!(failures[0].shard, 0);
+        assert_eq!(failures[0].instance, Some(0));
+        assert_eq!(failures[0].file, shard0[0].file);
+        assert!(failures[0].message.contains("hash mismatch"));
+        assert_eq!(failures[1].shard, 1);
+        assert_eq!(failures[1].instance, Some(1));
+        assert_eq!(failures[1].file, shard1[1].file);
     }
 
     #[test]
     fn verify_detects_tampered_shard_manifest() {
         let dir = TempDir::new("shard-tamper");
-        let store = export_suite(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1).expect("export");
+        let store = SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1, &NullSink)
+            .expect("export");
         let path = dir.0.join(shard_file_name(0));
         let mut text = std::fs::read_to_string(&path).expect("read shard");
         text.push(' ');
         std::fs::write(&path, text).expect("tamper shard");
         let store = SuiteStore::open(store.root()).expect("open");
-        match store.verify() {
-            Err(StoreError::VerifyFailed { failures }) => {
-                assert_eq!(failures.len(), 1);
-                assert_eq!(failures[0].shard, 0);
-                assert_eq!(failures[0].instance, None);
-                assert!(failures[0].message.contains("hash mismatch"));
-            }
-            other => panic!("expected VerifyFailed, got {other:?}"),
-        }
+        let failures = store
+            .verify_streaming(1, None, &NullSink)
+            .expect("verify")
+            .failures;
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].shard, 0);
+        assert_eq!(failures[0].instance, None);
+        assert!(failures[0].message.contains("hash mismatch"));
     }
 
     #[test]
     fn load_rejects_unparseable_instances() {
         let dir = TempDir::new("unparseable");
-        let store = export_suite(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1).expect("export");
+        let store = SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1, &NullSink)
+            .expect("export");
         // Rewrite an instance with garbage *and* matching hashes all the way
         // up the chain, so the parse failure (not a hash check) is what
         // fires.
@@ -1863,7 +1780,8 @@ mod tests {
     #[test]
     fn open_rejects_unknown_format_versions() {
         let dir = TempDir::new("format");
-        let store = export_suite(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1).expect("export");
+        let store = SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1, &NullSink)
+            .expect("export");
         let mut index = store.index().clone();
         index.format = MANIFEST_FORMAT + 1;
         std::fs::write(
@@ -1916,7 +1834,8 @@ mod tests {
     #[test]
     fn result_cache_round_trips_and_tolerates_corruption() {
         let dir = TempDir::new("cache");
-        let store = export_suite(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1).expect("export");
+        let store = SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &tiny_config(), 1, &NullSink)
+            .expect("export");
         let key = JobKey::new("lightsabre", "deadbeef");
         assert_eq!(store.read_cached::<Vec<usize>>(&key), None);
         store.write_cached(&key, &vec![3usize, 4]).expect("write");

@@ -207,11 +207,6 @@ impl FaultPlan {
         self.with_fault(OpKind::Write, n, FaultKind::Enospc)
     }
 
-    /// Fails the `n`-th rename.
-    pub fn fail_nth_rename(self, n: u64) -> Self {
-        self.with_fault(OpKind::Rename, n, FaultKind::Error)
-    }
-
     /// Corrupts the bytes returned by the `n`-th read.
     pub fn corrupt_nth_read(self, n: u64) -> Self {
         self.with_fault(OpKind::Read, n, FaultKind::CorruptRead)
@@ -225,8 +220,7 @@ impl FaultPlan {
     pub fn seeded(seed: u64) -> Self {
         let mut state = seed;
         let mut next = move || -> u64 {
-            // SplitMix64 (Steele et al.), the same mixer the engine uses for
-            // per-job seeds.
+            // SplitMix64 (Steele et al.).
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -461,12 +455,6 @@ impl RetryPolicy {
             attempts: 1,
             backoff: Duration::ZERO,
         }
-    }
-
-    /// Sets the attempt budget (clamped to at least 1).
-    pub fn with_attempts(mut self, attempts: u32) -> Self {
-        self.attempts = attempts.max(1);
-        self
     }
 
     /// Drops the inter-attempt sleep (tests that hammer faults shouldn't

@@ -12,9 +12,13 @@
 use qubikos::SuiteConfig;
 use qubikos_arch::DeviceKind;
 use qubikos_bench::ablations::{run_composition_matrix, MatrixConfig};
-use qubikos_bench::analytics::{run_suite_analytics, AnalyticsConfig, AnalyticsReport};
-use qubikos_bench::evaluation::{run_suite_evaluation, SuiteEvalConfig, SuiteEvalOutcome};
-use qubikos_bench::optimality::{run_suite_optimality, OptimalityConfig, SuiteOptimalityOutcome};
+use qubikos_bench::analytics::{run_suite_analytics_with_sink, AnalyticsConfig, AnalyticsReport};
+use qubikos_bench::evaluation::{
+    run_suite_evaluation_with_sink, SuiteEvalConfig, SuiteEvalOutcome,
+};
+use qubikos_bench::optimality::{
+    run_suite_optimality_with_sink, OptimalityConfig, SuiteOptimalityOutcome,
+};
 use qubikos_bench::store::{
     ExportOptions, SuiteStore, EXPORT_LEDGER_FILE, QUARANTINE_REPORT_FILE, VERIFY_LEDGER_FILE,
 };
@@ -93,9 +97,9 @@ fn run_pipelines(
     (SuiteEvalOutcome, SuiteOptimalityOutcome, AnalyticsReport),
     qubikos_bench::store::StoreError,
 > {
-    let eval = run_suite_evaluation(store, &eval_config())?;
-    let optimality = run_suite_optimality(store, &optimality_config())?;
-    let analytics = run_suite_analytics(store, &analytics_config())?;
+    let eval = run_suite_evaluation_with_sink(store, &eval_config(), &NullSink)?;
+    let optimality = run_suite_optimality_with_sink(store, &optimality_config(), &NullSink)?;
+    let analytics = run_suite_analytics_with_sink(store, &analytics_config(), &NullSink)?;
     Ok((eval, optimality, analytics))
 }
 
@@ -287,12 +291,12 @@ fn corrupt_shard_degrades_then_heals_on_re_export() {
     type Pipeline = fn(&SuiteStore) -> usize;
     let pipelines: [(&str, Pipeline); 3] = [
         ("eval", |store| {
-            run_suite_evaluation(store, &eval_config())
+            run_suite_evaluation_with_sink(store, &eval_config(), &NullSink)
                 .expect("eval")
                 .shards_quarantined
         }),
         ("optimality", |store| {
-            run_suite_optimality(store, &optimality_config())
+            run_suite_optimality_with_sink(store, &optimality_config(), &NullSink)
                 .expect("optimality")
                 .shards_quarantined
         }),

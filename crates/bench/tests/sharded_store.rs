@@ -7,9 +7,9 @@
 
 use qubikos::{generate_suite, SuiteConfig};
 use qubikos_arch::{devices, DeviceKind};
-use qubikos_bench::analytics::{run_suite_analytics, AnalyticsConfig};
+use qubikos_bench::analytics::{run_suite_analytics_with_sink, AnalyticsConfig};
 use qubikos_bench::evaluation::{
-    run_suite_evaluation, run_suite_evaluation_partial, SuiteEvalConfig,
+    run_suite_evaluation_partial, run_suite_evaluation_with_sink, SuiteEvalConfig,
 };
 use qubikos_bench::store::{ExportOptions, SuiteStore, EXPORT_LEDGER_FILE, VERIFY_LEDGER_FILE};
 use qubikos_engine::NullSink;
@@ -275,7 +275,7 @@ fn streaming_evaluation_is_flat_memory_and_resumes_via_cache() {
         // The full re-run is a resume: the partial run's shards are pure
         // cache hits (their circuits are never even loaded), only the rest
         // routes.
-        let full = run_suite_evaluation(&store, &eval).expect("full eval");
+        let full = run_suite_evaluation_with_sink(&store, &eval, &NullSink).expect("full eval");
         assert!(full.complete);
         assert_eq!(full.shards, shards);
         assert_eq!(
@@ -284,8 +284,12 @@ fn streaming_evaluation_is_flat_memory_and_resumes_via_cache() {
         );
         assert_eq!(full.routed, pairs - partial.routed);
 
-        let analytics = run_suite_analytics(&store, &AnalyticsConfig::default().with_threads(2))
-            .expect("analytics runs");
+        let analytics = run_suite_analytics_with_sink(
+            &store,
+            &AnalyticsConfig::default().with_threads(2),
+            &NullSink,
+        )
+        .expect("analytics runs");
         assert_eq!(
             analytics.summary.fully_covered as usize,
             store.total_instances(),
@@ -328,16 +332,30 @@ fn analytics_are_thread_count_invariant() {
     .expect("completes");
 
     // Before any evaluation the corpus is fully uncovered — not an error.
-    let cold = run_suite_analytics(&store, &AnalyticsConfig::default()).expect("cold analytics");
+    let cold = run_suite_analytics_with_sink(&store, &AnalyticsConfig::default(), &NullSink)
+        .expect("cold analytics");
     assert_eq!(cold.summary.instances, 4);
     assert_eq!(cold.summary.fully_covered, 0);
 
-    run_suite_evaluation(&store, &SuiteEvalConfig::default().with_threads(2)).expect("warm cache");
+    run_suite_evaluation_with_sink(
+        &store,
+        &SuiteEvalConfig::default().with_threads(2),
+        &NullSink,
+    )
+    .expect("warm cache");
 
-    let single = run_suite_analytics(&store, &AnalyticsConfig::default().with_threads(1))
-        .expect("sequential analytics");
-    let parallel = run_suite_analytics(&store, &AnalyticsConfig::default().with_threads(8))
-        .expect("parallel analytics");
+    let single = run_suite_analytics_with_sink(
+        &store,
+        &AnalyticsConfig::default().with_threads(1),
+        &NullSink,
+    )
+    .expect("sequential analytics");
+    let parallel = run_suite_analytics_with_sink(
+        &store,
+        &AnalyticsConfig::default().with_threads(8),
+        &NullSink,
+    )
+    .expect("parallel analytics");
     assert_eq!(
         serde_json::to_string(&single).expect("serialize"),
         serde_json::to_string(&parallel).expect("serialize"),

@@ -6,10 +6,14 @@
 use qubikos::SuiteConfig;
 use qubikos_arch::DeviceKind;
 use qubikos_bench::evaluation::{
-    run_suite_evaluation, run_tool_evaluation, EvaluationConfig, SuiteEvalConfig, DEFAULT_TOOL_SEED,
+    run_suite_evaluation_with_sink, run_tool_evaluation, EvaluationConfig, SuiteEvalConfig,
+    DEFAULT_TOOL_SEED,
 };
-use qubikos_bench::optimality::{run_optimality_study, run_suite_optimality, OptimalityConfig};
-use qubikos_bench::store::{export_suite, SuiteStore};
+use qubikos_bench::optimality::{
+    run_optimality_study, run_suite_optimality_with_sink, OptimalityConfig,
+};
+use qubikos_bench::store::SuiteStore;
+use qubikos_engine::NullSink;
 use qubikos_exact::ExactConfig;
 use qubikos_layout::ToolKind;
 use std::path::PathBuf;
@@ -50,20 +54,24 @@ fn stored_evaluation_is_bit_identical_and_second_run_is_all_cache_hits() {
     let dir = TempDir::new("eval-cache");
     let device = DeviceKind::Grid3x3;
     let suite = tiny_suite();
-    let store = export_suite(&dir.0, device, &suite, 2).expect("export");
+    let store = SuiteStore::export(&dir.0, device, &suite, 2, &NullSink).expect("export");
 
     // The in-memory pipeline on the identical configuration.
-    let in_memory = run_tool_evaluation(&EvaluationConfig {
-        device,
-        suite,
-        tools: ToolKind::ALL.to_vec(),
-        tool_seed: DEFAULT_TOOL_SEED,
-        threads: 2,
-    })
+    let in_memory = run_tool_evaluation(
+        &EvaluationConfig {
+            device,
+            suite,
+            tools: ToolKind::ALL.to_vec(),
+            tool_seed: DEFAULT_TOOL_SEED,
+            threads: 2,
+        },
+        &NullSink,
+    )
     .expect("in-memory evaluation");
 
     let config = SuiteEvalConfig::default().with_threads(2);
-    let first = run_suite_evaluation(&store, &config).expect("first suite evaluation");
+    let first =
+        run_suite_evaluation_with_sink(&store, &config, &NullSink).expect("first suite evaluation");
     assert_eq!(first.cache_hits, 0, "cold cache must have no hits");
     assert_eq!(first.routed, 16, "4 circuits x 4 tools all routed");
     assert_eq!(
@@ -73,7 +81,8 @@ fn stored_evaluation_is_bit_identical_and_second_run_is_all_cache_hits() {
     );
 
     // The warm re-run: every (tool, circuit) pair must come from the cache.
-    let second = run_suite_evaluation(&store, &config).expect("second suite evaluation");
+    let second = run_suite_evaluation_with_sink(&store, &config, &NullSink)
+        .expect("second suite evaluation");
     assert_eq!(second.routed, 0, "second run must route zero circuits");
     assert_eq!(second.cache_hits, 16);
     assert_eq!(
@@ -84,7 +93,8 @@ fn stored_evaluation_is_bit_identical_and_second_run_is_all_cache_hits() {
 
     // A reopened store (fresh process in real life) still sees the cache.
     let reopened = SuiteStore::open(&dir.0).expect("reopen");
-    let third = run_suite_evaluation(&reopened, &config).expect("third suite evaluation");
+    let third = run_suite_evaluation_with_sink(&reopened, &config, &NullSink)
+        .expect("third suite evaluation");
     assert_eq!(third.routed, 0);
 }
 
@@ -94,21 +104,22 @@ fn stored_evaluation_is_bit_identical_and_second_run_is_all_cache_hits() {
 #[test]
 fn different_tool_seed_invalidates_the_cache() {
     let dir = TempDir::new("seed-invalidation");
-    let store = export_suite(&dir.0, DeviceKind::Grid3x3, &tiny_suite(), 2).expect("export");
+    let store = SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &tiny_suite(), 2, &NullSink)
+        .expect("export");
 
     let seed7 = SuiteEvalConfig::default().with_threads(2);
-    run_suite_evaluation(&store, &seed7).expect("seed-7 run");
+    run_suite_evaluation_with_sink(&store, &seed7, &NullSink).expect("seed-7 run");
 
     let mut seed9 = SuiteEvalConfig::default().with_threads(2);
     seed9.tool_seed = 9;
-    let outcome = run_suite_evaluation(&store, &seed9).expect("seed-9 run");
+    let outcome = run_suite_evaluation_with_sink(&store, &seed9, &NullSink).expect("seed-9 run");
     assert_eq!(
         outcome.routed, 16,
         "a new tool seed must re-route everything"
     );
 
     // And the cache now answers for seed 9, not seed 7.
-    let rerun = run_suite_evaluation(&store, &seed9).expect("seed-9 rerun");
+    let rerun = run_suite_evaluation_with_sink(&store, &seed9, &NullSink).expect("seed-9 rerun");
     assert_eq!(rerun.routed, 0);
 }
 
@@ -123,7 +134,8 @@ fn stored_optimality_matches_in_memory_and_caches() {
         two_qubit_gates: 14,
         base_seed: 13,
     };
-    let store = export_suite(&dir.0, DeviceKind::Grid3x3, &suite, 2).expect("export");
+    let store =
+        SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &suite, 2, &NullSink).expect("export");
     let config = OptimalityConfig {
         devices: vec![DeviceKind::Grid3x3],
         suite,
@@ -136,13 +148,15 @@ fn stored_optimality_matches_in_memory_and_caches() {
         threads: 2,
     };
 
-    let in_memory = run_optimality_study(&config).expect("in-memory study");
-    let first = run_suite_optimality(&store, &config).expect("first suite study");
+    let in_memory = run_optimality_study(&config, &NullSink).expect("in-memory study");
+    let first =
+        run_suite_optimality_with_sink(&store, &config, &NullSink).expect("first suite study");
     assert_eq!(first.cache_hits, 0);
     assert_eq!(first.verified, 4);
     assert_eq!(first.report, in_memory, "stored study must match in-memory");
 
-    let second = run_suite_optimality(&store, &config).expect("second suite study");
+    let second =
+        run_suite_optimality_with_sink(&store, &config, &NullSink).expect("second suite study");
     assert_eq!(second.verified, 0, "second run must verify zero circuits");
     assert_eq!(second.cache_hits, 4);
     assert_eq!(second.report, in_memory);
@@ -151,7 +165,8 @@ fn stored_optimality_matches_in_memory_and_caches() {
     // must read as a miss, never as a silently wrong cached verdict.
     let mut tighter = config.clone();
     tighter.exact.node_budget = 1_000;
-    let recomputed = run_suite_optimality(&store, &tighter).expect("tighter study");
+    let recomputed =
+        run_suite_optimality_with_sink(&store, &tighter, &NullSink).expect("tighter study");
     assert_eq!(recomputed.verified, 4);
 }
 
@@ -161,8 +176,14 @@ fn stored_optimality_matches_in_memory_and_caches() {
 fn eval_and_optimality_caches_are_disjoint() {
     let dir = TempDir::new("disjoint-caches");
     let suite = tiny_suite();
-    let store = export_suite(&dir.0, DeviceKind::Grid3x3, &suite, 2).expect("export");
-    run_suite_evaluation(&store, &SuiteEvalConfig::default().with_threads(2)).expect("eval");
+    let store =
+        SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &suite, 2, &NullSink).expect("export");
+    run_suite_evaluation_with_sink(
+        &store,
+        &SuiteEvalConfig::default().with_threads(2),
+        &NullSink,
+    )
+    .expect("eval");
 
     let config = OptimalityConfig {
         devices: vec![DeviceKind::Grid3x3],
@@ -172,7 +193,7 @@ fn eval_and_optimality_caches_are_disjoint() {
         exact_deadline_micros: None,
         threads: 2,
     };
-    let outcome = run_suite_optimality(&store, &config).expect("study");
+    let outcome = run_suite_optimality_with_sink(&store, &config, &NullSink).expect("study");
     assert_eq!(
         outcome.cache_hits, 0,
         "eval cache must not answer optimality"
@@ -187,10 +208,11 @@ fn eval_and_optimality_caches_are_disjoint() {
 #[test]
 fn cache_entries_are_pinned_byte_for_byte() {
     let dir = TempDir::new("entry-bytes");
-    let store = export_suite(&dir.0, DeviceKind::Grid3x3, &tiny_suite(), 2).expect("export");
+    let store = SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &tiny_suite(), 2, &NullSink)
+        .expect("export");
     let mut eval = SuiteEvalConfig::default().with_threads(1);
     eval.tools = vec![ToolKind::LightSabre];
-    run_suite_evaluation(&store, &eval).expect("eval");
+    run_suite_evaluation_with_sink(&store, &eval, &NullSink).expect("eval");
     let config = OptimalityConfig {
         devices: vec![DeviceKind::Grid3x3],
         suite: tiny_suite(),
@@ -202,7 +224,7 @@ fn cache_entries_are_pinned_byte_for_byte() {
         exact_deadline_micros: None,
         threads: 1,
     };
-    run_suite_optimality(&store, &config).expect("optimality");
+    run_suite_optimality_with_sink(&store, &config, &NullSink).expect("optimality");
 
     // Instance 0 has one designed SWAP (within the exact limit); the last
     // instance has two (certificate only).

@@ -85,21 +85,6 @@ impl Circuit {
         self.gates.insert(index, gate);
     }
 
-    /// Appends every gate of `other` (which must fit in this circuit's qubits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` uses more qubits than this circuit.
-    pub fn extend_from(&mut self, other: &Circuit) {
-        assert!(
-            other.num_qubits <= self.num_qubits,
-            "cannot extend a {}-qubit circuit with a {}-qubit circuit",
-            self.num_qubits,
-            other.num_qubits
-        );
-        self.gates.extend(other.gates.iter().copied());
-    }
-
     /// All gates in program order.
     pub fn gates(&self) -> &[Gate] {
         &self.gates
@@ -123,16 +108,6 @@ impl Circuit {
     /// Number of SWAP gates.
     pub fn swap_count(&self) -> usize {
         self.gates.iter().filter(|g| g.is_swap()).count()
-    }
-
-    /// Indices (into [`gates`](Self::gates)) of all two-qubit gates, in order.
-    pub fn two_qubit_gate_indices(&self) -> Vec<usize> {
-        self.gates
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.is_two_qubit())
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// The two-qubit gates only, in program order.
@@ -234,7 +209,6 @@ mod tests {
         assert_eq!(c.two_qubit_gate_count(), 2);
         assert_eq!(c.swap_count(), 0);
         assert!(!c.is_empty());
-        assert_eq!(c.two_qubit_gate_indices(), vec![1, 2]);
         assert_eq!(c.two_qubit_gates().len(), 2);
     }
 
@@ -278,21 +252,6 @@ mod tests {
         c.insert(1, Gate::z(2));
         assert_eq!(c.gates()[1], Gate::z(2));
         assert_eq!(c.gate_count(), 4);
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let mut c = ghz3();
-        let tail = Circuit::from_gates(2, [Gate::cx(0, 1)]);
-        c.extend_from(&tail);
-        assert_eq!(c.gate_count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot extend")]
-    fn extend_from_larger_register_panics() {
-        let mut c = Circuit::new(2);
-        c.extend_from(&Circuit::new(3));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::circuit::Circuit;
 use crate::gate::{Gate, QubitId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Index of a node in a [`DependencyDag`] (the position of the gate within
 /// the circuit's two-qubit-gate subsequence).
@@ -151,23 +151,6 @@ impl DependencyDag {
             .collect()
     }
 
-    /// All ancestors of `i` (the paper's `Prev(g)`), excluding `i` itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn prev_set(&self, i: DagNodeId) -> BTreeSet<DagNodeId> {
-        assert!(i < self.len(), "node {i} out of range");
-        let mut seen = BTreeSet::new();
-        let mut queue: VecDeque<DagNodeId> = self.predecessors[i].iter().copied().collect();
-        while let Some(n) = queue.pop_front() {
-            if seen.insert(n) {
-                queue.extend(self.predecessors[n].iter().copied());
-            }
-        }
-        seen
-    }
-
     /// Returns `true` if there is a directed path from `a` to `b`.
     ///
     /// # Panics
@@ -285,27 +268,6 @@ mod tests {
         let dag = DependencyDag::from_circuit(&c);
         assert_eq!(dag.successors(0), &[1]);
         assert_eq!(dag.predecessors(1), &[0]);
-    }
-
-    #[test]
-    fn prev_set_collects_all_ancestors() {
-        let c = Circuit::from_gates(
-            4,
-            [
-                Gate::cx(0, 1),
-                Gate::cx(2, 3),
-                Gate::cx(1, 2),
-                Gate::cx(0, 3),
-            ],
-        );
-        let dag = DependencyDag::from_circuit(&c);
-        let prev = dag.prev_set(3);
-        // Gate 3 acts on 0 and 3: ancestors are gate 0 (qubit 0), gate 1 (qubit 3),
-        // and gate 2 is an ancestor through... gate 2 acts on 1,2 — not on 0 or 3,
-        // and gate 3's predecessors are gates 0 and 1 only.
-        assert!(prev.contains(&0));
-        assert!(prev.contains(&1));
-        assert!(!prev.contains(&2));
     }
 
     #[test]

@@ -6,17 +6,17 @@
 //! static partitioning and therefore no convoy behind a slow chunk.
 //!
 //! Determinism model: scheduling affects only *which worker* runs a job and
-//! *when* — never the job's identity, seed, or inputs. Each worker buffers
-//! its outputs privately (no shared result lock), and the buffers are merged
-//! in job-id order after the run, so the merged output is identical for any
-//! thread count, including 1.
+//! *when* — never the job's inputs. Each worker buffers its outputs
+//! privately (no shared result lock), and the buffers are merged in job-id
+//! order after the run, so the merged output is identical for any thread
+//! count, including 1.
 //!
 //! Failure model: a panic inside a job is caught on the worker, the run is
 //! aborted cooperatively, and the panic is reported as a structured
 //! [`EngineError`] naming the job and carrying the payload — not as a
 //! poisoned mutex three layers away.
 
-use crate::job::{JobContext, JobDeadline, JobId, JobOutput, JobRecord};
+use crate::job::{JobId, JobRecord};
 use crate::progress::{as_micros, ProgressSink, RunSummary};
 use crate::threads::resolve_threads;
 use std::error::Error;
@@ -37,8 +37,6 @@ pub enum EngineError {
     JobPanicked {
         /// The job that panicked.
         id: JobId,
-        /// The seed the job ran with.
-        seed: u64,
         /// The panic payload, rendered to a string.
         payload: String,
     },
@@ -49,29 +47,14 @@ pub enum EngineError {
         /// The panic payload, rendered to a string.
         payload: String,
     },
-    /// A job ran past the engine's enforced per-job deadline
-    /// ([`Engine::with_enforced_job_deadline`]). The job's output was still
-    /// produced (cancellation is cooperative), but the run aborts and
-    /// reports the overrun.
-    JobTimedOut {
-        /// The job that overran its budget.
-        id: JobId,
-        /// Wall-clock time the job actually took.
-        elapsed: Duration,
-    },
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::JobPanicked { id, seed, payload } => {
-                write!(f, "{id} (seed {seed:#018x}) panicked: {payload}")
-            }
+            EngineError::JobPanicked { id, payload } => write!(f, "{id} panicked: {payload}"),
             EngineError::WorkerSetupPanicked { worker, payload } => {
                 write!(f, "worker {worker} panicked during setup: {payload}")
-            }
-            EngineError::JobTimedOut { id, elapsed } => {
-                write!(f, "{id} timed out after {:.3}s", elapsed.as_secs_f64())
             }
         }
     }
@@ -81,13 +64,12 @@ impl Error for EngineError {}
 
 impl EngineError {
     /// Ordering key: lower sorts first, and the executor keeps the smallest.
-    /// Setup failures precede all job failures; panics precede timeouts
-    /// (a panic is the harder fault); within a class, failures order by id.
+    /// Setup failures precede all job failures; within a class, failures
+    /// order by id.
     fn rank(&self) -> (usize, usize) {
         match self {
             EngineError::WorkerSetupPanicked { worker, .. } => (0, *worker),
             EngineError::JobPanicked { id, .. } => (1, id.index()),
-            EngineError::JobTimedOut { id, .. } => (2, id.index()),
         }
     }
 }
@@ -103,16 +85,14 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The executor: a thread count plus a base seed for per-job seed derivation.
+/// The executor: a thread count plus an optional per-job wall-clock budget.
 ///
 /// Construction is cheap (no threads are spawned until [`Engine::run`]), so
 /// pipelines build one per experiment from their config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine {
     threads: usize,
-    base_seed: u64,
     job_deadline: Option<Duration>,
-    enforce_deadline: bool,
 }
 
 impl Engine {
@@ -122,44 +102,18 @@ impl Engine {
     pub fn new(threads: usize) -> Self {
         Engine {
             threads,
-            base_seed: 0,
             job_deadline: None,
-            enforce_deadline: false,
         }
     }
 
-    /// Sets the base seed from which every job derives its own seed.
-    pub fn with_base_seed(mut self, base_seed: u64) -> Self {
-        self.base_seed = base_seed;
-        self
-    }
-
-    /// Gives every job a wall-clock budget, delivered to the job closure as
-    /// [`JobContext::deadline`]. Cancellation is *cooperative*: the job is
-    /// expected to poll the deadline and degrade to a partial result (the
-    /// exact solver returns `unproven`); the executor checks again when the
-    /// job returns and reports overruns through
-    /// [`ProgressSink::job_deadline_exceeded`], but the run continues.
+    /// Gives every job a wall-clock budget, handed to the job closure as the
+    /// instant it runs out, stamped when the job starts. Cancellation is
+    /// *cooperative*: the executor never preempts or fails a job, so a job
+    /// is expected to pass the instant to an interruptible solver and
+    /// degrade to a partial result (the exact solver returns `unproven`).
     pub fn with_job_deadline(mut self, limit: Duration) -> Self {
         self.job_deadline = Some(limit);
-        self.enforce_deadline = false;
         self
-    }
-
-    /// Like [`with_job_deadline`](Self::with_job_deadline), but an overrun
-    /// also aborts the run with [`EngineError::JobTimedOut`] — for callers
-    /// that would rather fail a run than trust results from jobs that
-    /// ignored their budget. In-flight jobs still finish (cancellation
-    /// stays cooperative).
-    pub fn with_enforced_job_deadline(mut self, limit: Duration) -> Self {
-        self.job_deadline = Some(limit);
-        self.enforce_deadline = true;
-        self
-    }
-
-    /// The per-job wall-clock budget, if one was configured.
-    pub fn job_deadline(&self) -> Option<Duration> {
-        self.job_deadline
     }
 
     /// The concrete thread count a run over `jobs` jobs would use: the
@@ -168,14 +122,16 @@ impl Engine {
         resolve_threads(self.threads).min(jobs).max(1)
     }
 
-    /// Runs `jobs` to completion and returns the outputs **in job-id order**,
-    /// regardless of thread count or scheduling.
+    /// Runs `jobs` to completion and returns their values **in job-id
+    /// order**, regardless of thread count or scheduling.
     ///
     /// `make_worker` runs once per worker thread, on that thread, and builds
     /// whatever reusable state the jobs need (routers, solvers, scratch
     /// buffers); `run_job` borrows that state mutably, so per-worker reuse is
     /// free of locks. The engine guarantees a worker's state is only ever
-    /// touched by its own thread.
+    /// touched by its own thread. `run_job` also receives the instant the
+    /// job's budget runs out ([`with_job_deadline`](Self::with_job_deadline)),
+    /// or `None` when the engine has no deadline.
     ///
     /// # Errors
     ///
@@ -187,9 +143,9 @@ impl Engine {
         &self,
         jobs: &[J],
         make_worker: impl Fn(usize) -> W + Sync,
-        run_job: impl Fn(&mut W, &JobContext, &J) -> T + Sync,
+        run_job: impl Fn(&mut W, Option<Instant>, &J) -> T + Sync,
         sink: &dyn ProgressSink,
-    ) -> Result<Vec<JobOutput<T>>, EngineError>
+    ) -> Result<Vec<T>, EngineError>
     where
         J: Sync,
         T: Send,
@@ -209,22 +165,22 @@ impl Engine {
             if !keep_existing {
                 *slot = Some(error);
             }
+            abort.store(true, Ordering::Relaxed);
         };
 
-        let mut buffers: Vec<Vec<JobOutput<T>>> = Vec::with_capacity(threads);
+        // Each worker returns its `(job index, value)` pairs and the summed
+        // microseconds it spent inside job closures.
+        let mut buffers: Vec<(Vec<(usize, T)>, u64)> = Vec::with_capacity(threads);
         if !jobs.is_empty() {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
                     .map(|worker_index| {
-                        let next = &next;
-                        let abort = &abort;
-                        let record_failure = &record_failure;
-                        let make_worker = &make_worker;
-                        let run_job = &run_job;
-                        let base_seed = self.base_seed;
+                        let (next, abort, record_failure) = (&next, &abort, &record_failure);
+                        let (make_worker, run_job) = (&make_worker, &run_job);
                         let job_deadline = self.job_deadline;
-                        let enforce_deadline = self.enforce_deadline;
                         scope.spawn(move || {
+                            let mut outputs = Vec::new();
+                            let mut busy_micros = 0;
                             let mut worker = match catch_unwind(AssertUnwindSafe(|| {
                                 make_worker(worker_index)
                             })) {
@@ -234,68 +190,33 @@ impl Engine {
                                         worker: worker_index,
                                         payload: payload_string(payload),
                                     });
-                                    abort.store(true, Ordering::Relaxed);
-                                    return Vec::new();
+                                    return (outputs, busy_micros);
                                 }
                             };
-                            let mut outputs = Vec::new();
                             while !abort.load(Ordering::Relaxed) {
                                 let index = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(job) = jobs.get(index) else { break };
-                                let id = JobId(index);
-                                let context = JobContext {
-                                    id,
-                                    seed: id.derive_seed(base_seed),
-                                    worker: worker_index,
-                                    deadline: job_deadline.map(JobDeadline::starting_now),
-                                };
                                 let job_started = Instant::now();
+                                let deadline = job_deadline.map(|limit| job_started + limit);
                                 match catch_unwind(AssertUnwindSafe(|| {
-                                    run_job(&mut worker, &context, job)
+                                    run_job(&mut worker, deadline, job)
                                 })) {
                                     Ok(value) => {
-                                        let duration = job_started.elapsed();
-                                        let record = JobRecord {
-                                            job: index,
-                                            seed: context.seed,
-                                            worker: worker_index,
-                                            micros: as_micros(duration),
-                                        };
-                                        sink.job_finished(&record);
-                                        if let Some(deadline) = context.deadline {
-                                            if deadline.expired() {
-                                                sink.job_deadline_exceeded(
-                                                    &record,
-                                                    deadline.limit(),
-                                                );
-                                                if enforce_deadline {
-                                                    record_failure(EngineError::JobTimedOut {
-                                                        id,
-                                                        elapsed: deadline.elapsed(),
-                                                    });
-                                                    abort.store(true, Ordering::Relaxed);
-                                                }
-                                            }
-                                        }
-                                        outputs.push(JobOutput {
-                                            id,
-                                            seed: context.seed,
-                                            duration,
-                                            value,
-                                        });
+                                        let micros = as_micros(job_started.elapsed());
+                                        sink.job_finished(&JobRecord { job: index, micros });
+                                        busy_micros += micros;
+                                        outputs.push((index, value));
                                     }
                                     Err(payload) => {
                                         record_failure(EngineError::JobPanicked {
-                                            id,
-                                            seed: context.seed,
+                                            id: JobId(index),
                                             payload: payload_string(payload),
                                         });
-                                        abort.store(true, Ordering::Relaxed);
                                         break;
                                     }
                                 }
                             }
-                            outputs
+                            (outputs, busy_micros)
                         })
                     })
                     .collect();
@@ -316,43 +237,18 @@ impl Engine {
         // already internally sorted (workers claim ids in increasing order),
         // but a plain sort keeps the invariant obvious and cheap relative to
         // any real workload.
-        let mut outputs: Vec<JobOutput<T>> = buffers.into_iter().flatten().collect();
-        outputs.sort_unstable_by_key(|output| output.id);
-        debug_assert_eq!(outputs.len(), jobs.len());
-        debug_assert!(outputs.iter().enumerate().all(|(i, o)| o.id.index() == i));
+        let busy_micros = buffers.iter().map(|(_, micros)| micros).sum();
+        let mut outputs: Vec<(usize, T)> = buffers.into_iter().flat_map(|(b, _)| b).collect();
+        outputs.sort_unstable_by_key(|&(index, _)| index);
+        debug_assert!(outputs.iter().enumerate().all(|(i, &(j, _))| i == j));
 
         sink.run_finished(&RunSummary {
             jobs: outputs.len(),
             threads,
             wall_micros: as_micros(started.elapsed()),
-            busy_micros: outputs.iter().map(|o| as_micros(o.duration)).sum(),
+            busy_micros,
         });
-        Ok(outputs)
-    }
-
-    /// Like [`Engine::run`], but discards per-job timing and returns only the
-    /// job values, still in job-id order. The common entry point for
-    /// pipelines that aggregate results and do not export timings.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Engine::run`].
-    pub fn run_values<J, W, T>(
-        &self,
-        jobs: &[J],
-        make_worker: impl Fn(usize) -> W + Sync,
-        run_job: impl Fn(&mut W, &JobContext, &J) -> T + Sync,
-        sink: &dyn ProgressSink,
-    ) -> Result<Vec<T>, EngineError>
-    where
-        J: Sync,
-        T: Send,
-    {
-        Ok(self
-            .run(jobs, make_worker, run_job, sink)?
-            .into_iter()
-            .map(|output| output.value)
-            .collect())
+        Ok(outputs.into_iter().map(|(_, value)| value).collect())
     }
 }
 
@@ -373,19 +269,12 @@ mod tests {
 
     #[test]
     fn single_job_runs_on_one_thread() {
-        let engine = Engine::new(8).with_base_seed(5);
+        let engine = Engine::new(8);
         assert_eq!(engine.threads_for(1), 1);
         let outputs = engine
-            .run(
-                &[21u64],
-                |_| (),
-                |_, ctx, job| job * 2 + ctx.id.0 as u64,
-                &NullSink,
-            )
+            .run(&[21u64], |_| (), |_, _, job| job * 2, &NullSink)
             .expect("no panics");
-        assert_eq!(outputs.len(), 1);
-        assert_eq!(outputs[0].value, 42);
-        assert_eq!(outputs[0].seed, JobId(0).derive_seed(5));
+        assert_eq!(outputs, vec![42]);
     }
 
     #[test]
@@ -413,93 +302,46 @@ mod tests {
     fn error_rank_prefers_earliest_job() {
         let early = EngineError::JobPanicked {
             id: JobId(1),
-            seed: 0,
             payload: String::new(),
         };
         let late = EngineError::JobPanicked {
             id: JobId(9),
-            seed: 0,
             payload: String::new(),
         };
         let setup = EngineError::WorkerSetupPanicked {
             worker: 3,
             payload: String::new(),
         };
-        let timeout = EngineError::JobTimedOut {
-            id: JobId(0),
-            elapsed: Duration::from_secs(1),
-        };
         assert!(setup.rank() < early.rank());
         assert!(early.rank() < late.rank());
-        assert!(late.rank() < timeout.rank(), "panics outrank timeouts");
     }
 
     #[test]
     fn jobs_without_deadline_see_none() {
         let engine = Engine::new(1);
         let outputs = engine
-            .run(&[0u8], |_| (), |_, ctx, _| ctx.deadline, &NullSink)
+            .run(&[0u8], |_| (), |_, deadline, _| deadline, &NullSink)
             .expect("no panics");
-        assert_eq!(outputs[0].value, None);
-        assert_eq!(engine.job_deadline(), None);
+        assert_eq!(outputs, vec![None]);
     }
 
     #[test]
-    fn cooperative_deadline_reports_but_does_not_fail() {
-        use std::sync::atomic::AtomicUsize;
-
-        #[derive(Default)]
-        struct Overruns(AtomicUsize);
-        impl ProgressSink for Overruns {
-            fn job_deadline_exceeded(&self, _record: &JobRecord, _limit: Duration) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        let sink = Overruns::default();
-        let engine = Engine::new(1).with_job_deadline(Duration::from_millis(1));
+    fn jobs_see_their_deadline_stamped_at_start() {
+        let limit = Duration::from_secs(60);
+        let engine = Engine::new(1).with_job_deadline(limit);
+        let before = Instant::now();
         let outputs = engine
             .run(
-                &[0usize, 1],
+                &[0u8, 1],
                 |_| (),
-                |_, ctx, &job| {
-                    let deadline = ctx.deadline.expect("deadline configured");
-                    assert_eq!(deadline.limit(), Duration::from_millis(1));
-                    // Job 0 overruns its budget; job 1 finishes in time.
-                    if job == 0 {
-                        while !deadline.expired() {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    }
-                    job
-                },
-                &sink,
+                |_, deadline, _| (Instant::now(), deadline),
+                &NullSink,
             )
-            .expect("cooperative mode never fails the run");
-        assert_eq!(outputs.len(), 2);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn enforced_deadline_aborts_with_timeout() {
-        let engine = Engine::new(1).with_enforced_job_deadline(Duration::from_millis(1));
-        let result = engine.run(
-            &[(), ()],
-            |_| (),
-            |_, ctx, _| {
-                let deadline = ctx.deadline.expect("deadline configured");
-                while !deadline.expired() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            },
-            &NullSink,
-        );
-        match result {
-            Err(EngineError::JobTimedOut { id, elapsed }) => {
-                assert_eq!(id, JobId(0));
-                assert!(elapsed >= Duration::from_millis(1));
-            }
-            other => panic!("expected timeout failure, got {other:?}"),
+            .expect("no panics");
+        for (now, deadline) in outputs {
+            let deadline = deadline.expect("deadline configured");
+            assert!(deadline >= before + limit);
+            assert!(deadline <= now + limit);
         }
     }
 }

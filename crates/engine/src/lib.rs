@@ -11,8 +11,14 @@
 //!   from a shared atomic index — dynamic self-scheduling instead of static
 //!   chunking);
 //! * the merged output is **bit-identical for every thread count** (stable
-//!   job ids, per-job seeds derived from the id, per-worker result buffers
-//!   merged in id order — never a shared results lock);
+//!   job ids and per-worker result buffers merged in id order — never a
+//!   shared results lock). A job that needs randomness takes its seed from
+//!   its own inputs (an instance's recorded seed, a tool's fixed seed), so
+//!   nothing it computes depends on the schedule;
+//! * an optional per-job wall-clock budget reaches each job as the
+//!   [`std::time::Instant`] it runs out ([`Engine::with_job_deadline`]);
+//!   jobs degrade in time on their own, and the engine never fails one for
+//!   overrunning;
 //! * a panicking job aborts the run with the *job's identity and payload*
 //!   ([`EngineError::JobPanicked`]) instead of poisoning a mutex;
 //! * per-job wall-clock timings stream to pluggable [`ProgressSink`]s
@@ -25,15 +31,12 @@
 //!
 //! // Square the numbers 0..100 on every available core.
 //! let jobs: Vec<u64> = (0..100).collect();
-//! let engine = Engine::new(qubikos_engine::AUTO_THREADS).with_base_seed(7);
+//! let engine = Engine::new(qubikos_engine::AUTO_THREADS);
 //! let squares = engine
-//!     .run_values(
+//!     .run(
 //!         &jobs,
 //!         |_worker_index| (),          // per-worker reusable state
-//!         |_state, ctx, &job| {
-//!             assert_eq!(ctx.id.index() as u64, job);
-//!             job * job
-//!         },
+//!         |_state, _deadline, &job| job * job,
 //!         &NullSink,
 //!     )
 //!     .expect("no job panicked");
@@ -54,6 +57,6 @@ pub mod progress;
 pub mod threads;
 
 pub use executor::{Engine, EngineError};
-pub use job::{JobContext, JobDeadline, JobId, JobKey, JobOutput, JobRecord};
+pub use job::{JobId, JobKey, JobRecord};
 pub use progress::{NullSink, ProgressSink, RunSummary, StderrProgress};
 pub use threads::{available_threads, resolve_threads, AUTO_THREADS};

@@ -39,17 +39,6 @@ pub trait ProgressSink: Sync {
         let _ = record;
     }
 
-    /// Called (after [`job_finished`](Self::job_finished)) when a job ran
-    /// past the engine's per-job deadline
-    /// ([`crate::Engine::with_job_deadline`]). `limit` is the configured
-    /// budget; the overrun is `record.micros` minus the budget. Cancellation
-    /// is cooperative, so this fires when the overrunning job *returns* —
-    /// jobs that degrade in time (e.g. a solver returning unproven at its
-    /// deadline) land close to the budget rather than far past it.
-    fn job_deadline_exceeded(&self, record: &JobRecord, limit: Duration) {
-        let _ = (record, limit);
-    }
-
     /// Called once after all results are merged.
     fn run_finished(&self, summary: &RunSummary) {
         let _ = summary;
@@ -135,12 +124,7 @@ mod tests {
         let sink = StderrProgress::new("test", 2);
         sink.run_started(3, 1);
         for job in 0..3 {
-            sink.job_finished(&JobRecord {
-                job,
-                seed: 0,
-                worker: 0,
-                micros: 1,
-            });
+            sink.job_finished(&JobRecord { job, micros: 1 });
         }
         sink.run_finished(&RunSummary {
             jobs: 3,

@@ -9,42 +9,26 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Runs the same job function over `jobs` at a given thread count and
-/// returns `(value, seed)` pairs in merged output order.
-fn run_at<T: Send + Clone>(
-    threads: usize,
-    base_seed: u64,
-    jobs: &[u64],
-    job_fn: impl Fn(u64, u64) -> T + Sync,
-) -> Vec<(T, u64)> {
+/// returns the values in merged output order.
+fn run_at<T: Send>(threads: usize, jobs: &[u64], job_fn: impl Fn(u64) -> T + Sync) -> Vec<T> {
     Engine::new(threads)
-        .with_base_seed(base_seed)
-        .run(
-            jobs,
-            |_| (),
-            |_, ctx, &job| job_fn(job, ctx.seed),
-            &NullSink,
-        )
+        .run(jobs, |_| (), |_, _, &job| job_fn(job), &NullSink)
         .expect("no panics")
-        .into_iter()
-        .map(|o| (o.value, o.seed))
-        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The satellite's headline property: for any worklist and base seed, the
-    /// merged output (values *and* derived seeds) is identical across 1, 2,
-    /// and 8 threads.
+    /// The executor's headline property: for any worklist, the merged
+    /// values are identical across 1, 2, and 8 threads.
     #[test]
     fn results_identical_across_thread_counts(
         jobs in proptest::collection::vec(0u64..1_000_000, 0..40),
-        base_seed in 0u64..1000,
     ) {
-        let job_fn = |job: u64, seed: u64| job.wrapping_mul(31).wrapping_add(seed);
-        let serial = run_at(1, base_seed, &jobs, job_fn);
-        let two = run_at(2, base_seed, &jobs, job_fn);
-        let eight = run_at(8, base_seed, &jobs, job_fn);
+        let job_fn = |job: u64| job.wrapping_mul(31);
+        let serial = run_at(1, &jobs, job_fn);
+        let two = run_at(2, &jobs, job_fn);
+        let eight = run_at(8, &jobs, job_fn);
         prop_assert_eq!(&serial, &two);
         prop_assert_eq!(&serial, &eight);
     }
@@ -61,7 +45,8 @@ fn skewed_durations_steal_and_merge_in_order() {
     // executor would hide the bug (its chunk would be claimed first anyway).
     let jobs: Vec<u64> = (0..31).collect();
     let executions = AtomicUsize::new(0);
-    let outputs = Engine::new(4)
+    let sink = RecordingSink::default();
+    let values = Engine::new(4)
         .run(
             &jobs,
             |_| (),
@@ -72,15 +57,16 @@ fn skewed_durations_steal_and_merge_in_order() {
                 }
                 job * 10
             },
-            &NullSink,
+            &sink,
         )
         .expect("no panics");
     assert_eq!(executions.load(Ordering::Relaxed), 31);
-    let values: Vec<u64> = outputs.iter().map(|o| o.value).collect();
     assert_eq!(values, (0..31).map(|j| j * 10).collect::<Vec<_>>());
-    // The slow job's timing is visible in its output record.
-    assert!(outputs[0].duration >= Duration::from_millis(50));
-    assert!(outputs[1].duration < Duration::from_millis(50));
+    // The slow job's timing is visible in the record its sink was handed.
+    let mut records = sink.records.into_inner().expect("sink poisoned");
+    records.sort_unstable_by_key(|r| r.job);
+    assert!(records[0].micros >= 50_000);
+    assert!(records[1].micros < 50_000);
 }
 
 /// Regression test for the seed's `expect("no worker panicked holding the
@@ -89,7 +75,7 @@ fn skewed_durations_steal_and_merge_in_order() {
 #[test]
 fn job_panic_reports_identity_and_payload() {
     let jobs: Vec<u64> = (0..20).collect();
-    let result = Engine::new(4).with_base_seed(3).run(
+    let result = Engine::new(4).run(
         &jobs,
         |_| (),
         |_, _, &job| {
@@ -101,11 +87,10 @@ fn job_panic_reports_identity_and_payload() {
         &NullSink,
     );
     match result {
-        Err(EngineError::JobPanicked { id, seed, payload }) => {
+        Err(EngineError::JobPanicked { id, payload }) => {
             assert_eq!(id, JobId(7));
-            assert_eq!(seed, JobId(7).derive_seed(3));
             assert!(payload.contains("invalid routing on instance 7"));
-            let rendered = EngineError::JobPanicked { id, seed, payload }.to_string();
+            let rendered = EngineError::JobPanicked { id, payload }.to_string();
             assert!(rendered.contains("job #7"), "got: {rendered}");
         }
         other => panic!("expected a job panic, got {other:?}"),
@@ -164,7 +149,7 @@ fn worker_state_is_built_once_per_worker_and_reused() {
     // all outputs must cover 1..=k for each worker's share, summing to 64.
     let total_jobs: usize = outputs
         .iter()
-        .map(|o| o.value.1)
+        .map(|&(_, seen)| seen)
         .filter(|&seen| seen == 1)
         .count();
     assert!(total_jobs <= 2, "at most one counter reset per worker");
@@ -188,14 +173,13 @@ impl ProgressSink for RecordingSink {
     }
 }
 
-/// A sink observes every job exactly once, with the seed derived from its
-/// id, even though completion order is schedule-dependent.
+/// A sink observes every job exactly once, even though completion order is
+/// schedule-dependent.
 #[test]
 fn timing_sink_sees_every_job() {
     let jobs: Vec<u64> = (0..40).collect();
     let sink = RecordingSink::default();
     Engine::new(4)
-        .with_base_seed(11)
         .run(&jobs, |_| (), |_, _, &job| job, &sink)
         .expect("no panics");
     let summary = sink
@@ -209,6 +193,10 @@ fn timing_sink_sees_every_job() {
     assert_eq!(records.len(), 40);
     for (index, record) in records.iter().enumerate() {
         assert_eq!(record.job, index);
-        assert_eq!(record.seed, JobId(index).derive_seed(11));
     }
+    // The summary's busy time is the sum of the per-job times.
+    assert_eq!(
+        summary.busy_micros,
+        records.iter().map(|r| r.micros).sum::<u64>()
+    );
 }

@@ -87,9 +87,8 @@ impl ZobristKeys {
     }
 }
 
-/// The SplitMix64 output function (Steele, Lea, Flood) — the same finaliser
-/// the engine uses for per-job seeds; avalanche-complete, so sequential
-/// inputs give independent-looking keys.
+/// The SplitMix64 output function (Steele, Lea, Flood): avalanche-complete,
+/// so sequential inputs give independent-looking keys.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -70,22 +70,6 @@ pub fn grid_graph(rows: usize, cols: usize) -> Graph {
     g
 }
 
-/// Erdős–Rényi `G(n, p)` random graph from the provided RNG.
-///
-/// Edge probability `p` is clamped to `[0, 1]`.
-pub fn gnp_random_graph<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
-    let p = p.clamp(0.0, 1.0);
-    let mut g = Graph::with_nodes(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if rng.gen_bool(p) {
-                g.add_edge(a, b);
-            }
-        }
-    }
-    g
-}
-
 /// Random connected graph: a random spanning tree plus extra random edges.
 ///
 /// Useful for property tests that need arbitrary but connected coupling
@@ -171,15 +155,6 @@ mod tests {
         // Degenerate shapes.
         assert_eq!(grid_graph(1, 4).edge_count(), 3);
         assert_eq!(grid_graph(0, 4).node_count(), 0);
-    }
-
-    #[test]
-    fn gnp_extremes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let empty = gnp_random_graph(6, 0.0, &mut rng);
-        assert_eq!(empty.edge_count(), 0);
-        let full = gnp_random_graph(6, 1.0, &mut rng);
-        assert_eq!(full.edge_count(), 15);
     }
 
     #[test]

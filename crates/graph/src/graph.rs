@@ -217,11 +217,6 @@ impl Graph {
         degs
     }
 
-    /// Number of nodes whose degree is at least `d`.
-    pub fn count_nodes_with_degree_at_least(&self, d: usize) -> usize {
-        self.adjacency.iter().filter(|nbrs| nbrs.len() >= d).count()
-    }
-
     /// Returns `true` if the graph is connected (the empty graph is connected).
     pub fn is_connected(&self) -> bool {
         if self.node_count() <= 1 {
@@ -249,25 +244,6 @@ impl Graph {
             }
         }
         (g, old_ids)
-    }
-
-    /// Relabels the graph nodes through `perm`, where `perm[old] == new`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..node_count()`.
-    pub fn relabeled(&self, perm: &[NodeId]) -> Graph {
-        assert_eq!(perm.len(), self.node_count(), "permutation length mismatch");
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            assert!(p < perm.len() && !seen[p], "not a permutation");
-            seen[p] = true;
-        }
-        let mut g = Graph::with_nodes(self.node_count());
-        for e in self.edges() {
-            g.add_edge(perm[e.u], perm[e.v]);
-        }
-        g
     }
 }
 
@@ -372,8 +348,6 @@ mod tests {
         let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
         assert_eq!(g.degree_sequence(), vec![3, 1, 1, 1]);
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.count_nodes_with_degree_at_least(2), 1);
-        assert_eq!(g.count_nodes_with_degree_at_least(1), 4);
     }
 
     #[test]
@@ -393,23 +367,6 @@ mod tests {
         let (sub, ids) = g.induced_subgraph(&[2, 2, 3]);
         assert_eq!(ids, vec![2, 3]);
         assert_eq!(sub.edge_count(), 1);
-    }
-
-    #[test]
-    fn relabeled_preserves_structure() {
-        let g = path4();
-        let relabeled = g.relabeled(&[3, 2, 1, 0]);
-        assert_eq!(relabeled.edge_count(), 3);
-        assert!(relabeled.has_edge(3, 2));
-        assert!(relabeled.has_edge(2, 1));
-        assert!(relabeled.has_edge(1, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn relabeled_rejects_non_permutation() {
-        let g = path4();
-        let _ = g.relabeled(&[0, 0, 1, 2]);
     }
 
     #[test]

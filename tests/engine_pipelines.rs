@@ -25,10 +25,10 @@ fn suite_instance_seeds_are_engine_schedulable() {
         .flat_map(|c| (0..config.circuits_per_count).map(move |i| (c, i)))
         .collect();
     let seeds = Engine::new(4)
-        .run_values(
+        .run(
             &jobs,
             |_| (),
-            |(), _ctx, &(count_index, instance)| config.instance_seed(count_index, instance),
+            |(), _deadline, &(count_index, instance)| config.instance_seed(count_index, instance),
             &NullSink,
         )
         .expect("no panics");
