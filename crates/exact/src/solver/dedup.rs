@@ -22,6 +22,9 @@
 //!   canonicalizer are keyed by a context-qualified hash so they can never
 //!   answer an unrestricted probe (see `super::SearchCore::expand` for the
 //!   argument).
+//! * The table is keyed by the Zobrist value itself ([`IdentityHasher`]):
+//!   the keys are already uniform 64-bit values, so hashing them again
+//!   (std's SipHash) would only add cost per probe.
 //! * Key collisions are the standard Zobrist caveat: with 64-bit hashes and
 //!   the 20M-node default budget the birthday bound is ≈ 2·10⁻⁵ per solve —
 //!   the same trade every transposition-table search (and OLSQ2's own hashed
@@ -29,6 +32,7 @@
 //!   double-check the answers.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Deterministic per-(location, program) and per-node Zobrist key tables.
 ///
@@ -96,9 +100,30 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A [`Hasher`] that passes a `u64` key through unchanged: Zobrist hashes
+/// are uniform already, so the table uses them as their own hash. They are
+/// XORs of [`ZobristKeys`] from a fixed seed, never outside input, so no
+/// caller can pick keys that collide.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the transposition table hashes only u64 keys")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// Hash → largest `swaps_left` with which the state was exhaustively refuted.
 pub(crate) struct TranspositionTable {
-    entries: HashMap<u64, u8>,
+    entries: HashMap<u64, u8, BuildHasherDefault<IdentityHasher>>,
 }
 
 /// Hard cap on stored entries (≈ 4.2M), bounding worst-case table memory at
@@ -112,7 +137,7 @@ impl TranspositionTable {
     /// Creates an empty table.
     pub(crate) fn new() -> Self {
         TranspositionTable {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
         }
     }
 

@@ -25,8 +25,13 @@
 //! (no per-branch clones), deduplicates states through the Zobrist-hashed
 //! transposition table in `dedup`, canonicalizes SWAP sequences (no
 //! immediate reversals; consecutive independent SWAPs in coupler-index
-//! order), and prunes with the packing lower bound in `prune`. The
-//! [`DependencyDag`] and all scratch are built **once per
+//! order), and prunes with the packing lower bound in `prune`. Placement
+//! children are refuted from the gates the move touches before they are
+//! built: every node's state passes the bound at its own budget, so a
+//! placement that adds no positive deficit skips the full check, and one
+//! whose new deficit alone exceeds the budget is never built (see
+//! `prune`). The [`DependencyDag`], each qubit's gate partners and all
+//! scratch are built **once per
 //! [`ExactSolver::solve`]** and shared by every deepening iteration — the
 //! transposition table included, since "state `S` cannot finish with `s`
 //! SWAPs left" is a statement independent of the query that discovered it.
@@ -70,7 +75,7 @@ pub(crate) mod state;
 
 use crate::lower_bound::swap_lower_bound;
 use dedup::{TranspositionTable, ZobristKeys};
-use prune::{exceeds_swap_budget, PruneScratch};
+use prune::{exceeds_swap_budget, new_deficit, placement_verdict, PlacementVerdict, PruneScratch};
 use qubikos_arch::Architecture;
 use qubikos_circuit::{Circuit, DependencyDag};
 use qubikos_graph::Edge;
@@ -306,6 +311,10 @@ struct SearchCore<'a> {
     tt: TranspositionTable,
     state: SearchState,
     scratch: PruneScratch,
+    /// Program qubit → the distinct qubits it shares a gate with.
+    partners: Vec<Vec<usize>>,
+    /// Stack of placed-partner locations, one frame per open ready gate.
+    partner_locs: Vec<usize>,
     budget: u64,
     /// Nodes expanded by the current query.
     nodes: u64,
@@ -335,6 +344,16 @@ impl<'a> SearchCore<'a> {
         let keys = ZobristKeys::new(arch.num_qubits(), couplers.len(), num_program, dag.len());
         let state = SearchState::new(&dag, arch.num_qubits(), num_program);
         let scratch = PruneScratch::new(num_program);
+        let mut partners = vec![Vec::new(); num_program];
+        for node in 0..dag.len() {
+            let (a, b) = dag.qubit_pair(node);
+            partners[a].push(b);
+            partners[b].push(a);
+        }
+        for list in &mut partners {
+            list.sort_unstable();
+            list.dedup();
+        }
         SearchCore {
             arch,
             dag,
@@ -343,6 +362,8 @@ impl<'a> SearchCore<'a> {
             tt: TranspositionTable::new(),
             state,
             scratch,
+            partners,
+            partner_locs: Vec::with_capacity(64),
             budget,
             nodes: 0,
             deadline,
@@ -416,55 +437,30 @@ impl<'a> SearchCore<'a> {
 
         // Branch 1: execute a ready gate by placing its unplaced qubit(s).
         // The undo journal restores the ready vector's exact order after
-        // every child, so iterating by index is sound.
-        let arch = self.arch;
+        // every child, so iterating by index is sound. Each child is judged
+        // from its placed qubits' partners before it is built (see
+        // [`prune`]); the partners' locations sit on a stack shared by every
+        // depth, which children push above and truncate back.
         for i in 0..self.state.ready_len() {
             let node = self.state.ready_at(i);
             let (a, b) = self.dag.qubit_pair(node);
             let (pa, pb) = (self.state.position(a), self.state.position(b));
-            match (pa == UNPLACED, pb == UNPLACED) {
-                (false, false) => continue, // needs SWAPs, not placement
-                (true, false) => {
-                    for &loc in arch.neighbors(pb) {
-                        if self.state.occupant(loc) != UNPLACED {
-                            continue;
-                        }
-                        match self.place_execute(node, &[(a, loc)], swaps_left) {
-                            Feasibility::Feasible => return Feasibility::Feasible,
-                            Feasibility::Unknown => return Feasibility::Unknown,
-                            Feasibility::Infeasible => {}
-                        }
-                    }
-                }
-                (false, true) => {
-                    for &loc in arch.neighbors(pa) {
-                        if self.state.occupant(loc) != UNPLACED {
-                            continue;
-                        }
-                        match self.place_execute(node, &[(b, loc)], swaps_left) {
-                            Feasibility::Feasible => return Feasibility::Feasible,
-                            Feasibility::Unknown => return Feasibility::Unknown,
-                            Feasibility::Infeasible => {}
-                        }
-                    }
-                }
-                (true, true) => {
-                    for ci in 0..self.couplers.len() {
-                        let edge = self.couplers[ci];
-                        for (la, lb) in [(edge.u, edge.v), (edge.v, edge.u)] {
-                            if self.state.occupant(la) != UNPLACED
-                                || self.state.occupant(lb) != UNPLACED
-                            {
-                                continue;
-                            }
-                            match self.place_execute(node, &[(a, la), (b, lb)], swaps_left) {
-                                Feasibility::Feasible => return Feasibility::Feasible,
-                                Feasibility::Unknown => return Feasibility::Unknown,
-                                Feasibility::Infeasible => {}
-                            }
-                        }
-                    }
-                }
+            if pa != UNPLACED && pb != UNPLACED {
+                continue; // needs SWAPs, not placement
+            }
+            let base = self.partner_locs.len();
+            self.push_placed_partners(a);
+            let mid = self.partner_locs.len();
+            self.push_placed_partners(b);
+            let result = if pa == UNPLACED && pb == UNPLACED {
+                self.place_pair(node, (a, b), swaps_left, base, mid)
+            } else {
+                let (q, anchor) = if pa == UNPLACED { (a, pb) } else { (b, pa) };
+                self.place_next_to(node, q, anchor, swaps_left, base)
+            };
+            self.partner_locs.truncate(base);
+            if result != Feasibility::Infeasible {
+                return result;
             }
         }
 
@@ -526,29 +522,119 @@ impl<'a> SearchCore<'a> {
         Feasibility::Infeasible
     }
 
-    /// Applies `placements`, executes `node`, bound-checks the child, and —
-    /// unless the packing bound already refutes it — recurses; rewinds
-    /// either way.
+    /// Branches over every free neighbour of `anchor` (the location of
+    /// `node`'s placed qubit) for `node`'s unplaced qubit `q`, whose placed
+    /// partners' locations are `partner_locs[base..]`.
+    fn place_next_to(
+        &mut self,
+        node: usize,
+        q: usize,
+        anchor: usize,
+        swaps_left: usize,
+        base: usize,
+    ) -> Feasibility {
+        let arch = self.arch;
+        let end = self.partner_locs.len();
+        for &loc in arch.neighbors(anchor) {
+            if self.state.occupant(loc) != UNPLACED {
+                continue;
+            }
+            let added = new_deficit(arch, loc, &self.partner_locs[base..end]);
+            let result = self.place_execute(node, &[(q, loc)], swaps_left, added);
+            if result != Feasibility::Infeasible {
+                return result;
+            }
+        }
+        Feasibility::Infeasible
+    }
+
+    /// Branches over every coupler orientation for `node`'s two unplaced
+    /// qubits; the placed partners' locations of `a` are
+    /// `partner_locs[base..mid]` and those of `b` are `partner_locs[mid..]`.
+    fn place_pair(
+        &mut self,
+        node: usize,
+        (a, b): (usize, usize),
+        swaps_left: usize,
+        base: usize,
+        mid: usize,
+    ) -> Feasibility {
+        let arch = self.arch;
+        let end = self.partner_locs.len();
+        for ci in 0..self.couplers.len() {
+            let edge = self.couplers[ci];
+            for (la, lb) in [(edge.u, edge.v), (edge.v, edge.u)] {
+                if self.state.occupant(la) != UNPLACED || self.state.occupant(lb) != UNPLACED {
+                    continue;
+                }
+                let added_a = new_deficit(arch, la, &self.partner_locs[base..mid]);
+                let added_b = new_deficit(arch, lb, &self.partner_locs[mid..end]);
+                let added = added_a.max(added_b);
+                let result = self.place_execute(node, &[(a, la), (b, lb)], swaps_left, added);
+                if result != Feasibility::Infeasible {
+                    return result;
+                }
+            }
+        }
+        Feasibility::Infeasible
+    }
+
+    /// Pushes the locations of `q`'s placed partners onto `partner_locs`,
+    /// unless `q` itself is placed.
+    fn push_placed_partners(&mut self, q: usize) {
+        if self.state.position(q) != UNPLACED {
+            return;
+        }
+        for &p in &self.partners[q] {
+            let loc = self.state.position(p);
+            if loc != UNPLACED {
+                self.partner_locs.push(loc);
+            }
+        }
+    }
+
+    /// Applies `placements`, executes `node`, and recurses unless the
+    /// packing bound refutes the child. `added_deficit` is the largest
+    /// deficit the placements add ([`new_deficit`]): a child it refutes is
+    /// never built, and a child that adds none skips the full check.
     fn place_execute(
         &mut self,
         node: usize,
         placements: &[(usize, usize)],
         swaps_left: usize,
+        added_deficit: usize,
     ) -> Feasibility {
+        let verdict = placement_verdict(added_deficit, swaps_left);
+        if verdict == PlacementVerdict::Refuted {
+            return Feasibility::Infeasible;
+        }
         let mark = self.state.mark();
         for &(q, loc) in placements {
             self.state.place(&self.keys, q, loc);
         }
         self.state.execute(&self.keys, &self.dag, node);
+        debug_assert!(
+            verdict != PlacementVerdict::Unchanged
+                || !exceeds_swap_budget(
+                    &mut self.scratch,
+                    &self.state,
+                    &self.dag,
+                    self.arch,
+                    swaps_left
+                ),
+            "a child without new deficits must pass where its parent passed"
+        );
         let result = if self.state.executed_count() == self.dag.len() {
             Feasibility::Feasible
-        } else if exceeds_swap_budget(
-            &mut self.scratch,
-            &self.state,
-            &self.dag,
-            self.arch,
-            swaps_left,
-        ) {
+        } else if verdict == PlacementVerdict::NeedsFullCheck
+            && exceeds_swap_budget(
+                &mut self.scratch,
+                &self.state,
+                &self.dag,
+                self.arch,
+                swaps_left,
+            )
+        {
             Feasibility::Infeasible
         } else {
             self.dfs(swaps_left, None)
