@@ -29,7 +29,7 @@ use crate::optimality::{
 };
 use crate::report::{
     render_ablations, render_aggregate, render_analytics, render_case_study,
-    render_composition_matrix, render_evaluation, render_optimality,
+    render_composition_matrix, render_evaluation, render_exact_wall_clock, render_optimality,
 };
 use crate::store::{ExportOptions, SuiteStore};
 use qubikos_arch::DeviceKind;
@@ -781,6 +781,9 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
 /// Prints an optimality report and maps it to the command's exit code.
 fn optimality_outcome(report: &OptimalityReport) -> CommandOutcome {
     out!("{}", render_optimality(report));
+    if let Some(line) = render_exact_wall_clock(report) {
+        eprintln!("{line}");
+    }
     if report.failures > 0 {
         eprintln!("ERROR: {} circuits failed verification", report.failures);
     }

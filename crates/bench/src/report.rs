@@ -60,7 +60,8 @@ pub fn render_aggregate(aggregate: &[(ToolKind, f64)]) -> String {
 
 /// Renders the §IV-A optimality-study summary: the headline line plus the
 /// exact solver's per-`k` budget breakdown, so the study output shows where
-/// the search nodes and wall-clock went.
+/// the search nodes went. Every figure in it repeats from run to run and at
+/// any thread count; the wall-clock goes to [`render_exact_wall_clock`].
 pub fn render_optimality(report: &OptimalityReport) -> String {
     let mut out = format!(
         "optimality study: {} circuits, {} certified, {} exhaustively confirmed, {} over exact budget, {} failures\n",
@@ -78,12 +79,7 @@ pub fn render_optimality(report: &OptimalityReport) -> String {
         );
     }
     if report.exact_nodes > 0 {
-        let _ = writeln!(
-            out,
-            "exact solver: {} nodes, {:.1} ms wall-clock (summed over jobs)",
-            report.exact_nodes,
-            report.exact_wall_micros as f64 / 1e3
-        );
+        let _ = writeln!(out, "exact solver: {} nodes", report.exact_nodes);
         for entry in &report.exact_nodes_by_k {
             let _ = writeln!(
                 out,
@@ -93,6 +89,18 @@ pub fn render_optimality(report: &OptimalityReport) -> String {
         }
     }
     out
+}
+
+/// Renders the exact solver's wall-clock, summed over jobs, as one line
+/// for stderr: a timing differs between two runs, so it stays out of the
+/// report that [`render_optimality`] prints. `None` when no exact search ran.
+pub fn render_exact_wall_clock(report: &OptimalityReport) -> Option<String> {
+    (report.exact_nodes > 0).then(|| {
+        format!(
+            "exact solver: {:.1} ms wall-clock (summed over jobs)",
+            report.exact_wall_micros as f64 / 1e3
+        )
+    })
 }
 
 /// Renders the §IV-C case-study comparison.
@@ -342,7 +350,10 @@ mod tests {
         assert!(text.contains("1500 nodes"));
         assert!(text.contains("k=1: 5 queries, 500 nodes"));
         assert!(text.contains("k=2: 3 queries, 1000 nodes"));
-        assert!(text.contains("2.5 ms"));
+        assert!(
+            !text.contains("wall-clock (summed"),
+            "timing belongs on stderr"
+        );
         let text = render_case_study(&CaseStudyOutcome {
             device: DeviceKind::Aspen4,
             circuits: 4,
@@ -354,6 +365,19 @@ mod tests {
         });
         assert!(text.contains("uniform lookahead"));
         assert!(text.contains("decay 0.7"));
+    }
+
+    #[test]
+    fn exact_wall_clock_renders_for_stderr() {
+        let report = OptimalityReport {
+            exact_nodes: 1500,
+            exact_wall_micros: 2500,
+            ..OptimalityReport::default()
+        };
+        let line = render_exact_wall_clock(&report).expect("exact search ran");
+        assert_eq!(line, "exact solver: 2.5 ms wall-clock (summed over jobs)");
+        let idle = OptimalityReport::default();
+        assert_eq!(render_exact_wall_clock(&idle), None);
     }
 
     #[test]
