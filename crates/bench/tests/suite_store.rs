@@ -3,8 +3,9 @@
 //! result cache turns a repeated run into pure cache hits (zero circuits
 //! routed), which is what lets interrupted or sharded runs resume.
 
-use qubikos::SuiteConfig;
+use qubikos::{content_hash, SuiteConfig};
 use qubikos_arch::DeviceKind;
+use qubikos_bench::analytics::{run_suite_analytics_with_sink, AnalyticsConfig};
 use qubikos_bench::evaluation::{
     run_suite_evaluation_with_sink, run_tool_evaluation, EvaluationConfig, SuiteEvalConfig,
     DEFAULT_TOOL_SEED,
@@ -285,4 +286,43 @@ fn cache_entries_are_pinned_byte_for_byte() {
   "wall_micros": _
 }"#
     );
+}
+
+/// The stored corpus and the `analytics --json` report, byte for byte: the
+/// content hashes of a tiny export's root index, first shard manifest and
+/// first metadata sidecar, and of the analytics report's pretty JSON (the
+/// bytes `qubikos analytics --json` writes) after a full evaluation.
+#[test]
+fn stored_formats_are_pinned_by_content_hash() {
+    let dir = TempDir::new("format-bytes");
+    let store = SuiteStore::export(&dir.0, DeviceKind::Grid3x3, &tiny_suite(), 2, &NullSink)
+        .expect("export");
+    let hash_of =
+        |rel: &str| content_hash(&std::fs::read_to_string(dir.0.join(rel)).expect("stored file"));
+    let sidecar = store.shard_records(0).expect("shard 0")[0]
+        .file
+        .replace(".qasm", ".json");
+    assert_eq!(
+        [
+            hash_of("manifest.json"),
+            hash_of("shards/shard_00000.json"),
+            hash_of(&sidecar),
+        ],
+        [
+            "1a718f53684cacab88d658c4e4f4ec29",
+            "b673bdc013d85474b23788ebc086caeb",
+            "8e21c886c6907f96697d8ddb5fe00980",
+        ]
+    );
+
+    run_suite_evaluation_with_sink(
+        &store,
+        &SuiteEvalConfig::default().with_threads(2),
+        &NullSink,
+    )
+    .expect("eval");
+    let report = run_suite_analytics_with_sink(&store, &AnalyticsConfig::default(), &NullSink)
+        .expect("analytics");
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    assert_eq!(content_hash(&json), "fec266434572bd9b1c3beab27df54e12");
 }
