@@ -1,7 +1,6 @@
 //! The [`Architecture`] type.
 
 use qubikos_graph::{DistanceMatrix, Edge, Graph, NodeId, OracleStats};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -230,27 +229,6 @@ impl PartialEq for Architecture {
 
 impl Eq for Architecture {}
 
-/// Serializes as `{name, coupling}`; the distance table and coupler lists
-/// (derived data) are rebuilt on deserialization. Any other field, such as
-/// the `oracle` kind older files carry, is ignored.
-impl Serialize for Architecture {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".to_string(), self.name.serialize_value()),
-            ("coupling".to_string(), self.coupling.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for Architecture {
-    fn deserialize_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let name = String::deserialize_value(value.object_field("name")?)?;
-        let coupling = Graph::deserialize_value(value.object_field("coupling")?)?;
-        Architecture::new(name, coupling)
-            .map_err(|e| serde::Error::new(format!("invalid architecture: {e}")))
-    }
-}
-
 impl fmt::Display for Architecture {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -382,30 +360,5 @@ mod tests {
         let arch = Architecture::new("one", Graph::with_nodes(1)).expect("single qubit ok");
         assert_eq!(arch.num_qubits(), 1);
         assert_eq!(arch.diameter(), 0);
-    }
-
-    #[test]
-    fn serde_round_trips_and_ignores_legacy_oracle_field() {
-        let arch = Architecture::new("rt", generators::grid_graph(3, 3)).expect("ok");
-        let json = serde_json::to_string(&arch).expect("serialize");
-        assert!(!json.contains("oracle"), "{json}");
-        let back: Architecture = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, arch);
-        assert_eq!(back.distance(0, 8), 4);
-
-        // Files written before the dense table became the only
-        // representation still name an oracle kind; it is ignored.
-        let legacy = json.replacen('{', r#"{"oracle":"Sparse","#, 1);
-        let back: Architecture = serde_json::from_str(&legacy).expect("deserialize legacy");
-        assert_eq!(back, arch);
-        assert_eq!(back.distance(0, 8), 4);
-    }
-
-    #[test]
-    fn deserialize_rejects_invalid_coupling() {
-        let err = serde_json::from_str::<Architecture>(
-            r#"{"name":"bad","coupling":{"adjacency":[]},"oracle":"Dense"}"#,
-        );
-        assert!(err.is_err());
     }
 }

@@ -23,8 +23,9 @@ use std::fmt;
 
 /// The devices used by the paper's experiments, as an enumerable handle.
 ///
-/// Having an enum (rather than only free functions) lets experiment configs
-/// be serialized and iterated (`DeviceKind::ALL`).
+/// Having an enum (rather than only free functions) lets a stored suite's
+/// manifest name its device and lets experiments iterate the devices
+/// (`DeviceKind::ALL`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeviceKind {
     /// 3×3 grid used in the optimality study.

@@ -29,10 +29,10 @@ use qubikos_engine::{ProgressSink, AUTO_THREADS};
 use qubikos_layout::{
     DecaySpec, LookaheadSpec, PlacementSpec, RouterSpec, SearchSpec, TieBreakerSpec, WeightsSpec,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the ablation sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationConfig {
     /// Device the sweeps run on.
     pub device: DeviceKind,
@@ -111,7 +111,7 @@ impl AblationConfig {
 }
 
 /// One sweep point: a parameter value and the mean SWAP ratio it produced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AblationPoint {
     /// The swept parameter's value (trial count, extended-set size, or gate
     /// budget, depending on the sweep).
@@ -121,7 +121,7 @@ pub struct AblationPoint {
 }
 
 /// All three ablation sweeps of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationReport {
     /// Device the sweeps ran on.
     pub device: DeviceKind,
@@ -246,7 +246,7 @@ fn lightsabre_with_trials(trials: usize) -> RouterSpec {
 /// grid point whose axes cannot change routing behaviour (an A* search
 /// paired with a decay schedule, a zero-increment decay, …) collapses onto
 /// its canonical spec and is enumerated once.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositionGrid {
     /// Search engines to cross.
     pub searches: Vec<SearchSpec>,
@@ -393,7 +393,7 @@ impl CompositionGrid {
 }
 
 /// Configuration of one composition-matrix run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixConfig {
     /// The grid to enumerate.
     pub grid: CompositionGrid,
@@ -443,7 +443,7 @@ impl MatrixConfig {
 }
 
 /// One ranked row of the matrix report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompositionSummary {
     /// The composition's stable identity (also its cache namespace).
     pub id: String,
@@ -467,7 +467,7 @@ pub struct CompositionSummary {
 
 /// The ranked composition matrix: one row per composition, best mean gap
 /// first (ties broken by id, so the ranking is total and reproducible).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MatrixReport {
     /// Device the stored suite targets.
     pub device: DeviceKind,
@@ -479,7 +479,7 @@ pub struct MatrixReport {
 
 /// Result of a matrix run: the ranked report plus how much work the
 /// per-composition cache saved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixOutcome {
     /// The ranked report.
     pub report: MatrixReport,

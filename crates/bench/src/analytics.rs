@@ -24,7 +24,7 @@ use qubikos::InstanceRecord;
 use qubikos_arch::DeviceKind;
 use qubikos_engine::{Engine, JobKey, ProgressSink, AUTO_THREADS};
 use qubikos_layout::ToolKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Upper edges of the gap-distribution buckets (a gap `g` lands in the
 /// first bucket with `g <= edge`, up to a small epsilon; gaps above the
@@ -46,7 +46,7 @@ pub fn gap_bucket(gap: f64) -> usize {
 }
 
 /// Configuration of an analytics pass over a stored suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticsConfig {
     /// Tools to summarize (cache entries of other tools are ignored).
     pub tools: Vec<ToolKind>,
@@ -81,7 +81,7 @@ impl AnalyticsConfig {
 
 /// One point of a tool's scaling curve: aggregate SWAPs at one designed
 /// SWAP count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScalingPoint {
     /// Designed (optimal) SWAP count.
     pub designed: usize,
@@ -94,7 +94,7 @@ pub struct ScalingPoint {
 
 /// One tool's accumulators within a [`ShardSummary`]. Integer-only, so
 /// merging is exact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ToolSummary {
     /// The tool.
     pub tool: ToolKind,
@@ -186,7 +186,7 @@ impl ToolSummary {
 
 /// The associative per-shard fold state: integer accumulators only, merged
 /// across shards without ever revisiting one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ShardSummary {
     /// Instances seen.
     pub instances: u64,
@@ -251,7 +251,7 @@ impl ShardSummary {
 
 /// The full analytics report: the merged summary plus the corpus identity
 /// it was computed over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalyticsReport {
     /// Device the corpus targets.
     pub device: DeviceKind,

@@ -17,10 +17,9 @@ use qubikos::{generate_suite, GenerateError, SuiteConfig};
 use qubikos_arch::DeviceKind;
 use qubikos_engine::ProgressSink;
 use qubikos_layout::{LookaheadSpec, RouterSpec};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the case study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseStudyConfig {
     /// Device the study runs on.
     pub device: DeviceKind,
@@ -48,7 +47,7 @@ impl CaseStudyConfig {
 }
 
 /// Result of the case study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseStudyOutcome {
     /// Device the study ran on.
     pub device: DeviceKind,

@@ -37,7 +37,7 @@ use std::time::Instant;
 pub const DEFAULT_TOOL_SEED: u64 = 7;
 
 /// Configuration of one tool-evaluation run (one subfigure of Figure 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluationConfig {
     /// Device under evaluation.
     pub device: DeviceKind,
@@ -84,7 +84,7 @@ impl EvaluationConfig {
 }
 
 /// Average results of one (tool, designed SWAP count) cell of Figure 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvaluationCell {
     /// The tool evaluated.
     pub tool: ToolKind,
@@ -104,7 +104,7 @@ pub struct EvaluationCell {
 }
 
 /// All cells of one device's evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvaluationReport {
     /// Device the report was produced on.
     pub device: DeviceKind,
@@ -179,7 +179,7 @@ pub fn run_tool_evaluation(
 
 /// Configuration of a suite-backed evaluation: everything *except* the suite
 /// itself, which comes from the store's manifest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteEvalConfig {
     /// Tools to evaluate.
     pub tools: Vec<ToolKind>,
@@ -228,7 +228,7 @@ pub struct CachedRouting {
 
 /// Result of a suite-backed evaluation: the report plus how much work the
 /// cache saved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteEvalOutcome {
     /// The evaluation report (bit-identical to the in-memory pipeline's
     /// report for the same suite).

@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Configuration of the optimality study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimalityConfig {
     /// Devices to study (the paper uses Aspen-4 and the 3×3 grid).
     pub devices: Vec<DeviceKind>,
@@ -132,7 +132,7 @@ impl OptimalityConfig {
 }
 
 /// Exact-solver node counts aggregated over one queried SWAP budget `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactNodesAtK {
     /// The queried SWAP budget.
     pub swaps: usize,
@@ -147,7 +147,7 @@ pub struct ExactNodesAtK {
 /// `exact_wall_micros` is excluded from equality: the report is otherwise
 /// bit-identical across thread counts (and asserted so in tests), but
 /// wall-clock never is.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimalityReport {
     /// Total circuits generated.
     pub circuits: usize,

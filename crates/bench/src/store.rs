@@ -44,9 +44,8 @@
 //! contents are pure functions of the config, a resumed export produces a
 //! root index byte-identical to an uninterrupted one.
 //!
-//! A legacy (format 1) monolithic `manifest.json` opens transparently as a
-//! single-shard corpus — every streaming consumer works unchanged, with the
-//! whole suite as shard 0.
+//! Only format 2 opens: a format-1 monolithic `manifest.json`, written
+//! before sharding, is rejected with [`StoreError::FormatVersion`].
 //!
 //! The `results/` cache keys each stored outcome by
 //! ([`JobKey`]: tool namespace, circuit content hash), so re-running an
@@ -83,8 +82,7 @@ use crate::vfs::{RealVfs, RetryPolicy, Vfs};
 use qubikos::{
     content_hash, generate, generate_suite, instance_file_name, shard_file_name, shard_spans,
     ExperimentPoint, GenerateError, GeneratorConfig, InstanceRecord, RootIndex, ShardManifest,
-    ShardRecord, SuiteConfig, SuiteManifest, DEFAULT_SHARD_SIZE, MANIFEST_FILE, MANIFEST_FORMAT,
-    SHARD_DIR, V1_MANIFEST_FORMAT,
+    ShardRecord, SuiteConfig, DEFAULT_SHARD_SIZE, MANIFEST_FILE, MANIFEST_FORMAT, SHARD_DIR,
 };
 use qubikos_arch::DeviceKind;
 use qubikos_circuit::{parse_qasm, to_qasm};
@@ -174,7 +172,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::FormatVersion { found } => write!(
                 f,
-                "manifest format {found} is not supported (expected {MANIFEST_FORMAT} or {V1_MANIFEST_FORMAT})"
+                "manifest format {found} is not supported (expected {MANIFEST_FORMAT})"
             ),
             StoreError::HashMismatch {
                 file,
@@ -306,7 +304,7 @@ struct CacheStats {
 /// Point-in-time snapshot of the store's result-cache counters
 /// ([`SuiteStore::cache_stats`]): raw entry-level reads, before any
 /// caller-side staleness filtering.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStatsSnapshot {
     /// Entries that were present and parsed.
     pub hits: u64,
@@ -639,9 +637,6 @@ impl Deref for LoadedShard {
 pub struct SuiteStore {
     root: PathBuf,
     index: RootIndex,
-    /// Present when the directory held a legacy monolithic manifest: the
-    /// instance records live inline (there is no shard file to read).
-    v1_instances: Option<Arc<Vec<InstanceRecord>>>,
     residency: Arc<Residency>,
     fs: Fs,
     cache_stats: Arc<CacheStats>,
@@ -862,7 +857,6 @@ impl SuiteStore {
             store: Some(SuiteStore {
                 root,
                 index,
-                v1_instances: None,
                 residency: Arc::new(Residency::default()),
                 fs,
                 cache_stats: Arc::new(CacheStats::default()),
@@ -899,10 +893,9 @@ impl SuiteStore {
             .expect("export without stop_after_shards always completes"))
     }
 
-    /// Opens an existing suite directory by reading its manifest. A format-2
-    /// root index opens as-is; a legacy format-1 monolithic manifest opens
-    /// transparently as a single-shard corpus. No instance files are touched
-    /// until a shard is loaded or verified.
+    /// Opens an existing suite directory by reading its format-2 root
+    /// index. No instance files are touched until a shard is loaded or
+    /// verified.
     ///
     /// # Errors
     ///
@@ -929,48 +922,17 @@ impl SuiteStore {
             .object_field("format")
             .and_then(u32::deserialize_value)
             .map_err(|e| malformed(e.to_string()))?;
-        match format {
-            MANIFEST_FORMAT => {
-                let index =
-                    RootIndex::deserialize_value(&value).map_err(|e| malformed(e.to_string()))?;
-                Ok(SuiteStore {
-                    root,
-                    index,
-                    v1_instances: None,
-                    residency: Arc::new(Residency::default()),
-                    fs,
-                    cache_stats: Arc::new(CacheStats::default()),
-                })
-            }
-            V1_MANIFEST_FORMAT => {
-                let manifest = SuiteManifest::deserialize_value(&value)
-                    .map_err(|e| malformed(e.to_string()))?;
-                // The monolithic manifest *is* the single shard: the root
-                // record points at manifest.json itself, hash included, so
-                // the integrity chain holds end to end for v1 corpora too.
-                let index = RootIndex {
-                    format: V1_MANIFEST_FORMAT,
-                    device: manifest.device,
-                    config: manifest.config,
-                    shard_size: manifest.instances.len().max(1),
-                    shards: vec![ShardRecord {
-                        shard: 0,
-                        file: MANIFEST_FILE.to_string(),
-                        instances: manifest.instances.len(),
-                        content_hash: content_hash(&text),
-                    }],
-                };
-                Ok(SuiteStore {
-                    root,
-                    index,
-                    v1_instances: Some(Arc::new(manifest.instances)),
-                    residency: Arc::new(Residency::default()),
-                    fs,
-                    cache_stats: Arc::new(CacheStats::default()),
-                })
-            }
-            found => Err(StoreError::FormatVersion { found }),
+        if format != MANIFEST_FORMAT {
+            return Err(StoreError::FormatVersion { found: format });
         }
+        let index = RootIndex::deserialize_value(&value).map_err(|e| malformed(e.to_string()))?;
+        Ok(SuiteStore {
+            root,
+            index,
+            residency: Arc::new(Residency::default()),
+            fs,
+            cache_stats: Arc::new(CacheStats::default()),
+        })
     }
 
     /// The suite directory.
@@ -979,8 +941,7 @@ impl SuiteStore {
     }
 
     /// The root index read at [`open`](Self::open) (or written by
-    /// [`export`](Self::export)). For a legacy corpus this is the
-    /// synthesized single-shard view.
+    /// [`export`](Self::export)).
     pub fn index(&self) -> &RootIndex {
         &self.index
     }
@@ -1023,8 +984,7 @@ impl SuiteStore {
     }
 
     /// Reads shard `shard`'s instance records, verifying the shard
-    /// manifest's bytes against the root index hash. For a legacy corpus the
-    /// records come from the in-memory manifest.
+    /// manifest's bytes against the root index hash.
     ///
     /// A failed hash check is re-read up to the retry budget before it
     /// counts: transiently corrupt *reads* (the medium returned wrong bytes
@@ -1036,10 +996,6 @@ impl SuiteStore {
     /// [`StoreError::Io`]/[`StoreError::Malformed`]/[`StoreError::HashMismatch`]
     /// on unreadable, corrupt, or tampered shard manifests.
     pub fn shard_records(&self, shard: usize) -> Result<Vec<InstanceRecord>, StoreError> {
-        if let Some(instances) = &self.v1_instances {
-            assert_eq!(shard, 0, "legacy corpus has exactly one shard");
-            return Ok(instances.as_ref().clone());
-        }
         let record = &self.index.shards[shard];
         let path = self.root.join(&record.file);
         let mut last = None;
@@ -1794,6 +1750,26 @@ mod tests {
             StoreError::FormatVersion {
                 found: MANIFEST_FORMAT + 1
             }
+        );
+
+        // A format-1 monolithic manifest (every record inline, written
+        // before sharding) is rejected the same way.
+        let v1 = serde_json::json!({
+            "format": 1,
+            "device": store.device(),
+            "config": store.config(),
+            "instances": store.shard_records(0).expect("records"),
+        });
+        std::fs::write(
+            dir.0.join(MANIFEST_FILE),
+            serde_json::to_string_pretty(&v1).expect("serialize"),
+        )
+        .expect("write manifest");
+        let error = SuiteStore::open(&dir.0).unwrap_err();
+        assert_eq!(error, StoreError::FormatVersion { found: 1 });
+        assert_eq!(
+            error.to_string(),
+            "manifest format 1 is not supported (expected 2)"
         );
     }
 

@@ -1,12 +1,11 @@
-//! Acceptance tests for the sharded, streaming corpus layer: v1 monolithic
-//! manifests still open (as a single-shard corpus identical to what the
-//! pre-shard code exported), interrupted exports and verifications resume at
-//! shard granularity with byte-identical final artifacts, the evaluation
-//! pipeline streams with at most one shard of circuits resident, and the
-//! analytics fold is bit-identical at any thread count.
+//! Acceptance tests for the sharded, streaming corpus layer: interrupted
+//! exports and verifications resume at shard granularity with
+//! byte-identical final artifacts, the evaluation pipeline streams with at
+//! most one shard of circuits resident, and the analytics fold is
+//! bit-identical at any thread count.
 
-use qubikos::{generate_suite, SuiteConfig};
-use qubikos_arch::{devices, DeviceKind};
+use qubikos::SuiteConfig;
+use qubikos_arch::DeviceKind;
 use qubikos_bench::analytics::{run_suite_analytics_with_sink, AnalyticsConfig};
 use qubikos_bench::evaluation::{
     run_suite_evaluation_partial, run_suite_evaluation_with_sink, SuiteEvalConfig,
@@ -33,75 +32,14 @@ impl Drop for TempDir {
     }
 }
 
-/// The configuration `tests/fixtures/v1_suite` was exported with, by the
-/// pre-shard store code (format-1 monolithic `manifest.json`).
-fn fixture_config() -> SuiteConfig {
+/// A four-instance Grid-3x3 corpus.
+fn tiny_config() -> SuiteConfig {
     SuiteConfig {
         swap_counts: vec![1, 2],
         circuits_per_count: 2,
         two_qubit_gates: 16,
         base_seed: 11,
     }
-}
-
-/// Copies the committed v1 fixture into a scratch dir (verification ledgers
-/// are written next to the root index, and the committed fixture must stay
-/// pristine).
-fn copy_fixture(into: &Path) -> PathBuf {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_suite");
-    std::fs::create_dir_all(into).expect("scratch dir");
-    for entry in std::fs::read_dir(&fixture).expect("fixture dir") {
-        let entry = entry.expect("fixture entry");
-        std::fs::copy(entry.path(), into.join(entry.file_name())).expect("copy fixture file");
-    }
-    into.to_path_buf()
-}
-
-/// ISSUE satellite 1: a v1 monolithic `manifest.json` written by the
-/// pre-shard code transparently opens as a single-shard v2 corpus — same
-/// instances, clean verification, and `load()` reproduces exactly the
-/// circuits `generate_suite` yields for the recorded config.
-#[test]
-fn v1_fixture_opens_as_a_single_shard_corpus() {
-    let dir = TempDir::new("v1-compat");
-    let root = copy_fixture(&dir.0);
-    let store = SuiteStore::open(&root).expect("v1 manifest opens");
-
-    assert_eq!(store.device(), DeviceKind::Grid3x3);
-    assert_eq!(store.config(), &fixture_config());
-    assert_eq!(store.shard_count(), 1, "v1 corpus is one synthetic shard");
-    assert_eq!(store.total_instances(), 4);
-
-    // The stored corpus is byte-for-byte the one today's generator produces.
-    let loaded = store.load().expect("v1 instances load");
-    let arch = devices::grid(3, 3);
-    let generated = generate_suite(&arch, &fixture_config()).expect("regenerate");
-    assert_eq!(loaded, generated, "fixture must round-trip the generator");
-
-    // Full verification (hashes, QASM parse, regeneration) passes unchanged.
-    let report = store
-        .verify_streaming(2, None, &NullSink)
-        .expect("verify runs");
-    assert!(
-        report.failures.is_empty(),
-        "pristine fixture verifies clean"
-    );
-    assert_eq!(report.instances, 4);
-    assert!(report.complete);
-
-    // And a v2 export of the identical config describes identical circuits.
-    let reexport = TempDir::new("v1-reexport");
-    let outcome = SuiteStore::export_with_options(
-        &reexport.0,
-        DeviceKind::Grid3x3,
-        &fixture_config(),
-        &ExportOptions::default(),
-        2,
-        &NullSink,
-    )
-    .expect("v2 export");
-    let v2 = outcome.store.expect("completes");
-    assert_eq!(v2.load().expect("v2 load"), loaded);
 }
 
 /// ISSUE satellite 4 (export half): an export killed after K shards leaves a
@@ -111,7 +49,7 @@ fn v1_fixture_opens_as_a_single_shard_corpus() {
 fn interrupted_export_resumes_byte_identically() {
     let interrupted = TempDir::new("export-resume");
     let oneshot = TempDir::new("export-oneshot");
-    let config = fixture_config();
+    let config = tiny_config();
     let options = ExportOptions::default().with_shard_size(1);
 
     // Uninterrupted reference export.
@@ -189,7 +127,7 @@ fn interrupted_verify_resumes_from_the_ledger() {
     let store = SuiteStore::export_with_options(
         &dir.0,
         DeviceKind::Grid3x3,
-        &fixture_config(),
+        &tiny_config(),
         &ExportOptions::default().with_shard_size(1),
         2,
         &NullSink,
@@ -229,7 +167,7 @@ fn interrupted_verify_resumes_from_the_ledger() {
 /// resident, and the shard layout has no effect on the report's bytes.
 #[test]
 fn streaming_evaluation_is_flat_memory_and_resumes_via_cache() {
-    let config = fixture_config();
+    let config = tiny_config();
     let eval = SuiteEvalConfig::default().with_threads(2);
     let total = config.total_circuits();
     let pairs = total * eval.tools.len();
@@ -322,7 +260,7 @@ fn analytics_are_thread_count_invariant() {
     let store = SuiteStore::export_with_options(
         &dir.0,
         DeviceKind::Grid3x3,
-        &fixture_config(),
+        &tiny_config(),
         &ExportOptions::default().with_shard_size(1),
         2,
         &NullSink,

@@ -1,7 +1,6 @@
 //! The [`Circuit`] container.
 
 use crate::gate::{Gate, QubitId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A quantum circuit: an ordered sequence of gates over `num_qubits` program
@@ -21,7 +20,7 @@ use std::fmt;
 /// assert_eq!(c.two_qubit_gate_count(), 2);
 /// assert_eq!(c.swap_count(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit {
     num_qubits: usize,
     gates: Vec<Gate>,

@@ -8,7 +8,6 @@
 
 use crate::circuit::Circuit;
 use crate::gate::{Gate, QubitId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Index of a node in a [`DependencyDag`] (the position of the gate within
@@ -28,7 +27,7 @@ pub type DagNodeId = usize;
 /// assert_eq!(dag.front_layer(), vec![0]);
 /// assert!(dag.has_path(0, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependencyDag {
     gates: Vec<Gate>,
     /// For each node, the circuit index of the gate it represents.

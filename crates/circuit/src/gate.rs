@@ -1,6 +1,5 @@
 //! Gate types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a program qubit within a [`Circuit`](crate::Circuit).
@@ -11,7 +10,7 @@ pub type QubitId = usize;
 /// Layout synthesis never constrains single-qubit gates (they execute on any
 /// physical qubit), so the set only needs to be rich enough to express the
 /// circuits the benchmarks and examples use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OneQubitKind {
     /// Hadamard.
     H,
@@ -52,7 +51,7 @@ impl OneQubitKind {
 }
 
 /// Two-qubit gate kinds supported by the IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TwoQubitKind {
     /// Controlled-NOT (control, target).
     Cx,
@@ -78,7 +77,7 @@ impl TwoQubitKind {
 /// Constructors are provided for every supported kind; the two-qubit
 /// constructors panic on equal qubits because a two-qubit gate acting twice
 /// on the same wire is meaningless and would corrupt the interaction graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// Single-qubit gate.
     One {

@@ -1,7 +1,6 @@
 //! Summary statistics for circuits.
 
 use crate::circuit::Circuit;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A snapshot of the size and schedule of a circuit.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(stats.two_qubit_gates, 3);
 /// assert_eq!(stats.swap_gates, 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitStats {
     /// Number of program qubits.
     pub num_qubits: usize,

@@ -6,11 +6,10 @@
 //! the position of the job's result in the merged output and the job a
 //! failure names are identical across any thread count.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identity of one job within a run: its index in the worklist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub usize);
 
 impl JobId {
@@ -38,7 +37,7 @@ impl fmt::Display for JobId {
 ///
 /// The engine itself never interprets keys; pipelines use them to address
 /// cache entries (`results/<namespace>/<key>.json` in the suite store).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobKey {
     namespace: String,
     key: String,

@@ -3,13 +3,12 @@
 //! The whole workspace uses one convention: a thread count of
 //! [`AUTO_THREADS`] (`0`) means "use every core the OS reports"
 //! ([`std::thread::available_parallelism`]), and any positive value is an
-//! explicit override. Configs store the raw value so they serialize
-//! portably; resolution to a concrete count happens only at run time.
+//! explicit override. Configs store the raw value; resolution to a
+//! concrete count happens only at run time.
 
 /// Sentinel thread count meaning "resolve to [`available_threads`] at run
 /// time". Stored in configs instead of a resolved count so that a config
-/// serialized on a 128-core machine does not pin a 4-core machine to 128
-/// threads.
+/// built on one machine and run on another uses the cores it runs on.
 pub const AUTO_THREADS: usize = 0;
 
 /// Number of hardware threads the OS reports, with a floor of 1 (the query

@@ -79,7 +79,6 @@ use prune::{exceeds_swap_budget, new_deficit, placement_verdict, PlacementVerdic
 use qubikos_arch::Architecture;
 use qubikos_circuit::{Circuit, DependencyDag};
 use qubikos_graph::Edge;
-use serde::{Deserialize, Serialize};
 use state::{SearchState, UNPLACED};
 use std::cell::Cell;
 use std::time::Instant;
@@ -99,7 +98,7 @@ pub fn dag_builds_on_this_thread() -> usize {
 }
 
 /// Configuration of the exact solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExactConfig {
     /// Largest SWAP count to try before giving up.
     pub max_swaps: usize,
@@ -118,7 +117,7 @@ impl Default for ExactConfig {
 }
 
 /// How a single bounded feasibility query ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryOutcome {
     /// A routing with at most the queried number of SWAPs exists.
     Feasible,
@@ -132,7 +131,7 @@ pub enum QueryOutcome {
 }
 
 /// Per-`k` statistics of one feasibility query inside a solve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QueryStats {
     /// The queried SWAP budget `k`.
     pub swaps: usize,
@@ -151,7 +150,7 @@ pub struct QueryStats {
 /// Deliberately not `PartialEq`: `wall_micros` varies run to run. Compare
 /// the semantic fields (`optimal_swaps`, `proven`, `nodes_explored`)
 /// individually, as the golden fixtures do.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExactResult {
     /// The optimal SWAP count, if the solver found a feasible `k` within
     /// `max_swaps`.

@@ -9,7 +9,6 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::traversal::bfs_distances;
-use serde::{Deserialize, Serialize};
 
 /// Dense all-pairs shortest-path (hop) distance matrix.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(dist.get(4, 4), 0);
 /// assert_eq!(dist.diameter(), Some(4));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceMatrix {
     n: usize,
     data: Vec<usize>,
@@ -106,7 +105,7 @@ impl DistanceMatrix {
 /// so only `rows_computed` (= the node count, one BFS row per node at
 /// construction) is ever nonzero. The other fields are kept so per-route
 /// reports keep one schema; they are always 0.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Point-distance queries answered (not counted: always 0).
     pub queries: u64,

@@ -1,6 +1,5 @@
 //! Compact undirected graph with adjacency lists.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -15,7 +14,7 @@ pub type NodeId = usize;
 ///
 /// Edges are stored in canonical order (`min`, `max`) so that two `Edge`
 /// values compare equal regardless of the order the endpoints were given.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Edge {
     /// Smaller endpoint.
     pub u: NodeId,
@@ -86,7 +85,7 @@ impl fmt::Display for Edge {
 /// assert!(g.has_edge(2, 1));
 /// assert!(!g.has_edge(0, 3));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     adjacency: Vec<Vec<NodeId>>,
     edge_count: usize,

@@ -53,7 +53,7 @@ use qubikos_circuit::Circuit;
 use qubikos_graph::CouplerWeights;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,7 +118,7 @@ fn cores() -> usize {
 }
 
 /// The coupler-weighting axis: how much a SWAP on each edge costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WeightsSpec {
     /// Every coupler costs exactly the same (the classic cost model; scores
     /// are bitwise identical to a weight-free router).
@@ -152,7 +152,7 @@ impl WeightsSpec {
 }
 
 /// The search-engine axis: the outer loop the policies plug into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SearchSpec {
     /// The greedy SWAP-insertion loop ([`run_greedy_pass`]) with
     /// random-restart trials and forward/backward mapping passes — the
@@ -189,7 +189,7 @@ impl SearchSpec {
 
 /// One point in the routing design space: a search engine plus one choice
 /// per policy axis. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RouterSpec {
     /// Search engine.
     pub search: SearchSpec,
@@ -963,26 +963,6 @@ mod tests {
             reset_interval: 5,
         };
         assert_eq!(zero_increment.canonicalized(), RouterSpec::tket());
-    }
-
-    #[test]
-    fn spec_roundtrips_through_serde() {
-        for spec in [
-            RouterSpec::lightsabre(),
-            RouterSpec::tket(),
-            RouterSpec::ml_qls(),
-            RouterSpec::qmap(),
-            RouterSpec {
-                weights: WeightsSpec::Fidelity { seed: 17 },
-                tie_breaker: TieBreakerSpec::DistanceRefined,
-                placement: PlacementSpec::Identity,
-                ..RouterSpec::lightsabre()
-            },
-        ] {
-            let value = spec.serialize_value();
-            let back = RouterSpec::deserialize_value(&value).expect("roundtrip");
-            assert_eq!(spec, back, "spec must survive serialization");
-        }
     }
 
     #[test]

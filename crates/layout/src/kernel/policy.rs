@@ -31,13 +31,13 @@ use qubikos_circuit::{Circuit, Gate};
 use qubikos_graph::{CouplerWeights, NodeId};
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The lookahead axis: how far past the blocked front the scorer looks, and
 /// how the extra gates are weighted. An extended set of up to `window`
 /// gates, weighted by `extended_set_weight`, with gate `i` optionally
 /// decayed by `depth_decay^i` (the paper's §IV-C proposal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LookaheadSpec {
     /// Extended-set size (0 = front-only scoring).
     pub window: usize,
@@ -80,7 +80,7 @@ impl LookaheadSpec {
 
 /// The decay axis: whether recently-swapped qubits are penalised to
 /// discourage thrashing the same pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum DecaySpec {
     /// No decay; scores are never inflated.
     None,
@@ -134,7 +134,7 @@ impl DecaySpec {
 /// best candidates. The tie set is always collected in candidate (=
 /// coupler) order with SABRE's `1e-12` epsilon band, so every breaker sees
 /// a stable, deterministic slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TieBreakerSpec {
     /// SABRE's tie-break: a uniform draw from the tie set with the trial's
     /// seeded RNG. Draws on every decision, even for a singleton tie set,
@@ -185,7 +185,7 @@ impl TieBreakerSpec {
 
 /// The placement axis: where each trial's initial program→physical mapping
 /// comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PlacementSpec {
     /// Structure-aware greedy-BFS placement — the SABRE and t|ket⟩ default.
     GreedyBfs,

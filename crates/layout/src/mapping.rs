@@ -3,7 +3,6 @@
 use qubikos_graph::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An injective mapping `f : Q -> P` from program qubits to physical qubits.
@@ -28,7 +27,7 @@ use std::fmt;
 /// assert_eq!(m.logical(2), None);
 /// assert_eq!(m.logical(4), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     /// `prog_to_phys[q]` is the physical qubit hosting program qubit `q`.
     prog_to_phys: Vec<NodeId>,

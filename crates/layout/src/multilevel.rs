@@ -44,10 +44,9 @@ use crate::placement::Qubits;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
 use qubikos_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs of the multilevel placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultilevelConfig {
     /// Coarsening stops once the graph has at most this many nodes.
     pub coarsest_size: usize,

@@ -2,7 +2,6 @@
 
 use crate::mapping::Mapping;
 use qubikos_circuit::{Circuit, CircuitStats};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The output of a layout-synthesis tool.
@@ -13,7 +12,7 @@ use std::fmt;
 /// The quantity the QUBIKOS evaluation cares about is [`swap_count`].
 ///
 /// [`swap_count`]: RoutedCircuit::swap_count
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedCircuit {
     /// Circuit over physical qubits, including inserted SWAP gates.
     pub physical_circuit: Circuit,

@@ -3,7 +3,7 @@
 use crate::result::RoutedCircuit;
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
@@ -56,7 +56,7 @@ pub trait Router {
 }
 
 /// The four tools evaluated in the paper, as an enumerable registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ToolKind {
     /// SABRE / LightSABRE-style router
     /// ([`RouterSpec::lightsabre`](crate::RouterSpec::lightsabre)).

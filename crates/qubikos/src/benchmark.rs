@@ -3,7 +3,6 @@
 use qubikos_circuit::{Circuit, CircuitStats};
 use qubikos_graph::NodeId;
 use qubikos_layout::{Mapping, RoutedCircuit};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One backbone section of a QUBIKOS circuit.
@@ -11,7 +10,7 @@ use std::fmt;
 /// A section is the set of gates that force exactly one SWAP: its
 /// *saturation/connector* gates (the body) followed by one *special* gate
 /// which is only executable after the section's designated SWAP.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Section {
     /// Indices (into the final circuit's gate list) of the section's backbone
     /// body gates, in program order.
@@ -40,7 +39,7 @@ impl Section {
 /// to hand to the tool under test, the optimal SWAP count to compare
 /// against, and the generator's own reference solution (initial mapping plus
 /// transpiled circuit) that witnesses the upper bound.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QubikosCircuit {
     circuit: Circuit,
     optimal_swaps: usize,
@@ -203,13 +202,5 @@ mod tests {
         let text = tiny().to_string();
         assert!(text.contains("line-3"));
         assert!(text.contains("optimal_swaps=1"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let b = tiny();
-        let json = serde_json::to_string(&b).expect("serialize");
-        let back: QubikosCircuit = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, b);
     }
 }

@@ -8,13 +8,12 @@ use qubikos_layout::Mapping;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
 /// Configuration of one benchmark instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Desired (and provably optimal) SWAP count.
     pub num_swaps: usize,

@@ -60,8 +60,7 @@ pub use certificate::{verify_certificate, CertificateError};
 pub use generator::{generate, GenerateError, GeneratorConfig};
 pub use manifest::{
     content_hash, instance_file_name, shard_file_name, shard_spans, InstanceRecord, RootIndex,
-    ShardManifest, ShardRecord, SuiteManifest, DEFAULT_SHARD_SIZE, MANIFEST_FILE, MANIFEST_FORMAT,
-    SHARD_DIR, V1_MANIFEST_FORMAT,
+    ShardManifest, ShardRecord, DEFAULT_SHARD_SIZE, MANIFEST_FILE, MANIFEST_FORMAT, SHARD_DIR,
 };
 pub use queko::{generate_queko, QuekoCircuit, QuekoConfig, QuekoError};
 pub use suite::{generate_suite, ExperimentPoint, SuiteConfig};

@@ -13,9 +13,8 @@
 //! O(instances) is what lets a million-instance corpus open, stream, and
 //! resume without ever materializing more than one shard of records.
 //!
-//! Format 1 (one monolithic [`SuiteManifest`] holding every record) is still
-//! read transparently as a single-shard corpus; the schema type is kept here
-//! for that loader and for fixtures.
+//! Format 1 (one monolithic manifest holding every record, written before
+//! sharding) is no longer read: loaders reject it with a format error.
 //!
 //! Per-instance fields are unchanged: each [`InstanceRecord`] carries the
 //! instance's derived seed, its designed (optimal) SWAP count, its file
@@ -34,12 +33,8 @@ use serde::{Deserialize, Serialize};
 
 /// Version of the on-disk manifest schema. Bumped on incompatible changes so
 /// loaders can fail with a clear message instead of a field error. Format 2
-/// is the sharded layout; format 1 (monolithic) is still readable.
+/// is the sharded layout and the only one read.
 pub const MANIFEST_FORMAT: u32 = 2;
-
-/// The legacy monolithic manifest format, read transparently as a
-/// single-shard corpus.
-pub const V1_MANIFEST_FORMAT: u32 = 1;
 
 /// Name of the manifest file (the root index since format 2) inside a suite
 /// directory.
@@ -71,48 +66,6 @@ pub struct InstanceRecord {
     pub file: String,
     /// Content hash of the QASM text (see [`content_hash`]).
     pub content_hash: String,
-}
-
-/// The legacy (format 1) monolithic `manifest.json` of a stored suite: every
-/// instance record inline. Still written by nothing, still read by
-/// everything — the store opens a v1 manifest as a single-shard corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SuiteManifest {
-    /// Schema version ([`V1_MANIFEST_FORMAT`]).
-    pub format: u32,
-    /// Device the suite was generated for.
-    pub device: DeviceKind,
-    /// The configuration the suite was generated from. Together with the
-    /// per-instance seeds this makes the stored corpus exactly reproducible.
-    pub config: SuiteConfig,
-    /// One record per instance, in suite (grid) order.
-    pub instances: Vec<InstanceRecord>,
-}
-
-impl SuiteManifest {
-    /// Builds the (v1-shaped) manifest describing `points` (as produced by
-    /// [`crate::generate_suite`] for `config` on `device`), computing each
-    /// instance's file name and QASM content hash. Used by fixtures and the
-    /// back-compat tests; new exports write the sharded layout.
-    pub fn describe(device: DeviceKind, config: &SuiteConfig, points: &[ExperimentPoint]) -> Self {
-        let instances = points
-            .iter()
-            .map(|point| InstanceRecord::describe(device, point))
-            .collect();
-        SuiteManifest {
-            format: V1_MANIFEST_FORMAT,
-            device,
-            config: config.clone(),
-            instances,
-        }
-    }
-
-    /// The record for `(swap_count, instance)`, if the suite contains it.
-    pub fn find(&self, swap_count: usize, instance: usize) -> Option<&InstanceRecord> {
-        self.instances
-            .iter()
-            .find(|r| r.swap_count == swap_count && r.instance == instance)
-    }
 }
 
 /// One shard's entry in the [`RootIndex`]: where the shard manifest lives,
@@ -266,12 +219,12 @@ mod tests {
 
     #[test]
     fn describe_covers_every_instance() {
-        let (config, points) = tiny_suite();
-        let manifest = SuiteManifest::describe(DeviceKind::Grid3x3, &config, &points);
-        assert_eq!(manifest.format, V1_MANIFEST_FORMAT);
-        assert_eq!(manifest.instances.len(), 4);
-        assert_eq!(manifest.config, config);
-        for (record, point) in manifest.instances.iter().zip(&points) {
+        let (_, points) = tiny_suite();
+        let records: Vec<InstanceRecord> = points
+            .iter()
+            .map(|point| InstanceRecord::describe(DeviceKind::Grid3x3, point))
+            .collect();
+        for (record, point) in records.iter().zip(&points) {
             assert_eq!(record.swap_count, point.swap_count);
             assert_eq!(record.seed, point.seed);
             assert_eq!(
@@ -282,23 +235,9 @@ mod tests {
             assert!(record.file.contains(&format!("swaps{}", point.swap_count)));
         }
         // All hashes and file names are distinct.
-        let hashes: std::collections::BTreeSet<&str> = manifest
-            .instances
-            .iter()
-            .map(|r| r.content_hash.as_str())
-            .collect();
+        let hashes: std::collections::BTreeSet<&str> =
+            records.iter().map(|r| r.content_hash.as_str()).collect();
         assert_eq!(hashes.len(), 4);
-        assert!(manifest.find(1, 0).is_some());
-        assert!(manifest.find(3, 0).is_none());
-    }
-
-    #[test]
-    fn manifest_serde_round_trip() {
-        let (config, points) = tiny_suite();
-        let manifest = SuiteManifest::describe(DeviceKind::Grid3x3, &config, &points);
-        let json = serde_json::to_string(&manifest).expect("serialize");
-        let back: SuiteManifest = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, manifest);
     }
 
     #[test]
@@ -340,10 +279,12 @@ mod tests {
     #[test]
     fn root_index_round_trips_and_counts() {
         let (config, points) = tiny_suite();
-        let manifest = SuiteManifest::describe(DeviceKind::Grid3x3, &config, &points);
         let shard = ShardManifest {
             shard: 0,
-            instances: manifest.instances.clone(),
+            instances: points
+                .iter()
+                .map(|point| InstanceRecord::describe(DeviceKind::Grid3x3, point))
+                .collect(),
         };
         let shard_json = serde_json::to_string(&shard).expect("serialize shard");
         let back_shard: ShardManifest = serde_json::from_str(&shard_json).expect("shard back");

@@ -20,12 +20,11 @@ use qubikos_layout::Mapping;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Configuration of a QUEKO-style instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuekoConfig {
     /// Target (and provably optimal) two-qubit depth.
     pub depth: usize,
@@ -80,7 +79,7 @@ impl fmt::Display for QuekoError {
 impl Error for QuekoError {}
 
 /// A QUEKO-style benchmark: SWAP-free with a known optimal two-qubit depth.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuekoCircuit {
     circuit: Circuit,
     optimal_depth: usize,
@@ -287,8 +286,5 @@ mod tests {
         let b = generate_queko(&arch, &QuekoConfig::new(4).with_seed(9)).expect("generates");
         assert_eq!(a, b);
         assert!(a.to_string().contains("optimal_depth=4"));
-        let json = serde_json::to_string(&a).expect("serialize");
-        let back: QuekoCircuit = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, a);
     }
 }

@@ -104,7 +104,7 @@ impl SuiteConfig {
 
 /// One generated instance along with the grid coordinates it was generated
 /// for, as used by the experiment harness when reporting per-cell averages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentPoint {
     /// The designed (optimal) SWAP count.
     pub swap_count: usize,
@@ -244,20 +244,5 @@ mod tests {
             .with_base_seed(99);
         assert_eq!(config.circuits_per_count, 5);
         assert_eq!(config.base_seed, 99);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let arch = devices::grid(3, 3);
-        let config = SuiteConfig {
-            swap_counts: vec![1],
-            circuits_per_count: 1,
-            two_qubit_gates: 15,
-            base_seed: 1,
-        };
-        let suite = generate_suite(&arch, &config).expect("generates");
-        let json = serde_json::to_string(&suite).expect("serialize");
-        let back: Vec<ExperimentPoint> = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, suite);
     }
 }
