@@ -2,7 +2,7 @@
 
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
-use qubikos_graph::{is_subgraph_isomorphic, Vf2Matcher};
+use qubikos_graph::{is_subgraph_isomorphic, Embedding, Vf2Matcher};
 
 /// Lower bound from interaction-graph embeddability: 0 if the interaction
 /// graph embeds into the coupling graph (the circuit *might* be SWAP-free),
@@ -58,10 +58,25 @@ pub fn degree_surplus_lower_bound(circuit: &Circuit, arch: &Architecture) -> usi
         .unwrap_or(0)
 }
 
+/// Search-tree nodes the VF2 probe in [`swap_lower_bound`] may explore.
+const EMBEDDING_PROBE_NODE_LIMIT: u64 = 2_000_000;
+
 /// The best cheap lower bound we can certify without search: the maximum of
 /// the embedding bound and the degree-surplus bound, with a bounded-effort
-/// VF2 probe so the bound stays cheap on large inputs.
+/// VF2 probe so the bound stays cheap on large inputs. A probe that runs out
+/// of nodes proves nothing, so it counts as "may embed" (0), never as a
+/// SWAP.
 pub fn swap_lower_bound(circuit: &Circuit, arch: &Architecture) -> usize {
+    probe_limited_swap_lower_bound(circuit, arch, EMBEDDING_PROBE_NODE_LIMIT)
+}
+
+/// [`swap_lower_bound`] with the VF2 probe capped at `node_limit` search
+/// nodes.
+fn probe_limited_swap_lower_bound(
+    circuit: &Circuit,
+    arch: &Architecture,
+    node_limit: u64,
+) -> usize {
     let degree_bound = degree_surplus_lower_bound(circuit, arch);
     if degree_bound >= 1 {
         // Already know at least one SWAP is needed; the embedding probe can
@@ -72,10 +87,13 @@ pub fn swap_lower_bound(circuit: &Circuit, arch: &Architecture) -> usize {
         return 0;
     }
     let interaction = circuit.interaction_graph();
-    let embeds = Vf2Matcher::new(&interaction, arch.coupling_graph())
-        .with_node_limit(2_000_000)
-        .is_isomorphic_to_subgraph();
-    usize::from(!embeds)
+    let probe = Vf2Matcher::new(&interaction, arch.coupling_graph())
+        .with_node_limit(node_limit)
+        .search();
+    match probe {
+        Embedding::Absent => 1,
+        Embedding::Found(_) | Embedding::GaveUp => 0,
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +162,25 @@ mod tests {
         let bench = generate(&arch, &GeneratorConfig::new(2, 20).with_seed(2_025_006_077))
             .expect("generates");
         assert!(swap_lower_bound(bench.circuit(), &arch) <= 2);
+    }
+
+    #[test]
+    fn a_probe_that_gives_up_proves_nothing() {
+        // A 3x3-grid interaction graph embeds into a 5x5 grid, and no qubit
+        // has more partners than the device's degree, so only the VF2 probe
+        // could raise the bound; a one-node probe gives up before it finds
+        // the embedding.
+        let arch = devices::grid(5, 5);
+        let pattern = qubikos_graph::generators::grid_graph(3, 3);
+        let circuit = Circuit::from_gates(9, pattern.edges().map(|e| Gate::cx(e.u, e.v)));
+        assert_eq!(degree_surplus_lower_bound(&circuit, &arch), 0);
+        assert_eq!(probe_limited_swap_lower_bound(&circuit, &arch, 1), 0);
+        assert_eq!(swap_lower_bound(&circuit, &arch), 0);
+
+        // A refutation the probe reaches without searching still counts.
+        let line = devices::line(3);
+        let triangle = Circuit::from_gates(3, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(0, 2)]);
+        assert_eq!(probe_limited_swap_lower_bound(&triangle, &line, 1), 1);
     }
 
     #[test]

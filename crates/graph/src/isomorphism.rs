@@ -13,6 +13,18 @@
 
 use crate::graph::{Graph, NodeId};
 
+/// What a [`Vf2Matcher::search`] established.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Embedding {
+    /// An embedding, as `map[pattern_node] == target_node`.
+    Found(Vec<NodeId>),
+    /// The search finished without one: no embedding exists.
+    Absent,
+    /// The node limit was used up without finding one: an embedding may
+    /// still exist.
+    GaveUp,
+}
+
 /// Backtracking subgraph-monomorphism matcher in the spirit of VF2.
 ///
 /// The matcher owns references to the pattern and target graphs and performs
@@ -49,25 +61,26 @@ impl<'a> Vf2Matcher<'a> {
 
     /// Limits the number of search-tree nodes explored.
     ///
-    /// When the limit is reached the search gives up and behaves as if no
-    /// embedding exists. Useful to bound worst-case runtime on large
-    /// hard instances where the caller only wants a cheap feasibility probe.
+    /// When the limit is used up the search stops and [`search`] reports
+    /// [`Embedding::GaveUp`]: an embedding may still exist. Useful to bound
+    /// worst-case runtime on large hard instances where the caller only
+    /// wants a cheap feasibility probe.
+    ///
+    /// [`search`]: Self::search
     pub fn with_node_limit(mut self, limit: u64) -> Self {
         self.node_limit = Some(limit);
         self
     }
 
-    /// Finds one embedding, returned as `map[pattern_node] == target_node`.
-    ///
-    /// Returns `None` if no embedding exists (or the node limit was hit).
-    pub fn find_embedding(&self) -> Option<Vec<NodeId>> {
+    /// Searches for one embedding.
+    pub fn search(&self) -> Embedding {
         let np = self.pattern.node_count();
         let nt = self.target.node_count();
         if np == 0 {
-            return Some(Vec::new());
+            return Embedding::Found(Vec::new());
         }
         if np > nt || self.pattern.edge_count() > self.target.edge_count() {
-            return None;
+            return Embedding::Absent;
         }
         // Quick degree-sequence pruning: the k-th largest pattern degree must
         // not exceed the k-th largest target degree.
@@ -75,7 +88,7 @@ impl<'a> Vf2Matcher<'a> {
         let td = self.target.degree_sequence();
         for (p, t) in pd.iter().zip(td.iter()) {
             if p > t {
-                return None;
+                return Embedding::Absent;
             }
         }
 
@@ -83,16 +96,24 @@ impl<'a> Vf2Matcher<'a> {
         let mut mapping = vec![usize::MAX; np];
         let mut used = vec![false; nt];
         let mut budget = self.node_limit.unwrap_or(u64::MAX);
-        if self.search(&order, 0, &mut mapping, &mut used, &mut budget) {
-            Some(mapping)
+        if self.extend(&order, 0, &mut mapping, &mut used, &mut budget) {
+            Embedding::Found(mapping)
+        } else if budget == 0 {
+            Embedding::GaveUp
         } else {
-            None
+            Embedding::Absent
         }
     }
 
-    /// Returns `true` if at least one embedding exists.
-    pub fn is_isomorphic_to_subgraph(&self) -> bool {
-        self.find_embedding().is_some()
+    /// Finds one embedding, returned as `map[pattern_node] == target_node`.
+    ///
+    /// Returns `None` when no embedding exists or when the node limit was
+    /// used up first; [`search`](Self::search) tells the two apart.
+    pub fn find_embedding(&self) -> Option<Vec<NodeId>> {
+        match self.search() {
+            Embedding::Found(mapping) => Some(mapping),
+            Embedding::Absent | Embedding::GaveUp => None,
+        }
     }
 
     /// Chooses the order in which pattern nodes are matched: highest degree
@@ -123,7 +144,7 @@ impl<'a> Vf2Matcher<'a> {
         order
     }
 
-    fn search(
+    fn extend(
         &self,
         order: &[NodeId],
         depth: usize,
@@ -167,7 +188,7 @@ impl<'a> Vf2Matcher<'a> {
             }
             mapping[p] = cand;
             used[cand] = true;
-            if self.search(order, depth + 1, mapping, used, budget) {
+            if self.extend(order, depth + 1, mapping, used, budget) {
                 return true;
             }
             mapping[p] = usize::MAX;
@@ -198,7 +219,7 @@ impl<'a> Vf2Matcher<'a> {
 
 /// Convenience wrapper: does `pattern` embed into a subgraph of `target`?
 pub fn is_subgraph_isomorphic(pattern: &Graph, target: &Graph) -> bool {
-    Vf2Matcher::new(pattern, target).is_isomorphic_to_subgraph()
+    find_subgraph_embedding(pattern, target).is_some()
 }
 
 /// Convenience wrapper returning one embedding (`map[pattern] == target`),
@@ -298,12 +319,14 @@ mod tests {
     fn node_limit_gives_up() {
         let pattern = generators::grid_graph(3, 3);
         let target = generators::grid_graph(5, 5);
-        let found = Vf2Matcher::new(&pattern, &target)
-            .with_node_limit(1)
-            .find_embedding();
-        assert!(found.is_none());
+        let capped = Vf2Matcher::new(&pattern, &target).with_node_limit(1);
+        assert_eq!(capped.search(), Embedding::GaveUp);
+        assert!(capped.find_embedding().is_none());
         let found = Vf2Matcher::new(&pattern, &target).find_embedding();
         assert!(found.is_some());
+        // A refutation that needs no search holds under any cap.
+        let capped = Vf2Matcher::new(&target, &pattern).with_node_limit(1);
+        assert_eq!(capped.search(), Embedding::Absent);
     }
 
     #[test]

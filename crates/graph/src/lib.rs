@@ -42,6 +42,6 @@ pub mod weights;
 
 pub use distance::{DistanceMatrix, OracleStats};
 pub use graph::{Edge, Graph, NodeId};
-pub use isomorphism::{find_subgraph_embedding, is_subgraph_isomorphic, Vf2Matcher};
+pub use isomorphism::{find_subgraph_embedding, is_subgraph_isomorphic, Embedding, Vf2Matcher};
 pub use traversal::{bfs_distances, bfs_edge_order, bfs_order, connected_components};
 pub use weights::CouplerWeights;
