@@ -649,8 +649,8 @@ mod tests {
         assert_eq!(quick.suite.circuits_per_count, 2);
     }
 
-    /// The satellite bugfix: a misconfigured suite (zero SWAP count) must
-    /// surface as an error, not a panic deep inside the pipeline.
+    /// A misconfigured suite (zero SWAP count) must surface as an error, not
+    /// a panic deep inside the pipeline.
     #[test]
     fn misconfigured_suite_returns_an_error() {
         let mut config = tiny_config();
@@ -661,8 +661,8 @@ mod tests {
         );
     }
 
-    /// The satellite bugfix: zero-optimum cells (QUEKO-style) report the
-    /// absolute excess SWAP count instead of dividing by zero.
+    /// Zero-optimum cells (QUEKO-style) report the absolute excess SWAP
+    /// count instead of dividing by zero.
     #[test]
     fn zero_optimum_cells_report_absolute_excess() {
         assert_eq!(cell_gap(3.5, 0), 3.5);

@@ -42,9 +42,9 @@ fn tiny_config() -> SuiteConfig {
     }
 }
 
-/// ISSUE satellite 4 (export half): an export killed after K shards leaves a
-/// ledger; re-running regenerates only the missing shards and the final root
-/// index is byte-identical to an uninterrupted export's.
+/// Export resume: an export killed after K shards leaves a ledger;
+/// re-running regenerates only the missing shards and the final root index
+/// is byte-identical to an uninterrupted export's.
 #[test]
 fn interrupted_export_resumes_byte_identically() {
     let interrupted = TempDir::new("export-resume");
@@ -118,9 +118,9 @@ fn interrupted_export_resumes_byte_identically() {
     }
 }
 
-/// ISSUE satellite 4 (verify half): a verification stopped after K shards
-/// ledgers them; the re-run checks only the remainder and removes the ledger
-/// on clean completion.
+/// Verify resume: a verification stopped after K shards ledgers them; the
+/// re-run checks only the remainder and removes the ledger on clean
+/// completion.
 #[test]
 fn interrupted_verify_resumes_from_the_ledger() {
     let dir = TempDir::new("verify-resume");
