@@ -4,8 +4,10 @@
 //! tool. This crate plays that role without an external solver:
 //! [`ExactSolver`] performs an exhaustive,
 //! provably complete search over initial mappings and SWAP sequences, and
-//! [`lower_bound`] provides cheap admissible lower bounds used both for
-//! pruning and as stand-alone sanity checks.
+//! [`lower_bound`] provides cheap admissible lower bounds read from the
+//! circuit alone — the degree surplus and the paper's Lemma 1 applied to a
+//! chain of gate windows — used both to start and prune the search and as
+//! stand-alone certified bounds.
 //!
 //! The search is exponential — exactly like the tool it replaces, it is only
 //! meant for the optimality-study regime (§IV-A of the paper: ≤ 30 two-qubit
@@ -39,5 +41,5 @@
 pub mod lower_bound;
 pub mod solver;
 
-pub use lower_bound::{embedding_lower_bound, swap_lower_bound};
+pub use lower_bound::swap_lower_bound;
 pub use solver::{ExactConfig, ExactResult, ExactSolver, QueryOutcome, QueryStats};

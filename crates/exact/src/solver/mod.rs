@@ -17,7 +17,11 @@
 //!   SWAPs between two unmapped locations never change the reachable states.
 //!
 //! Infeasibility of `k-1` plus a witness at `k` proves optimality, exactly
-//! the evidence OLSQ2 provides in the paper's §IV-A study.
+//! the evidence OLSQ2 provides in the paper's §IV-A study. The deepening
+//! starts at the circuit's certified static bound, the larger of the degree
+//! surplus and the length of the Lemma-1 window chain
+//! ([`window_chain`](crate::lower_bound::window_chain)), so every query
+//! below it is skipped.
 //!
 //! # Search-core architecture
 //!
@@ -30,8 +34,10 @@
 //! built: every node's state passes the bound at its own budget, so a
 //! placement that adds no positive deficit skips the full check, and one
 //! whose new deficit alone exceeds the budget is never built (see
-//! `prune`). The [`DependencyDag`], each qubit's gate partners and all
-//! scratch are built **once per
+//! `prune`). A node is also refuted, after the transposition probes, when
+//! more windows of the chain still lie wholly ahead than it has SWAPs left
+//! (see "Window-chain soundness"). The [`DependencyDag`], its window chain,
+//! each qubit's gate partners and all scratch are built **once per
 //! [`ExactSolver::solve`]** and shared by every deepening iteration — the
 //! transposition table included, since "state `S` cannot finish with `s`
 //! SWAPs left" is a statement independent of the query that discovered it.
@@ -66,6 +72,45 @@
 //! *unrestricted* entry is safe from any context: it says no solution
 //! exists from that state at all, which a fortiori covers the restricted
 //! search.
+//!
+//! # Window-chain soundness
+//!
+//! The chain `W₁, …, W_m` holds windows of gates whose interaction graphs do
+//! not embed in the coupling graph, and every gate of `W(i+1)` descends from
+//! every gate of `Wᵢ`. A routing is a sequence of SWAPs and gate executions;
+//! a window's *span* runs from its first executed gate to its last.
+//!
+//! * **A window needs a SWAP strictly inside its span.** Without one, no
+//!   qubit of the window moves between its first and its last gate, so at
+//!   the last gate every window qubit still sits where it sat when each of
+//!   its gates ran, on a coupler of that gate. That one injective mapping
+//!   embeds the window's interaction graph in the coupling graph, against
+//!   the window's definition (Lemma 1 of the paper).
+//! * **Chained spans are disjoint.** A gate runs only after its ancestors,
+//!   so every gate of `W(i+1)` runs after every gate of `Wᵢ`: span `i` ends
+//!   before span `i + 1` begins. The SWAPs inside them are distinct, and the
+//!   chain proves `m` SWAPs, which is where the deepening starts.
+//! * **The windows with no executed gate are a suffix.** If `Wᵢ` has an
+//!   executed gate, all of that gate's ancestors ran before it, and they
+//!   include every gate of `W(i-1)`. So the untouched windows are
+//!   `W_j, …, W_m` for some `j`, and `SearchCore::expand` needs to look
+//!   at one window only: with `s` SWAPs left, the node is refuted exactly
+//!   when `W(m-s)` (the first of the last `s + 1`) is untouched. Each
+//!   untouched window's span lies wholly in the future, so the future holds
+//!   at least `m - j + 1` SWAPs.
+//! * **Lazy placement leaves the argument intact.** Placing a qubit is not a
+//!   SWAP and moves no placed qubit; a qubit is placed at the latest when
+//!   its first gate runs, and stays put until a SWAP moves it. So in a
+//!   SWAP-free span every window qubit keeps one location from its first
+//!   window gate on, and the mapping of the first point exists as stated.
+//! * **The refutation may be stored in the transposition table.** It reads
+//!   only the executed set, which the Zobrist hash covers, and the budget;
+//!   it does not depend on the incoming move. So it is an unrestricted fact
+//!   about the state, and a parent whose children it refuted records its
+//!   own entry as usual. The refuted node itself records nothing: the check
+//!   is one scan of one window, cheaper than a table insert, and it fires
+//!   again on every later visit with the same or a smaller budget, so an
+//!   entry could never save a node.
 
 pub mod reference;
 
@@ -73,7 +118,7 @@ pub(crate) mod dedup;
 pub(crate) mod prune;
 pub(crate) mod state;
 
-use crate::lower_bound::swap_lower_bound;
+use crate::lower_bound::{degree_surplus_lower_bound, window_chain};
 use dedup::{TranspositionTable, ZobristKeys};
 use prune::{exceeds_swap_budget, new_deficit, placement_verdict, PlacementVerdict, PruneScratch};
 use qubikos_arch::Architecture;
@@ -228,7 +273,7 @@ impl ExactSolver {
         let mut core = SearchCore::new(circuit, arch, self.config.node_budget, deadline);
         let mut queries = Vec::new();
         let mut nodes = 0u64;
-        let start = swap_lower_bound(circuit, arch);
+        let start = degree_surplus_lower_bound(circuit, arch).max(core.windows.len());
         for k in start..=self.config.max_swaps {
             let query_start = Instant::now();
             let feasibility = core.feasible_with(k);
@@ -299,12 +344,15 @@ impl ExactSolver {
     }
 }
 
-/// All per-solve search machinery: the DAG, the Zobrist keys, the
-/// transposition table, the mutable state, and the prune scratch. Built once
-/// per [`ExactSolver::solve`] and reused across deepening iterations.
+/// All per-solve search machinery: the DAG and its window chain, the
+/// Zobrist keys, the transposition table, the mutable state, and the prune
+/// scratch. Built once per [`ExactSolver::solve`] and reused across
+/// deepening iterations.
 struct SearchCore<'a> {
     arch: &'a Architecture,
     dag: DependencyDag,
+    /// The Lemma-1 window chain of `dag` ([`window_chain`]).
+    windows: Vec<Vec<usize>>,
     couplers: Vec<Edge>,
     keys: ZobristKeys,
     tt: TranspositionTable,
@@ -333,6 +381,7 @@ impl<'a> SearchCore<'a> {
     ) -> Self {
         let dag = DependencyDag::from_circuit(circuit);
         DAG_BUILDS.with(|c| c.set(c.get() + 1));
+        let windows = window_chain(&dag, arch);
         let num_program = dag
             .gates()
             .iter()
@@ -356,6 +405,7 @@ impl<'a> SearchCore<'a> {
         SearchCore {
             arch,
             dag,
+            windows,
             couplers,
             keys,
             tt: TranspositionTable::new(),
@@ -431,6 +481,18 @@ impl<'a> SearchCore<'a> {
                 if stored as usize >= swaps_left {
                     return Feasibility::Infeasible;
                 }
+            }
+        }
+        // The windows with no executed gate are a suffix of the chain, and
+        // each needs a SWAP of its own still ahead ("Window-chain
+        // soundness"): refute when the first of the last `swaps_left + 1`
+        // windows is untouched.
+        if let Some(first) = self.windows.len().checked_sub(swaps_left + 1) {
+            if self.windows[first]
+                .iter()
+                .all(|&node| !self.state.is_executed(node))
+            {
+                return Feasibility::Infeasible;
             }
         }
 
@@ -736,6 +798,31 @@ mod tests {
         assert!(result.proven);
     }
 
+    /// A triangle, then two of its edges again: optimal at 2 SWAPs on a
+    /// 3-qubit line, while its window chain proves only 1 (the trailing
+    /// pair embeds), so a solve refutes k = 1 by search.
+    fn triangle_then_two_of_its_edges() -> Circuit {
+        Circuit::from_gates(
+            3,
+            [
+                Gate::cx(0, 1),
+                Gate::cx(1, 2),
+                Gate::cx(0, 2),
+                Gate::cx(1, 2),
+                Gate::cx(0, 1),
+            ],
+        )
+    }
+
+    #[test]
+    fn triangle_then_two_of_its_edges_needs_two_swaps() {
+        let arch = devices::line(3);
+        let result = solver().solve(&triangle_then_two_of_its_edges(), &arch);
+        assert_eq!(result.optimal_swaps, Some(2));
+        assert!(result.proven);
+        assert_eq!(result.queries[0].outcome, QueryOutcome::Infeasible);
+    }
+
     #[test]
     fn star_with_five_leaves_on_grid_needs_one_swap() {
         let arch = devices::grid(3, 3);
@@ -782,19 +869,9 @@ mod tests {
             node_budget: budget,
         });
         let arch = devices::line(3);
-        // Two serialised triangles: the k = 1 refutation alone needs more
-        // than 8 nodes, so the first query exhausts the budget mid-deepening.
-        let circuit = Circuit::from_gates(
-            3,
-            [
-                Gate::cx(0, 1),
-                Gate::cx(1, 2),
-                Gate::cx(0, 2),
-                Gate::cx(0, 1),
-                Gate::cx(1, 2),
-                Gate::cx(0, 2),
-            ],
-        );
+        // The k = 1 refutation alone needs more than 8 nodes, so the first
+        // query exhausts the budget mid-deepening.
+        let circuit = triangle_then_two_of_its_edges();
         let result = capped.solve(&circuit, &arch);
         assert!(!result.proven);
         let last = result.queries.last().expect("at least one query");
@@ -813,19 +890,9 @@ mod tests {
     #[test]
     fn solve_builds_the_dag_at_most_once() {
         let arch = devices::line(3);
-        // The two-triangle circuit starts deepening at the certified bound
-        // of 1 and succeeds at 2, so the solve runs two queries.
-        let circuit = Circuit::from_gates(
-            3,
-            [
-                Gate::cx(0, 1),
-                Gate::cx(1, 2),
-                Gate::cx(0, 2),
-                Gate::cx(0, 1),
-                Gate::cx(1, 2),
-                Gate::cx(0, 2),
-            ],
-        );
+        // Deepening starts at the certified bound of 1 and succeeds at 2, so
+        // the solve runs two queries.
+        let circuit = triangle_then_two_of_its_edges();
         let before = dag_builds_on_this_thread();
         let result = solver().solve(&circuit, &arch);
         assert!(

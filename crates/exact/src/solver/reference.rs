@@ -3,8 +3,10 @@
 //! This module exists for one consumer only: the **differential tests**
 //! (`tests/differential.rs`), which check that the optimized core in
 //! [`super`] (in-place do/undo state, transposition table, SWAP
-//! canonicalization, packing bound) reports identical
+//! canonicalization, packing bound, window chain) reports identical
 //! `optimal_swaps`/`proven` answers on randomized and generated instances.
+//! Its deepening starts at the degree-surplus bound alone: no Lemma-1
+//! reasoning enters it, so it also checks the window chain's admissibility.
 //!
 //! Do not use it in pipelines: it clones four `Vec`s per search node and
 //! rescans the whole DAG for ready gates, which is exactly what the rewrite
@@ -12,7 +14,7 @@
 //! optimized core's search *order* is intentional, but the *answers* must
 //! agree, which is what makes it a meaningful oracle.
 
-use crate::lower_bound::swap_lower_bound;
+use crate::lower_bound::degree_surplus_lower_bound;
 use crate::solver::{ExactConfig, ExactResult, QueryOutcome, QueryStats};
 use qubikos_arch::Architecture;
 use qubikos_circuit::{Circuit, DependencyDag};
@@ -56,7 +58,7 @@ impl ReferenceSolver {
         let solve_start = Instant::now();
         let mut queries = Vec::new();
         let mut nodes = 0u64;
-        let start = swap_lower_bound(circuit, arch);
+        let start = degree_surplus_lower_bound(circuit, arch);
         for k in start..=self.config.max_swaps {
             let query_start = Instant::now();
             let mut search = Search::new(circuit, arch, self.config.node_budget);
