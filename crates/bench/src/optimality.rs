@@ -590,9 +590,9 @@ mod tests {
                 report.failures,
                 report.exact_nodes,
             ),
-            (4, 4, 2, 0, 0, 0, 238)
+            (4, 4, 2, 0, 0, 0, 221)
         );
-        assert_eq!(by_k, [(1, 2, 238)]);
+        assert_eq!(by_k, [(1, 2, 221)]);
     }
 
     /// The study, previously fully sequential, must produce the identical

@@ -280,7 +280,7 @@ fn cache_entries_are_pinned_byte_for_byte() {
   "queries": [
     [
       1,
-      772
+      544
     ]
   ],
   "wall_micros": _
