@@ -106,11 +106,8 @@ fn probe_limited_window_chain(
     arch: &Architecture,
     node_limit: u64,
 ) -> Vec<Vec<DagNodeId>> {
-    let probe = WindowProbe {
-        dag,
-        target: arch.coupling_graph(),
-        node_limit,
-    };
+    let target = arch.coupling_graph();
+    let embeds = |window: &[DagNodeId]| may_embed(dag, target, window, node_limit);
     let mut candidate = vec![true; dag.len()];
     let mut chain = Vec::new();
     loop {
@@ -119,11 +116,13 @@ fn probe_limited_window_chain(
         for node in (0..dag.len()).filter(|&n| candidate[n]) {
             // A repeated qubit pair leaves the interaction graph unchanged,
             // so it cannot stop the window from embedding.
-            let new_pair = !window
-                .iter()
-                .any(|&w| same_pair(dag.qubit_pair(w), dag.qubit_pair(node)));
+            let (a, b) = dag.qubit_pair(node);
+            let new_pair = !window.iter().any(|&w| {
+                let pair = dag.qubit_pair(w);
+                pair == (a, b) || pair == (b, a)
+            });
             window.push(node);
-            if new_pair && !probe.embeds(&window) {
+            if new_pair && !embeds(&window) {
                 grown = true;
                 break;
             }
@@ -134,7 +133,7 @@ fn probe_limited_window_chain(
         let mut i = 0;
         while i < window.len() {
             let removed = window.remove(i);
-            if probe.embeds(&window) {
+            if embeds(&window) {
                 window.insert(i, removed);
                 i += 1;
             }
@@ -144,46 +143,33 @@ fn probe_limited_window_chain(
     }
 }
 
-/// Whether two qubit pairs name the same interaction edge.
-fn same_pair((a, b): (usize, usize), (c, d): (usize, usize)) -> bool {
-    (a, b) == (c, d) || (a, b) == (d, c)
-}
-
-/// Embeds gate windows' interaction graphs into one coupling graph.
-struct WindowProbe<'a> {
-    dag: &'a DependencyDag,
-    target: &'a Graph,
-    node_limit: u64,
-}
-
-impl WindowProbe<'_> {
-    /// Whether the interaction graph of the gates `window` may embed in the
-    /// target: `false` only when VF2 proves that it does not.
-    fn embeds(&self, window: &[DagNodeId]) -> bool {
-        // Relabel the window's qubits densely: idle qubits are not part of
-        // the pattern.
-        let mut qubits: Vec<usize> = window
-            .iter()
-            .flat_map(|&n| {
-                let (a, b) = self.dag.qubit_pair(n);
-                [a, b]
-            })
-            .collect();
-        qubits.sort_unstable();
-        qubits.dedup();
-        let label = |q: usize| qubits.binary_search(&q).expect("window qubit");
-        let pattern = Graph::from_edges(
-            qubits.len(),
-            window.iter().map(|&n| {
-                let (a, b) = self.dag.qubit_pair(n);
-                (label(a), label(b))
-            }),
-        );
-        let search = Vf2Matcher::new(&pattern, self.target)
-            .with_node_limit(self.node_limit)
-            .search();
-        search != Embedding::Absent
-    }
+/// Whether the interaction graph of the gates `window` may embed in
+/// `target`: `false` only when a VF2 probe of at most `node_limit` nodes
+/// proves that it does not.
+fn may_embed(dag: &DependencyDag, target: &Graph, window: &[DagNodeId], node_limit: u64) -> bool {
+    // Relabel the window's qubits densely: idle qubits are not part of the
+    // pattern.
+    let mut qubits: Vec<usize> = window
+        .iter()
+        .flat_map(|&n| {
+            let (a, b) = dag.qubit_pair(n);
+            [a, b]
+        })
+        .collect();
+    qubits.sort_unstable();
+    qubits.dedup();
+    let label = |q: usize| qubits.binary_search(&q).expect("window qubit");
+    let pattern = Graph::from_edges(
+        qubits.len(),
+        window.iter().map(|&n| {
+            let (a, b) = dag.qubit_pair(n);
+            (label(a), label(b))
+        }),
+    );
+    let search = Vf2Matcher::new(&pattern, target)
+        .with_node_limit(node_limit)
+        .search();
+    search != Embedding::Absent
 }
 
 /// The DAG nodes that descend (strictly) from every node of `window`.

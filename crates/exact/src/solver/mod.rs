@@ -19,9 +19,8 @@
 //! Infeasibility of `k-1` plus a witness at `k` proves optimality, exactly
 //! the evidence OLSQ2 provides in the paper's §IV-A study. The deepening
 //! starts at the circuit's certified static bound, the larger of the degree
-//! surplus and the length of the Lemma-1 window chain
-//! ([`window_chain`](crate::lower_bound::window_chain)), so every query
-//! below it is skipped.
+//! surplus and the length of the Lemma-1 window chain ([`window_chain`]),
+//! so every query below it is skipped.
 //!
 //! # Search-core architecture
 //!
