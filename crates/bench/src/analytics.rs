@@ -320,7 +320,7 @@ pub fn run_suite_analytics_with_sink(
         .run(
             &shards,
             |_worker| (),
-            |(), _deadline, &shard| -> Result<ShardSummary, StoreError> {
+            |(), &shard| -> Result<ShardSummary, StoreError> {
                 let records = store.shard_records(shard)?;
                 Ok(summarize_records(store, config, &records))
             },

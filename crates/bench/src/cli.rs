@@ -15,7 +15,6 @@
 //! | [`EXIT_POLICY`] (1) | the run completed but violated a caller policy (e.g. `--require-cached` with a cold cache) |
 //! | [`EXIT_USAGE`] (2) | bad usage, configuration, or an I/O / store error (`Err` from a command) |
 //! | [`EXIT_VERIFY`] (3) | the run completed and found verification or optimality failures |
-//! | [`EXIT_TIMEOUT`] (4) | the run completed with no failures, but at least one job exceeded its wall-clock deadline |
 
 use crate::ablations::{run_ablations, run_composition_matrix, AblationConfig, MatrixConfig};
 use crate::analytics::{run_suite_analytics_with_sink, AnalyticsConfig};
@@ -47,10 +46,6 @@ pub const EXIT_USAGE: i32 = 2;
 /// Exit code: the run completed and found verification or optimality
 /// failures (corrupt instances, uncertified circuits).
 pub const EXIT_VERIFY: i32 = 3;
-/// Exit code: the run completed with zero failures, but at least one job
-/// exceeded its per-job wall-clock deadline, so some circuits degraded to
-/// `unproven` instead of being exhaustively confirmed.
-pub const EXIT_TIMEOUT: i32 = 4;
 
 /// What a command hands back to `main`: a process exit code, or an error to
 /// render on stderr (exit code [`EXIT_USAGE`]). Every `*_command` returns
@@ -149,19 +144,6 @@ macro_rules! outln {
     ($($arg:tt)*) => {
         output(format_args!("{}\n", format_args!($($arg)*)))?
     };
-}
-
-/// Maps a completed report's failure and timeout counts to an exit code:
-/// failures dominate ([`EXIT_VERIFY`]), then timeouts ([`EXIT_TIMEOUT`]),
-/// then [`EXIT_OK`].
-fn report_exit_code(failures: usize, deadline_exceeded: usize) -> i32 {
-    if failures > 0 {
-        EXIT_VERIFY
-    } else if deadline_exceeded > 0 {
-        EXIT_TIMEOUT
-    } else {
-        EXIT_OK
-    }
 }
 
 /// The `qubikos` CLI's top-level dispatcher: finds the `COMMANDS` entry
@@ -328,16 +310,11 @@ const OPTIMALITY: Command = Command {
         Flag("--full | --smoke", None, NotWithSuite),
         THREADS,
         Flag("--suite", Some("DIR"), Optional),
-        Flag("--exact-deadline-ms", Some("N"), Optional),
     ],
     prose: "\
 §IV-A optimality study. With --suite, verifies the stored corpus,
 consulting/filling the results/optimality cache; --full/--smoke
-apply only to in-memory runs (the manifest fixes the suite shape).
---exact-deadline-ms caps each exact-solver job's wall clock: a circuit
-that exceeds it degrades to `unproven` (still certified, not
-exhaustively confirmed) instead of stalling the run, and the command
-exits 4 when that happened with zero failures.",
+apply only to in-memory runs (the manifest fixes the suite shape).",
     run: optimality_command,
 };
 const CASE_STUDY: Command = Command {
@@ -393,8 +370,7 @@ EXIT CODES:
   0  success — the run completed and every check passed
   1  policy  — completed, but a caller policy failed (--require-cached, cold cache)
   2  usage   — bad flags/configuration, or an I/O / store error
-  3  verify  — completed, but verification or optimality failures were found
-  4  timeout — completed with no failures, but jobs exceeded their deadline";
+  3  verify  — completed, but verification or optimality failures were found";
 
 /// The `qubikos help` text: each entry's synopsis, its flags wrapped
 /// greedily at 72 columns with continuation lines under the first flag,
@@ -737,7 +713,7 @@ pub fn eval_command(args: &[String]) -> CommandOutcome {
 /// `qubikos optimality`.
 pub fn optimality_command(args: &[String]) -> CommandOutcome {
     let args = OPTIMALITY.parse(args)?;
-    let mut config = if args.has("--full") {
+    let config = if args.has("--full") {
         OptimalityConfig::paper()
     } else if args.has("--smoke") {
         OptimalityConfig::smoke()
@@ -745,9 +721,6 @@ pub fn optimality_command(args: &[String]) -> CommandOutcome {
         OptimalityConfig::quick()
     }
     .with_threads(args.threads()?);
-    if let Some(millis) = args.number("--exact-deadline-ms")? {
-        config = config.with_exact_deadline(std::time::Duration::from_millis(millis as u64));
-    }
 
     let report = match args.value("--suite") {
         Some(dir) => {
@@ -786,8 +759,9 @@ fn optimality_outcome(report: &OptimalityReport) -> CommandOutcome {
     }
     if report.failures > 0 {
         eprintln!("ERROR: {} circuits failed verification", report.failures);
+        return Ok(EXIT_VERIFY);
     }
-    Ok(report_exit_code(report.failures, report.deadline_exceeded))
+    Ok(EXIT_OK)
 }
 
 /// `qubikos case-study`; `--decay` must be a finite number above 0.
@@ -967,25 +941,22 @@ mod tests {
     fn a_closed_stdout_keeps_the_commands_exit_code() {
         let closed = ClosedPipe::new(std::io::ErrorKind::BrokenPipe);
         let stdout = OUTPUT.replace(Output::new(Box::new(closed)));
-        let report = |failures, deadline_exceeded| OptimalityReport {
+        let report = |failures| OptimalityReport {
             circuits: 4,
             certified: 4 - failures,
             exactly_confirmed: 0,
             exact_budget_exceeded: 0,
-            deadline_exceeded,
             failures,
             exact_nodes: 0,
             exact_nodes_by_k: Vec::new(),
             exact_wall_micros: 0,
         };
-        let failed = optimality_outcome(&report(2, 0));
-        let timed_out = optimality_outcome(&report(0, 1));
-        let passed = optimality_outcome(&report(0, 0));
+        let failed = optimality_outcome(&report(2));
+        let passed = optimality_outcome(&report(0));
         let help = dispatch(&args(&["help"]));
         let was_closed = OUTPUT.replace(stdout).closed;
         assert!(was_closed, "the report met the closed pipe");
         assert_eq!(failed.expect("no error"), EXIT_VERIFY);
-        assert_eq!(timed_out.expect("no error"), EXIT_TIMEOUT);
         assert_eq!(passed.expect("no error"), EXIT_OK);
         assert_eq!(help.expect("no error"), EXIT_OK);
     }
@@ -1169,40 +1140,13 @@ mod tests {
 
     #[test]
     fn exit_codes_are_distinct_per_failure_class() {
-        // The documented contract: every class gets its own code, failures
-        // dominate timeouts, and a clean report maps to success.
-        assert_eq!(report_exit_code(0, 0), EXIT_OK);
-        assert_eq!(report_exit_code(0, 3), EXIT_TIMEOUT);
-        assert_eq!(report_exit_code(2, 0), EXIT_VERIFY);
-        assert_eq!(report_exit_code(2, 3), EXIT_VERIFY);
-        let codes = [EXIT_OK, EXIT_POLICY, EXIT_USAGE, EXIT_VERIFY, EXIT_TIMEOUT];
+        // The documented contract: every class gets its own code.
+        let codes = [EXIT_OK, EXIT_POLICY, EXIT_USAGE, EXIT_VERIFY];
         for (i, a) in codes.iter().enumerate() {
             for b in &codes[i + 1..] {
                 assert_ne!(a, b);
             }
         }
-    }
-
-    #[test]
-    fn optimality_deadline_flag_rejects_garbage() {
-        assert!(optimality_command(&args(&["--smoke", "--exact-deadline-ms", "soon"])).is_err());
-        assert!(optimality_command(&args(&["--smoke", "--exact-deadline-ms"])).is_err());
-    }
-
-    #[test]
-    fn zero_deadline_smoke_run_exits_with_the_timeout_code() {
-        // A zero wall-clock budget forces every exact query to degrade to
-        // `unproven`: no failures, every job timed out — the documented
-        // exit-4 case, reachable end to end through the real command path.
-        let code = optimality_command(&args(&[
-            "--smoke",
-            "--threads",
-            "1",
-            "--exact-deadline-ms",
-            "0",
-        ]))
-        .expect("smoke run completes despite the zero deadline");
-        assert_eq!(code, EXIT_TIMEOUT);
     }
 
     #[test]
@@ -1267,6 +1211,14 @@ mod tests {
             .expect_err("a removed flag must not be ignored");
         assert!(
             err.to_string().contains("unknown flag `--timing-json`"),
+            "{err}"
+        );
+        // Likewise the removed exact-search wall-clock budget.
+        let err = optimality_command(&args(&["--smoke", "--exact-deadline-ms", "0"]))
+            .expect_err("a removed flag must not be ignored");
+        assert!(
+            err.to_string()
+                .contains("unknown flag `--exact-deadline-ms`"),
             "{err}"
         );
         // A typo of `--threads`, whose value must not be taken for a flag.

@@ -24,10 +24,9 @@ use crate::shard_map::{map_shards, Corpus, ShardJobs};
 use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, JobKey, ProgressSink, AUTO_THREADS};
+use qubikos_engine::{JobKey, ProgressSink, AUTO_THREADS};
 use qubikos_layout::{validate_routing, ComposedRouter, Router, RouterSpec, ToolKind};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The tool seed every standard evaluation hands to the routers. One
 /// constant shared by [`EvaluationConfig::paper`]/[`EvaluationConfig::quick`]
@@ -390,8 +389,8 @@ impl ShardJobs for RoutingJobs<'_> {
         self.routers.len()
     }
 
-    fn engine(&self) -> Engine {
-        Engine::new(self.threads)
+    fn threads(&self) -> usize {
+        self.threads
     }
 
     fn key(&self, variant: usize, hash: &str) -> JobKey {
@@ -404,13 +403,13 @@ impl ShardJobs for RoutingJobs<'_> {
         (entry.tool_seed == self.seed && entry.circuit_hash == hash).then_some(entry.swaps)
     }
 
-    fn entry(&self, variant: usize, hash: &str, &swaps: &usize) -> Option<CachedRouting> {
-        Some(CachedRouting {
+    fn entry(&self, variant: usize, hash: &str, &swaps: &usize) -> CachedRouting {
+        CachedRouting {
             tool: self.routers[variant].0.clone(),
             tool_seed: self.seed,
             circuit_hash: hash.to_string(),
             swaps,
-        })
+        }
     }
 
     fn worker(&self) -> Vec<ComposedRouter> {
@@ -423,7 +422,6 @@ impl ShardJobs for RoutingJobs<'_> {
     fn run(
         &self,
         routers: &mut Vec<ComposedRouter>,
-        _deadline: Option<Instant>,
         variant: usize,
         point: &ExperimentPoint,
     ) -> usize {

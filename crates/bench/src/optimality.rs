@@ -32,10 +32,9 @@ use crate::shard_map::{map_shards, Corpus, ShardJobs};
 use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, verify_certificate, ExperimentPoint, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
-use qubikos_engine::{Engine, JobKey, ProgressSink, AUTO_THREADS};
+use qubikos_engine::{JobKey, ProgressSink, AUTO_THREADS};
 use qubikos_exact::{ExactConfig, ExactSolver};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Configuration of the optimality study.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,15 +49,8 @@ pub struct OptimalityConfig {
     /// Only run the exact solver on instances with at most this designed SWAP
     /// count (its runtime grows exponentially with the count).
     pub exact_swap_limit: usize,
-    /// Per-circuit wall-clock budget for the verification job, in
-    /// microseconds; `None` means unbounded. A circuit whose exact search
-    /// outlives the budget degrades to [`OptimalityReport::deadline_exceeded`]
-    /// (certified but not exhaustively confirmed) instead of stalling the
-    /// run. **Note:** a deadline makes verdicts timing-dependent, so the
-    /// report is no longer bit-identical across machines or thread counts.
-    pub exact_deadline_micros: Option<u64>,
     /// Number of worker threads; [`AUTO_THREADS`] (0) uses every available
-    /// core. The report is identical for any value (when no deadline is set).
+    /// core. The report is identical for any value.
     pub threads: usize,
 }
 
@@ -76,7 +68,6 @@ impl OptimalityConfig {
             suite: SuiteConfig::paper_optimality_study(),
             exact: ExactConfig::default(),
             exact_swap_limit: 3,
-            exact_deadline_micros: None,
             threads: AUTO_THREADS,
         }
     }
@@ -104,7 +95,6 @@ impl OptimalityConfig {
             },
             exact: ExactConfig::default(),
             exact_swap_limit: 3,
-            exact_deadline_micros: None,
             threads: AUTO_THREADS,
         }
     }
@@ -114,20 +104,6 @@ impl OptimalityConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
-    }
-
-    /// Returns the configuration with a per-circuit wall-clock budget for
-    /// the verification jobs (see
-    /// [`exact_deadline_micros`](Self::exact_deadline_micros)).
-    pub fn with_exact_deadline(mut self, limit: std::time::Duration) -> Self {
-        self.exact_deadline_micros = Some(limit.as_micros().min(u64::MAX as u128) as u64);
-        self
-    }
-
-    /// The configured per-circuit deadline as a [`std::time::Duration`].
-    pub fn exact_deadline(&self) -> Option<std::time::Duration> {
-        self.exact_deadline_micros
-            .map(std::time::Duration::from_micros)
     }
 }
 
@@ -157,11 +133,6 @@ pub struct OptimalityReport {
     pub exactly_confirmed: usize,
     /// Circuits where the exhaustive solver was attempted but hit its budget.
     pub exact_budget_exceeded: usize,
-    /// Circuits whose verification job outran its wall-clock deadline
-    /// ([`OptimalityConfig::exact_deadline_micros`]); the certificate still
-    /// held, only the independent exhaustive confirmation was cut short.
-    /// Always zero when no deadline is configured.
-    pub deadline_exceeded: usize,
     /// Circuits where any check failed (must be zero).
     pub failures: usize,
     /// Total exact-solver search nodes across all circuits.
@@ -180,7 +151,6 @@ impl PartialEq for OptimalityReport {
             && self.certified == other.certified
             && self.exactly_confirmed == other.exactly_confirmed
             && self.exact_budget_exceeded == other.exact_budget_exceeded
-            && self.deadline_exceeded == other.deadline_exceeded
             && self.failures == other.failures
             && self.exact_nodes == other.exact_nodes
             && self.exact_nodes_by_k == other.exact_nodes_by_k
@@ -201,9 +171,6 @@ enum CircuitVerdict {
     ExactMismatch,
     /// Certificate held; the exhaustive search exceeded its budget.
     ExactBudgetExceeded,
-    /// Certificate held; the verification job outran its wall-clock
-    /// deadline before the exhaustive search finished.
-    DeadlineExceeded,
 }
 
 impl CircuitVerdict {
@@ -215,7 +182,6 @@ impl CircuitVerdict {
             CircuitVerdict::ExactlyConfirmed => "exactly-confirmed",
             CircuitVerdict::ExactMismatch => "exact-mismatch",
             CircuitVerdict::ExactBudgetExceeded => "exact-budget-exceeded",
-            CircuitVerdict::DeadlineExceeded => "deadline-exceeded",
         }
     }
 
@@ -228,7 +194,6 @@ impl CircuitVerdict {
             "exactly-confirmed" => Some(CircuitVerdict::ExactlyConfirmed),
             "exact-mismatch" => Some(CircuitVerdict::ExactMismatch),
             "exact-budget-exceeded" => Some(CircuitVerdict::ExactBudgetExceeded),
-            "deadline-exceeded" => Some(CircuitVerdict::DeadlineExceeded),
             _ => None,
         }
     }
@@ -299,10 +264,6 @@ impl OptimalityFold {
             CircuitVerdict::ExactBudgetExceeded => {
                 report.certified += 1;
                 report.exact_budget_exceeded += 1;
-            }
-            CircuitVerdict::DeadlineExceeded => {
-                report.certified += 1;
-                report.deadline_exceeded += 1;
             }
         }
         report.exact_wall_micros += outcome.exact_wall_micros;
@@ -434,12 +395,8 @@ impl ShardJobs for VerifyJobs<'_> {
         1
     }
 
-    fn engine(&self) -> Engine {
-        let engine = Engine::new(self.config.threads);
-        match self.config.exact_deadline() {
-            Some(limit) => engine.with_job_deadline(limit),
-            None => engine,
-        }
+    fn threads(&self) -> usize {
+        self.config.threads
     }
 
     fn key(&self, _variant: usize, hash: &str) -> JobKey {
@@ -463,16 +420,8 @@ impl ShardJobs for VerifyJobs<'_> {
         })
     }
 
-    /// A deadline-exceeded verdict is a statement about *this machine's*
-    /// clock, not about the circuit — caching it would make a faster rerun
-    /// inherit the timeout, so it is recomputed every run instead.
-    fn entry(
-        &self,
-        _variant: usize,
-        hash: &str,
-        outcome: &PointOutcome,
-    ) -> Option<CachedVerification> {
-        (outcome.verdict != CircuitVerdict::DeadlineExceeded).then(|| CachedVerification {
+    fn entry(&self, _variant: usize, hash: &str, outcome: &PointOutcome) -> CachedVerification {
+        CachedVerification {
             circuit_hash: hash.to_string(),
             max_swaps: self.config.exact.max_swaps,
             node_budget: self.config.exact.node_budget,
@@ -480,20 +429,16 @@ impl ShardJobs for VerifyJobs<'_> {
             verdict: outcome.verdict.name().to_string(),
             queries: outcome.exact_queries.clone(),
             wall_micros: outcome.exact_wall_micros,
-        })
+        }
     }
 
     fn worker(&self) -> ExactSolver {
         ExactSolver::new(self.config.exact)
     }
 
-    /// The engine's job deadline, when configured, cuts the exhaustive
-    /// search short so one pathological instance degrades to an unproven
-    /// verdict instead of stalling the run.
     fn run(
         &self,
         solver: &mut ExactSolver,
-        deadline: Option<Instant>,
         _variant: usize,
         point: &ExperimentPoint,
     ) -> PointOutcome {
@@ -508,7 +453,7 @@ impl ShardJobs for VerifyJobs<'_> {
         if point.swap_count > self.config.exact_swap_limit {
             return unsolved(CircuitVerdict::CertifiedOnly);
         }
-        let result = solver.solve_with_deadline(point.benchmark.circuit(), self.arch, deadline);
+        let result = solver.solve(point.benchmark.circuit(), self.arch);
         let verdict = match result.optimal_swaps {
             Some(optimal) if result.proven => {
                 if optimal == point.benchmark.optimal_swaps() {
@@ -517,7 +462,6 @@ impl ShardJobs for VerifyJobs<'_> {
                     CircuitVerdict::ExactMismatch
                 }
             }
-            _ if result.deadline_exceeded => CircuitVerdict::DeadlineExceeded,
             _ => CircuitVerdict::ExactBudgetExceeded,
         };
         PointOutcome {
@@ -547,7 +491,6 @@ mod tests {
                 node_budget: 10_000_000,
             },
             exact_swap_limit: 1,
-            exact_deadline_micros: None,
             threads: 2,
         }
     }
@@ -586,11 +529,10 @@ mod tests {
                 report.certified,
                 report.exactly_confirmed,
                 report.exact_budget_exceeded,
-                report.deadline_exceeded,
                 report.failures,
                 report.exact_nodes,
             ),
-            (4, 4, 2, 0, 0, 0, 221)
+            (4, 4, 2, 0, 0, 221)
         );
         assert_eq!(by_k, [(1, 2, 221)]);
     }
@@ -634,33 +576,5 @@ mod tests {
         // The smoke limit covers every designed SWAP count, so every circuit
         // must also be exhaustively confirmed, not just certificate-checked.
         assert_eq!(report.exactly_confirmed, report.circuits);
-        assert_eq!(report.deadline_exceeded, 0, "no deadline configured");
-    }
-
-    /// A pathological (here: zero) deadline must degrade exact confirmation
-    /// to `deadline_exceeded` — certified, unproven, run completes, zero
-    /// failures — instead of stalling or poisoning the study.
-    #[test]
-    fn zero_deadline_degrades_to_unproven_without_failing() {
-        let config = tiny_config().with_exact_deadline(std::time::Duration::ZERO);
-        let report = run_optimality_study(&config, &NullSink).expect("valid config");
-        // Every circuit still completes its certificate check...
-        assert_eq!(report.circuits, 4);
-        assert_eq!(report.certified, 4);
-        assert_eq!(report.failures, 0);
-        // ...and every exact-solver consultation (the SWAP-1 instances, per
-        // `exact_swap_limit: 1`) times out instead of confirming.
-        assert!(report.deadline_exceeded > 0);
-        assert_eq!(report.exactly_confirmed, 0);
-    }
-
-    /// A generous deadline must not change the study's outcome.
-    #[test]
-    fn generous_deadline_matches_unbounded_report() {
-        let unbounded = run_optimality_study(&tiny_config(), &NullSink).expect("valid config");
-        let config = tiny_config().with_exact_deadline(std::time::Duration::from_secs(3600));
-        let bounded = run_optimality_study(&config, &NullSink).expect("valid config");
-        assert_eq!(bounded, unbounded);
-        assert_eq!(bounded.deadline_exceeded, 0);
     }
 }

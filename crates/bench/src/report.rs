@@ -71,13 +71,6 @@ pub fn render_optimality(report: &OptimalityReport) -> String {
         report.exact_budget_exceeded,
         report.failures
     );
-    if report.deadline_exceeded > 0 {
-        let _ = writeln!(
-            out,
-            "deadline: {} circuit(s) exceeded the per-job wall-clock budget (certified, not exhaustively confirmed)",
-            report.deadline_exceeded
-        );
-    }
     if report.exact_nodes > 0 {
         let _ = writeln!(out, "exact solver: {} nodes", report.exact_nodes);
         for entry in &report.exact_nodes_by_k {
@@ -328,7 +321,6 @@ mod tests {
             certified: 10,
             exactly_confirmed: 5,
             exact_budget_exceeded: 0,
-            deadline_exceeded: 1,
             failures: 0,
             exact_nodes: 1500,
             exact_nodes_by_k: vec![
@@ -346,7 +338,6 @@ mod tests {
             exact_wall_micros: 2500,
         });
         assert!(text.contains("10 circuits"));
-        assert!(text.contains("1 circuit(s) exceeded the per-job wall-clock budget"));
         assert!(text.contains("1500 nodes"));
         assert!(text.contains("k=1: 5 queries, 500 nodes"));
         assert!(text.contains("k=2: 3 queries, 1000 nodes"));

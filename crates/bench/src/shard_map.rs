@@ -17,7 +17,6 @@ use crate::store::{StoreError, SuiteStore};
 use qubikos::ExperimentPoint;
 use qubikos_engine::{Engine, JobKey, ProgressSink};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// One pipeline's parts of a [`map_shards`] run. Jobs are
 /// `(variant, point)` pairs, visited point-major.
@@ -32,24 +31,22 @@ pub(crate) trait ShardJobs: Sync {
     /// Variants run on every point: tools, compositions, or 1 for a
     /// per-circuit check.
     fn variants(&self) -> usize;
-    /// The engine the jobs run on (threads, job deadline).
-    fn engine(&self) -> Engine;
+    /// The engine's thread count ([`qubikos_engine::AUTO_THREADS`] for every
+    /// core).
+    fn threads(&self) -> usize;
     /// The cache key of `variant` on the circuit with content hash `hash`.
     fn key(&self, variant: usize, hash: &str) -> JobKey;
     /// The value a cached entry answers for, or `None` when the entry was
     /// produced for a different question (seed, circuit, solver budget).
     fn cached(&self, entry: Self::Entry, hash: &str) -> Option<Self::Value>;
-    /// The entry to cache for a fresh value, or `None` when the value must
-    /// not be cached.
-    fn entry(&self, variant: usize, hash: &str, value: &Self::Value) -> Option<Self::Entry>;
+    /// The entry to cache for a fresh value.
+    fn entry(&self, variant: usize, hash: &str, value: &Self::Value) -> Self::Entry;
     /// Builds one worker's state.
     fn worker(&self) -> Self::Worker;
-    /// Runs `variant` on `point`; `deadline` is the instant the job's
-    /// budget runs out, when the engine has one.
+    /// Runs `variant` on `point`.
     fn run(
         &self,
         worker: &mut Self::Worker,
-        deadline: Option<Instant>,
         variant: usize,
         point: &ExperimentPoint,
     ) -> Self::Value;
@@ -177,10 +174,7 @@ fn map_stored_shard<J: ShardJobs>(
         // (hash, parse, regeneration round trip).
         let points = store.load_shard(shard)?;
         let fresh = run_jobs(jobs, &points, &misses, sink, |pair, value| {
-            match jobs.entry(pair.0, hash(pair), value) {
-                Some(entry) => store.write_cached(&key(pair), &entry),
-                None => Ok(()),
-            }
+            store.write_cached(&key(pair), &jobs.entry(pair.0, hash(pair), value))
         })?;
         let mut fresh = fresh.into_iter();
         for slot in values.iter_mut().filter(|slot| slot.is_none()) {
@@ -206,12 +200,12 @@ fn run_jobs<J: ShardJobs>(
     sink: &dyn ProgressSink,
     persist: impl Fn(&(usize, usize), &J::Value) -> Result<(), StoreError> + Sync,
 ) -> Result<Vec<J::Value>, StoreError> {
-    jobs.engine()
+    Engine::new(jobs.threads())
         .run(
             pairs,
             |_worker| jobs.worker(),
-            |worker, deadline, pair| {
-                let value = jobs.run(worker, deadline, pair.0, &points[pair.1]);
+            |worker, pair| {
+                let value = jobs.run(worker, pair.0, &points[pair.1]);
                 persist(pair, &value)?;
                 Ok(value)
             },

@@ -752,7 +752,7 @@ impl SuiteStore {
         let written = Engine::new(threads).run(
             &pending,
             |_worker| (),
-            |(), _deadline, &shard| -> Result<(usize, ShardRecord), StoreError> {
+            |(), &shard| -> Result<(usize, ShardRecord), StoreError> {
                 let mut records = Vec::with_capacity(spans[shard].len());
                 for flat in spans[shard].clone() {
                     let (count_index, instance) = config.instance_coordinates(flat);
@@ -1150,7 +1150,7 @@ impl SuiteStore {
         let checked = Engine::new(threads).run(
             &pending,
             |_worker| (),
-            |(), _deadline, &shard| -> Result<(usize, Vec<VerifyFailure>), StoreError> {
+            |(), &shard| -> Result<(usize, Vec<VerifyFailure>), StoreError> {
                 let records = match self.shard_records(shard) {
                     Ok(records) => records,
                     Err(error) => {

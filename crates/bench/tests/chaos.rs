@@ -80,7 +80,6 @@ fn optimality_config() -> OptimalityConfig {
             node_budget: 10_000_000,
         },
         exact_swap_limit: 2,
-        exact_deadline_micros: None,
         threads: 1,
     }
 }

@@ -35,14 +35,9 @@ USAGE:
       and --tools restricts the run to a comma-separated subset (an
       unrecognized name errors with a did-you-mean suggestion).
   qubikos optimality [--full | --smoke] [--threads N] [--suite DIR]
-                     [--exact-deadline-ms N]
       §IV-A optimality study. With --suite, verifies the stored corpus,
       consulting/filling the results/optimality cache; --full/--smoke
       apply only to in-memory runs (the manifest fixes the suite shape).
-      --exact-deadline-ms caps each exact-solver job's wall clock: a circuit
-      that exceeds it degrades to `unproven` (still certified, not
-      exhaustively confirmed) instead of stalling the run, and the command
-      exits 4 when that happened with zero failures.
   qubikos case-study [--decay D] [--full] [--threads N]
       §IV-C LightSABRE lookahead case study.
   qubikos ablations [--threads N]
@@ -70,8 +65,7 @@ EXIT CODES:
   0  success — the run completed and every check passed
   1  policy  — completed, but a caller policy failed (--require-cached, cold cache)
   2  usage   — bad flags/configuration, or an I/O / store error
-  3  verify  — completed, but verification or optimality failures were found
-  4  timeout — completed with no failures, but jobs exceeded their deadline"#;
+  3  verify  — completed, but verification or optimality failures were found"#;
 
 #[test]
 fn help_text_is_pinned() {

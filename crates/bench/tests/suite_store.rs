@@ -145,7 +145,6 @@ fn stored_optimality_matches_in_memory_and_caches() {
             node_budget: 10_000_000,
         },
         exact_swap_limit: 2,
-        exact_deadline_micros: None,
         threads: 2,
     };
 
@@ -191,7 +190,6 @@ fn eval_and_optimality_caches_are_disjoint() {
         suite,
         exact: ExactConfig::default(),
         exact_swap_limit: 1,
-        exact_deadline_micros: None,
         threads: 2,
     };
     let outcome = run_suite_optimality_with_sink(&store, &config, &NullSink).expect("study");
@@ -222,7 +220,6 @@ fn cache_entries_are_pinned_byte_for_byte() {
             node_budget: 10_000_000,
         },
         exact_swap_limit: 1,
-        exact_deadline_micros: None,
         threads: 1,
     };
     run_suite_optimality_with_sink(&store, &config, &NullSink).expect("optimality");

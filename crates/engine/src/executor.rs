@@ -24,7 +24,7 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a run aborted. When several workers fail in the same run, the
 /// executor reports the *observed* failure closest to the start of the
@@ -85,14 +85,13 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The executor: a thread count plus an optional per-job wall-clock budget.
+/// The executor: a thread count.
 ///
 /// Construction is cheap (no threads are spawned until [`Engine::run`]), so
 /// pipelines build one per experiment from their config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine {
     threads: usize,
-    job_deadline: Option<Duration>,
 }
 
 impl Engine {
@@ -100,20 +99,7 @@ impl Engine {
     /// [`crate::AUTO_THREADS`] (0) resolves to every available core at run
     /// time, any positive value is used as-is.
     pub fn new(threads: usize) -> Self {
-        Engine {
-            threads,
-            job_deadline: None,
-        }
-    }
-
-    /// Gives every job a wall-clock budget, handed to the job closure as the
-    /// instant it runs out, stamped when the job starts. Cancellation is
-    /// *cooperative*: the executor never preempts or fails a job, so a job
-    /// is expected to pass the instant to an interruptible solver and
-    /// degrade to a partial result (the exact solver returns `unproven`).
-    pub fn with_job_deadline(mut self, limit: Duration) -> Self {
-        self.job_deadline = Some(limit);
-        self
+        Engine { threads }
     }
 
     /// The concrete thread count a run over `jobs` jobs would use: the
@@ -129,9 +115,7 @@ impl Engine {
     /// whatever reusable state the jobs need (routers, solvers, scratch
     /// buffers); `run_job` borrows that state mutably, so per-worker reuse is
     /// free of locks. The engine guarantees a worker's state is only ever
-    /// touched by its own thread. `run_job` also receives the instant the
-    /// job's budget runs out ([`with_job_deadline`](Self::with_job_deadline)),
-    /// or `None` when the engine has no deadline.
+    /// touched by its own thread.
     ///
     /// # Errors
     ///
@@ -143,7 +127,7 @@ impl Engine {
         &self,
         jobs: &[J],
         make_worker: impl Fn(usize) -> W + Sync,
-        run_job: impl Fn(&mut W, Option<Instant>, &J) -> T + Sync,
+        run_job: impl Fn(&mut W, &J) -> T + Sync,
         sink: &dyn ProgressSink,
     ) -> Result<Vec<T>, EngineError>
     where
@@ -177,7 +161,6 @@ impl Engine {
                     .map(|worker_index| {
                         let (next, abort, record_failure) = (&next, &abort, &record_failure);
                         let (make_worker, run_job) = (&make_worker, &run_job);
-                        let job_deadline = self.job_deadline;
                         scope.spawn(move || {
                             let mut outputs = Vec::new();
                             let mut busy_micros = 0;
@@ -197,10 +180,7 @@ impl Engine {
                                 let index = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(job) = jobs.get(index) else { break };
                                 let job_started = Instant::now();
-                                let deadline = job_deadline.map(|limit| job_started + limit);
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    run_job(&mut worker, deadline, job)
-                                })) {
+                                match catch_unwind(AssertUnwindSafe(|| run_job(&mut worker, job))) {
                                     Ok(value) => {
                                         let micros = as_micros(job_started.elapsed());
                                         sink.job_finished(&JobRecord { job: index, micros });
@@ -262,7 +242,7 @@ mod tests {
         let engine = Engine::new(4);
         let jobs: Vec<u32> = Vec::new();
         let outputs = engine
-            .run(&jobs, |_| (), |_, _, job| *job, &NullSink)
+            .run(&jobs, |_| (), |_, job| *job, &NullSink)
             .expect("no panics");
         assert!(outputs.is_empty());
     }
@@ -272,7 +252,7 @@ mod tests {
         let engine = Engine::new(8);
         assert_eq!(engine.threads_for(1), 1);
         let outputs = engine
-            .run(&[21u64], |_| (), |_, _, job| job * 2, &NullSink)
+            .run(&[21u64], |_| (), |_, job| job * 2, &NullSink)
             .expect("no panics");
         assert_eq!(outputs, vec![42]);
     }
@@ -287,7 +267,7 @@ mod tests {
                     panic!("factory exploded");
                 }
             },
-            |_, _, job| *job,
+            |_, job| *job,
             &NullSink,
         );
         match result {
@@ -314,34 +294,5 @@ mod tests {
         };
         assert!(setup.rank() < early.rank());
         assert!(early.rank() < late.rank());
-    }
-
-    #[test]
-    fn jobs_without_deadline_see_none() {
-        let engine = Engine::new(1);
-        let outputs = engine
-            .run(&[0u8], |_| (), |_, deadline, _| deadline, &NullSink)
-            .expect("no panics");
-        assert_eq!(outputs, vec![None]);
-    }
-
-    #[test]
-    fn jobs_see_their_deadline_stamped_at_start() {
-        let limit = Duration::from_secs(60);
-        let engine = Engine::new(1).with_job_deadline(limit);
-        let before = Instant::now();
-        let outputs = engine
-            .run(
-                &[0u8, 1],
-                |_| (),
-                |_, deadline, _| (Instant::now(), deadline),
-                &NullSink,
-            )
-            .expect("no panics");
-        for (now, deadline) in outputs {
-            let deadline = deadline.expect("deadline configured");
-            assert!(deadline >= before + limit);
-            assert!(deadline <= now + limit);
-        }
     }
 }

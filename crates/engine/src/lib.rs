@@ -15,10 +15,6 @@
 //!   shared results lock). A job that needs randomness takes its seed from
 //!   its own inputs (an instance's recorded seed, a tool's fixed seed), so
 //!   nothing it computes depends on the schedule;
-//! * an optional per-job wall-clock budget reaches each job as the
-//!   [`std::time::Instant`] it runs out ([`Engine::with_job_deadline`]);
-//!   jobs degrade in time on their own, and the engine never fails one for
-//!   overrunning;
 //! * a panicking job aborts the run with the *job's identity and payload*
 //!   ([`EngineError::JobPanicked`]) instead of poisoning a mutex;
 //! * per-job wall-clock timings stream to pluggable [`ProgressSink`]s
@@ -36,7 +32,7 @@
 //!     .run(
 //!         &jobs,
 //!         |_worker_index| (),          // per-worker reusable state
-//!         |_state, _deadline, &job| job * job,
+//!         |_state, &job| job * job,
 //!         &NullSink,
 //!     )
 //!     .expect("no job panicked");

@@ -12,7 +12,7 @@ use std::time::Duration;
 /// returns the values in merged output order.
 fn run_at<T: Send>(threads: usize, jobs: &[u64], job_fn: impl Fn(u64) -> T + Sync) -> Vec<T> {
     Engine::new(threads)
-        .run(jobs, |_| (), |_, _, &job| job_fn(job), &NullSink)
+        .run(jobs, |_| (), |_, &job| job_fn(job), &NullSink)
         .expect("no panics")
 }
 
@@ -50,7 +50,7 @@ fn skewed_durations_steal_and_merge_in_order() {
         .run(
             &jobs,
             |_| (),
-            |_, _, &job| {
+            |_, &job| {
                 executions.fetch_add(1, Ordering::Relaxed);
                 if job == 0 {
                     std::thread::sleep(Duration::from_millis(50));
@@ -78,7 +78,7 @@ fn job_panic_reports_identity_and_payload() {
     let result = Engine::new(4).run(
         &jobs,
         |_| (),
-        |_, _, &job| {
+        |_, &job| {
             if job == 7 {
                 panic!("router produced an invalid routing on instance {job}");
             }
@@ -106,7 +106,7 @@ fn earliest_panicking_job_wins() {
         let result = Engine::new(8).run(
             &jobs,
             |_| (),
-            |_, _, &job| {
+            |_, &job| {
                 // Every job from 4 up panics; workers race to report.
                 assert!(job < 4, "boom at {job}");
             },
@@ -137,7 +137,7 @@ fn worker_state_is_built_once_per_worker_and_reused() {
                 factory_calls.fetch_add(1, Ordering::Relaxed);
                 (worker, 0usize) // (worker id, jobs seen by this state)
             },
-            |state, _, &job| {
+            |state, &job| {
                 state.1 += 1;
                 (job, state.1)
             },
@@ -180,7 +180,7 @@ fn timing_sink_sees_every_job() {
     let jobs: Vec<u64> = (0..40).collect();
     let sink = RecordingSink::default();
     Engine::new(4)
-        .run(&jobs, |_| (), |_, _, &job| job, &sink)
+        .run(&jobs, |_| (), |_, &job| job, &sink)
         .expect("no panics");
     let summary = sink
         .summary

@@ -169,9 +169,6 @@ pub enum QueryOutcome {
     Infeasible,
     /// The node budget ran out before the search completed.
     BudgetExhausted,
-    /// The wall-clock deadline passed before the search completed
-    /// ([`ExactSolver::solve_with_deadline`]).
-    DeadlineExceeded,
 }
 
 /// Per-`k` statistics of one feasibility query inside a solve.
@@ -209,10 +206,6 @@ pub struct ExactResult {
     pub queries: Vec<QueryStats>,
     /// Total wall-clock time of the solve in microseconds.
     pub wall_micros: u64,
-    /// `true` when the solve was cut short by a wall-clock deadline
-    /// ([`ExactSolver::solve_with_deadline`]) rather than finishing or
-    /// exhausting its node budget. Implies `proven == false`.
-    pub deadline_exceeded: bool,
 }
 
 /// Exhaustive exact minimal-SWAP solver (OLSQ2 substitute).
@@ -244,32 +237,12 @@ impl ExactSolver {
     ///
     /// Panics if the circuit uses more qubits than the device provides.
     pub fn solve(&self, circuit: &Circuit, arch: &Architecture) -> ExactResult {
-        self.solve_with_deadline(circuit, arch, None)
-    }
-
-    /// Like [`solve`](Self::solve), but aborts the search once `deadline`
-    /// passes (checked every 1024 nodes, so overruns are bounded by the cost
-    /// of ~1024 node expansions). A cut-short solve reports
-    /// `deadline_exceeded: true`, `proven: false`, and
-    /// [`QueryOutcome::DeadlineExceeded`] on its final query — the same
-    /// graceful degradation as an exhausted node budget, so callers that
-    /// already treat `unproven` correctly need no new handling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit uses more qubits than the device provides.
-    pub fn solve_with_deadline(
-        &self,
-        circuit: &Circuit,
-        arch: &Architecture,
-        deadline: Option<Instant>,
-    ) -> ExactResult {
         assert!(
             circuit.num_qubits() <= arch.num_qubits(),
             "circuit does not fit the device"
         );
         let solve_start = Instant::now();
-        let mut core = SearchCore::new(circuit, arch, self.config.node_budget, deadline);
+        let mut core = SearchCore::new(circuit, arch, self.config.node_budget);
         let mut queries = Vec::new();
         let mut nodes = 0u64;
         let start = degree_surplus_lower_bound(circuit, arch).max(core.windows.len());
@@ -284,7 +257,6 @@ impl ExactSolver {
                 outcome: match feasibility {
                     Feasibility::Feasible => QueryOutcome::Feasible,
                     Feasibility::Infeasible => QueryOutcome::Infeasible,
-                    Feasibility::Unknown if core.timed_out => QueryOutcome::DeadlineExceeded,
                     Feasibility::Unknown => QueryOutcome::BudgetExhausted,
                 },
             });
@@ -299,7 +271,6 @@ impl ExactSolver {
                         nodes_explored: nodes,
                         queries,
                         wall_micros: solve_start.elapsed().as_micros() as u64,
-                        deadline_exceeded: false,
                     };
                 }
                 Feasibility::Infeasible => continue,
@@ -312,33 +283,6 @@ impl ExactSolver {
             nodes_explored: nodes,
             queries,
             wall_micros: solve_start.elapsed().as_micros() as u64,
-            deadline_exceeded: core.timed_out,
-        }
-    }
-
-    /// Checks whether `circuit` can be routed with at most `max_swaps` SWAPs.
-    ///
-    /// Returns `None` when the node budget was exhausted before an answer was
-    /// established.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit uses more qubits than the device provides.
-    pub fn is_feasible(
-        &self,
-        circuit: &Circuit,
-        arch: &Architecture,
-        max_swaps: usize,
-    ) -> Option<bool> {
-        assert!(
-            circuit.num_qubits() <= arch.num_qubits(),
-            "circuit does not fit the device"
-        );
-        let mut core = SearchCore::new(circuit, arch, self.config.node_budget, None);
-        match core.feasible_with(max_swaps) {
-            Feasibility::Feasible => Some(true),
-            Feasibility::Infeasible => Some(false),
-            Feasibility::Unknown => None,
         }
     }
 }
@@ -364,20 +308,10 @@ struct SearchCore<'a> {
     budget: u64,
     /// Nodes expanded by the current query.
     nodes: u64,
-    /// Wall-clock cutoff; polled every 1024 nodes.
-    deadline: Option<Instant>,
-    /// Set once the deadline fires; distinguishes a deadline abort from a
-    /// budget abort (both surface as [`Feasibility::Unknown`]).
-    timed_out: bool,
 }
 
 impl<'a> SearchCore<'a> {
-    fn new(
-        circuit: &Circuit,
-        arch: &'a Architecture,
-        budget: u64,
-        deadline: Option<Instant>,
-    ) -> Self {
+    fn new(circuit: &Circuit, arch: &'a Architecture, budget: u64) -> Self {
         let dag = DependencyDag::from_circuit(circuit);
         DAG_BUILDS.with(|c| c.set(c.get() + 1));
         let windows = window_chain(&dag, arch);
@@ -414,8 +348,6 @@ impl<'a> SearchCore<'a> {
             partner_locs: Vec::with_capacity(64),
             budget,
             nodes: 0,
-            deadline,
-            timed_out: false,
         }
     }
 
@@ -439,15 +371,6 @@ impl<'a> SearchCore<'a> {
             // returns it straight through), so `nodes` is reported exactly
             // at the boundary.
             return Feasibility::Unknown;
-        }
-        // Poll the wall clock every 1024 nodes: a syscall per node would
-        // dominate the microsecond-scale expansions, while 1024 bounds the
-        // overrun past the deadline to ~1024 expansions.
-        if let Some(deadline) = self.deadline {
-            if self.nodes & 1023 == 0 && (self.timed_out || Instant::now() >= deadline) {
-                self.timed_out = true;
-                return Feasibility::Unknown;
-            }
         }
         self.nodes += 1;
         let mark = self.state.mark();
@@ -833,16 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn is_feasible_agrees_with_solve() {
-        let arch = devices::line(3);
-        let circuit = Circuit::from_gates(3, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(0, 2)]);
-        let s = solver();
-        assert_eq!(s.is_feasible(&circuit, &arch, 0), Some(false));
-        assert_eq!(s.is_feasible(&circuit, &arch, 1), Some(true));
-        assert_eq!(s.is_feasible(&circuit, &arch, 3), Some(true));
-    }
-
-    #[test]
     fn exhausted_budget_reports_unproven() {
         let tiny = ExactSolver::new(ExactConfig {
             max_swaps: 4,
@@ -916,37 +829,6 @@ mod tests {
         assert_eq!(result.queries[0].outcome, QueryOutcome::Feasible);
         assert_eq!(result.queries[0].nodes, result.nodes_explored);
         assert!(result.nodes_explored > 0);
-    }
-
-    #[test]
-    fn expired_deadline_degrades_to_unproven() {
-        let arch = devices::grid(3, 3);
-        let gates: Vec<Gate> = (1..=5).map(|i| Gate::cx(0, i)).collect();
-        let circuit = Circuit::from_gates(6, gates);
-        // A deadline already in the past: the very first poll fires, so the
-        // solve degrades immediately instead of searching.
-        let past = Instant::now() - std::time::Duration::from_millis(1);
-        let result = solver().solve_with_deadline(&circuit, &arch, Some(past));
-        assert!(result.deadline_exceeded);
-        assert!(!result.proven);
-        assert_eq!(result.optimal_swaps, None);
-        assert_eq!(
-            result.queries.last().expect("one query ran").outcome,
-            QueryOutcome::DeadlineExceeded
-        );
-    }
-
-    #[test]
-    fn unreached_deadline_changes_nothing() {
-        let arch = devices::line(3);
-        let circuit = Circuit::from_gates(3, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(0, 2)]);
-        let far = Instant::now() + std::time::Duration::from_secs(3600);
-        let with = solver().solve_with_deadline(&circuit, &arch, Some(far));
-        let without = solver().solve(&circuit, &arch);
-        assert!(!with.deadline_exceeded);
-        assert_eq!(with.optimal_swaps, without.optimal_swaps);
-        assert_eq!(with.proven, without.proven);
-        assert_eq!(with.nodes_explored, without.nodes_explored);
     }
 
     #[test]

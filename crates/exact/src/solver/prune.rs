@@ -296,7 +296,7 @@ mod tests {
                 .map(|(a, b)| Gate::cx(a, b))
                 .collect();
             let circuit = Circuit::from_gates(QUBITS, gates);
-            let mut core = SearchCore::new(&circuit, &arch, u64::MAX, None);
+            let mut core = SearchCore::new(&circuit, &arch, u64::MAX);
             // Slots past the device's 9 locations leave the qubit unplaced;
             // the search knows only the qubits its gates use.
             for (q, &loc) in slots.iter().enumerate().take(core.partners.len()) {

@@ -82,7 +82,6 @@ impl ReferenceSolver {
                         nodes_explored: nodes,
                         queries,
                         wall_micros: solve_start.elapsed().as_micros() as u64,
-                        deadline_exceeded: false,
                     };
                 }
                 Feasibility::Infeasible => continue,
@@ -95,7 +94,6 @@ impl ReferenceSolver {
             nodes_explored: nodes,
             queries,
             wall_micros: solve_start.elapsed().as_micros() as u64,
-            deadline_exceeded: false,
         }
     }
 }

@@ -28,7 +28,7 @@ fn suite_instance_seeds_are_engine_schedulable() {
         .run(
             &jobs,
             |_| (),
-            |(), _deadline, &(count_index, instance)| config.instance_seed(count_index, instance),
+            |(), &(count_index, instance)| config.instance_seed(count_index, instance),
             &NullSink,
         )
         .expect("no panics");
